@@ -11,7 +11,7 @@ use vdb_optimizer::{
 };
 use vdb_storage::projection::ProjectionDef;
 use vdb_storage::store::SnapshotScan;
-use vdb_storage::{MemBackend, StorageEngine, TupleMover, TupleMoverConfig};
+use vdb_storage::{MemBackend, StorageEngine, TupleMover, TupleMoverConfig, STATS_SAMPLE_ROWS};
 use vdb_txn::txn::Isolation;
 use vdb_txn::{EpochManager, LockMode, TransactionManager};
 use vdb_types::{DbError, DbResult, Epoch, Expr, Func, NodeId, Row, TableSchema, Value};
@@ -114,19 +114,37 @@ impl Cluster {
     /// Fallible construction — only durable clusters (`data_root` set) can
     /// actually fail, on filesystem errors creating node directories.
     pub fn try_new(config: ClusterConfig) -> DbResult<Cluster> {
+        let backends = (0..config.n_nodes)
+            .map(|i| -> DbResult<Arc<dyn vdb_storage::StorageBackend>> {
+                Ok(match &config.data_root {
+                    Some(root) => {
+                        Arc::new(vdb_storage::FsBackend::new(root.join(format!("node{i}")))?)
+                    }
+                    None => Arc::new(MemBackend::new()),
+                })
+            })
+            .collect::<DbResult<Vec<_>>>()?;
+        Ok(Cluster::with_backends(config, backends))
+    }
+
+    /// A cluster over the given per-node backends. Tests pass wrappers
+    /// here (to count I/O) or the backends of a dropped cluster (to
+    /// restart on its durable state).
+    fn with_backends(
+        config: ClusterConfig,
+        backends: Vec<Arc<dyn vdb_storage::StorageBackend>>,
+    ) -> Cluster {
+        assert_eq!(backends.len(), config.n_nodes);
         let epochs = Arc::new(EpochManager::new(config.history_retention));
-        let mut nodes = Vec::with_capacity(config.n_nodes);
-        for i in 0..config.n_nodes {
-            let backend: Arc<dyn vdb_storage::StorageBackend> = match &config.data_root {
-                Some(root) => Arc::new(vdb_storage::FsBackend::new(root.join(format!("node{i}")))?),
-                None => Arc::new(MemBackend::new()),
-            };
-            nodes.push(Node {
+        let nodes = backends
+            .into_iter()
+            .enumerate()
+            .map(|(i, backend)| Node {
                 id: NodeId(i as u32),
                 engine: StorageEngine::new(backend, config.n_local_segments),
-            });
-        }
-        Ok(Cluster {
+            })
+            .collect();
+        Cluster {
             commit_serial: Mutex::new(()),
             exchange_aborts: Mutex::new(Vec::new()),
             exchange_bytes: Arc::new(std::sync::atomic::AtomicU64::new(0)),
@@ -140,7 +158,7 @@ impl Cluster {
             mover: TupleMover::new(config.tuple_mover.clone()),
             nodes,
             config,
-        })
+        }
     }
 
     pub fn n_nodes(&self) -> usize {
@@ -513,7 +531,7 @@ impl Cluster {
     }
 
     /// DELETE: marks matching rows in every projection replica on every up
-    /// node. Returns (commit epoch, rows deleted on replica 0).
+    /// node. Returns (commit epoch, table rows deleted).
     pub fn delete(&self, table: &str, predicate: Option<&Expr>) -> DbResult<(Epoch, u64)> {
         self.check_writable()?;
         let txn = self.txns.begin(Isolation::ReadCommitted);
@@ -537,9 +555,13 @@ impl Cluster {
         }
     }
 
+    /// Marks matching rows deleted in every replica of every family.
+    /// Returns how many *table* rows that was: the rows the first family's
+    /// primary replica held (one node's copy when it is replicated), not
+    /// one per projection.
     fn apply_delete(&self, table: &str, predicate: Option<&Expr>, epoch: Epoch) -> DbResult<u64> {
         let snapshot = epoch.prev();
-        let mut deleted_primary = 0u64;
+        let mut deleted = 0u64;
         let families: Vec<Family> = self
             .families
             .read()
@@ -547,9 +569,10 @@ impl Cluster {
             .filter(|f| f.table == table)
             .cloned()
             .collect();
-        for family in &families {
+        for (f, family) in families.iter().enumerate() {
+            let one_copy_per_node = self.router.is_replicated(&family.def);
             for (b, replica) in family.replicas.iter().enumerate() {
-                for n in self.up_nodes() {
+                for (i, n) in self.up_nodes().into_iter().enumerate() {
                     let store = self.nodes[n].engine.projection(replica)?;
                     // Hold the write lock across scan AND mark: a
                     // concurrent moveout re-bases WOS positions on drain,
@@ -577,8 +600,8 @@ impl Cluster {
                             locations.push(loc);
                         }
                     }
-                    if b == 0 {
-                        deleted_primary += locations.len() as u64;
+                    if f == 0 && b == 0 && (i == 0 || !one_copy_per_node) {
+                        deleted += locations.len() as u64;
                     }
                     for loc in locations {
                         s.mark_deleted(loc, epoch)?;
@@ -586,7 +609,7 @@ impl Cluster {
                 }
             }
         }
-        Ok(deleted_primary)
+        Ok(deleted)
     }
 
     /// UPDATE = DELETE + INSERT of modified rows (§3.7.1). Sets are
@@ -694,8 +717,7 @@ impl Cluster {
         drop(fams);
         let snaps = self.family_snapshot_per_node(&family, snapshot)?;
         let mut out = Vec::new();
-        for (n, snap) in snaps {
-            let _ = n;
+        for (_, snap) in snaps {
             // Read rows directly from the snapshot containers.
             for sc in &snap.containers {
                 let visible = sc.visible(sc.backend.as_ref())?;
@@ -1086,7 +1108,13 @@ impl Cluster {
             .collect())
     }
 
-    /// Build the optimizer catalog from live storage (sampled stats).
+    /// Build the optimizer catalog by folding storage's per-container
+    /// summaries: row counts, encoded bytes and observed encodings are
+    /// sums over them, and the statistics sample is the first
+    /// [`STATS_SAMPLE_ROWS`] visible rows in container order, then the WOS
+    /// (node by node). Containers are immutable, so with warm summaries
+    /// this reads no column file — the cost is O(containers + sample), not
+    /// O(rows). See ARCHITECTURE.md, "Statistics lifecycle".
     pub fn catalog(&self) -> DbResult<OptimizerCatalog> {
         let snapshot = self.epochs.read_committed_snapshot();
         let mut catalog = OptimizerCatalog::default();
@@ -1096,45 +1124,49 @@ impl Cluster {
                 if &family.table != tname {
                     continue;
                 }
+                let mut holders = self.up_nodes();
+                if self.router.is_replicated(&family.def) {
+                    holders.truncate(1); // one node's copy stands for all
+                }
+                let stores = holders
+                    .into_iter()
+                    .map(|n| self.nodes[n].engine.projection(&family.replicas[0]))
+                    .collect::<DbResult<Vec<_>>>()?;
+                // Read-locked together so the sample can borrow rows from
+                // all of them until the statistics are built.
+                let stores: Vec<_> = stores.iter().map(|s| s.read()).collect();
+                let arity = family.def.arity();
                 let mut row_count = 0u64;
-                let mut column_bytes = vec![0u64; family.def.arity()];
-                let mut column_encodings: Vec<Vec<(String, u64)>> = Vec::new();
-                let mut sample: Vec<Row> = Vec::new();
+                let mut column_bytes = vec![0u64; arity];
+                let mut column_encodings: Vec<Vec<(String, u64)>> = vec![Vec::new(); arity];
+                let mut sample: Vec<&[Value]> = Vec::new();
                 // Max per-node morsel count: the planner's parallel-scan
                 // DoP cap (each node executes its local plan, so the
                 // per-node container count is what bounds useful workers).
                 let mut scan_morsels = 1usize;
-                for n in self.up_nodes() {
-                    let store = self.nodes[n].engine.projection(&family.replicas[0])?;
-                    let s = store.read();
+                for s in &stores {
                     row_count += s.row_count_estimate();
                     scan_morsels = scan_morsels.max(s.morsel_count());
-                    for (i, b) in s.column_bytes().into_iter().enumerate() {
-                        column_bytes[i] += b;
+                    for (total, b) in column_bytes.iter_mut().zip(s.column_bytes()) {
+                        *total += b;
                     }
-                    for (i, encs) in s.column_encodings().into_iter().enumerate() {
-                        if column_encodings.len() <= i {
-                            column_encodings.resize(i + 1, Vec::new());
-                        }
+                    for (merged, encs) in column_encodings.iter_mut().zip(s.column_encodings()) {
                         for (name, rows) in encs {
-                            match column_encodings[i].iter_mut().find(|(n, _)| *n == name) {
+                            match merged.iter_mut().find(|(n, _)| *n == name) {
                                 Some((_, r)) => *r += rows,
-                                None => column_encodings[i].push((name, rows)),
+                                None => merged.push((name, rows)),
                             }
                         }
                     }
-                    if sample.len() < 1000 {
-                        let rows = s.visible_rows(snapshot)?;
-                        sample.extend(rows.into_iter().take(1000 - sample.len()));
-                    }
-                    if self.router.is_replicated(&family.def) {
-                        break;
+                    if sample.len() < STATS_SAMPLE_ROWS {
+                        let want = STATS_SAMPLE_ROWS - sample.len();
+                        sample.extend(s.sample_rows(snapshot, want)?);
                     }
                 }
                 let mut def = family.def.clone();
                 def.name = fname.clone();
                 projections.push(
-                    ProjectionMeta::from_sample(def, row_count, column_bytes, &sample)
+                    ProjectionMeta::from_sample_rows(def, row_count, column_bytes, &sample)
                         .with_scan_morsels(scan_morsels)
                         .with_column_encodings(column_encodings),
                 );
@@ -1314,6 +1346,9 @@ fn union_arity(merge: &MergeSpec, rows: &[Row]) -> usize {
         _ => 1,
     })
 }
+
+#[cfg(test)]
+mod catalog_tests;
 
 #[cfg(test)]
 mod tests {

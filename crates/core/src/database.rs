@@ -9,6 +9,7 @@
 use crate::trace::{QueryTrace, TraceFeatures, DEFAULT_TRACE_CAPACITY};
 use parking_lot::RwLock;
 use std::collections::HashSet;
+use std::sync::Arc;
 use vdb_cluster::{Cluster, ClusterConfig};
 use vdb_exec::parallel::ExecOptions;
 use vdb_optimizer::OptimizerCatalog;
@@ -81,7 +82,7 @@ pub struct Database {
     /// Executor thread budget handed to the planner per query.
     exec: ExecOptions,
     /// Catalog cache keyed by the epoch it was built at.
-    catalog: RwLock<Option<(Epoch, OptimizerCatalog)>>,
+    catalog: RwLock<Option<(Epoch, Arc<OptimizerCatalog>)>>,
     /// Monotone counter bumped by every DDL-shaped catalog change
     /// (CREATE/DROP TABLE/PROJECTION, designer installs). Cached physical
     /// plans stamp the version they were planned under and are discarded
@@ -396,16 +397,25 @@ impl Database {
         })
     }
 
-    /// Current optimizer catalog (rebuilt when the epoch moved).
-    pub fn optimizer_catalog(&self) -> DbResult<OptimizerCatalog> {
+    /// Current optimizer catalog, shared: rebuilt when the epoch moved
+    /// (any commit) or DDL cleared it. The rebuild is single-flight — the
+    /// epoch is re-checked under the write lock, so sessions that all plan
+    /// after one commit build one catalog between them.
+    pub fn optimizer_catalog(&self) -> DbResult<Arc<OptimizerCatalog>> {
         let epoch = self.cluster.epochs.current();
-        if let Some((e, cat)) = self.catalog.read().as_ref() {
-            if *e == epoch {
-                return Ok(cat.clone());
-            }
+        let fresh = |slot: &Option<(Epoch, Arc<OptimizerCatalog>)>| match slot {
+            Some((e, cat)) if *e == epoch => Some(cat.clone()),
+            _ => None,
+        };
+        if let Some(cat) = fresh(&self.catalog.read()) {
+            return Ok(cat);
         }
-        let cat = self.cluster.catalog()?;
-        *self.catalog.write() = Some((epoch, cat.clone()));
+        let mut slot = self.catalog.write();
+        if let Some(cat) = fresh(&slot) {
+            return Ok(cat);
+        }
+        let cat = Arc::new(self.cluster.catalog()?);
+        *slot = Some((epoch, cat.clone()));
         Ok(cat)
     }
 
@@ -990,6 +1000,38 @@ mod tests {
             .unwrap();
         let got = db.query("SELECT amt FROM sales WHERE id = 2").unwrap();
         assert_eq!(got[0][0], Value::Float(9.5));
+    }
+
+    /// The catalog is handed out shared, rebuilt after a commit, and built
+    /// once however many sessions ask for it at the same moment.
+    #[test]
+    fn optimizer_catalog_is_shared_and_single_flight() {
+        let db = db_with_sales();
+        db.execute("INSERT INTO sales VALUES (1, 'e', 1.0, 10)")
+            .unwrap();
+        let first = db.optimizer_catalog().unwrap();
+        assert!(Arc::ptr_eq(&first, &db.optimizer_catalog().unwrap()));
+        db.execute("INSERT INTO sales VALUES (2, 'w', 2.0, 20)")
+            .unwrap();
+        let sessions = 8;
+        let barrier = std::sync::Barrier::new(sessions);
+        let built: Vec<Arc<OptimizerCatalog>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..sessions)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        db.optimizer_catalog().unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            !Arc::ptr_eq(&first, &built[0]),
+            "the commit moved the epoch"
+        );
+        assert!(built.iter().all(|cat| Arc::ptr_eq(cat, &built[0])));
+        assert_eq!(built[0].tables["sales"].projections[0].row_count, 2);
     }
 
     #[test]

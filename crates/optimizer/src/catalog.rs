@@ -3,10 +3,10 @@
 //! the planner is a pure function (easy to test, easy to re-run for
 //! node-down replans).
 
-use crate::stats::{build_column_stats, ColumnStatsData};
+use crate::stats::{column_stats_of, ColumnStatsData};
 use std::collections::BTreeMap;
 use vdb_storage::projection::ProjectionDef;
-use vdb_types::{Row, TableSchema};
+use vdb_types::{Row, TableSchema, Value};
 
 pub type ColumnStats = ColumnStatsData;
 
@@ -41,12 +41,20 @@ impl ProjectionMeta {
         column_bytes: Vec<u64>,
         sample: &[Row],
     ) -> ProjectionMeta {
-        let arity = def.arity();
-        let stats = (0..arity)
-            .map(|c| {
-                let col: Vec<vdb_types::Value> = sample.iter().map(|r| r[c].clone()).collect();
-                build_column_stats(&col, row_count)
-            })
+        let rows: Vec<&[Value]> = sample.iter().map(Vec::as_slice).collect();
+        ProjectionMeta::from_sample_rows(def, row_count, column_bytes, &rows)
+    }
+
+    /// [`ProjectionMeta::from_sample`] over rows the caller only borrows —
+    /// the shape the cluster gets from storage's per-container summaries.
+    pub fn from_sample_rows(
+        def: ProjectionDef,
+        row_count: u64,
+        column_bytes: Vec<u64>,
+        sample: &[&[Value]],
+    ) -> ProjectionMeta {
+        let stats = (0..def.arity())
+            .map(|c| column_stats_of(sample.iter().map(|r| &r[c]), row_count))
             .collect();
         ProjectionMeta {
             def,
@@ -124,7 +132,7 @@ impl OptimizerCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdb_types::{ColumnDef, DataType, Value};
+    use vdb_types::{ColumnDef, DataType};
 
     #[test]
     fn projection_meta_builds_per_column_stats() {

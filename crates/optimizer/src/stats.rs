@@ -24,9 +24,31 @@ pub struct ColumnStatsData {
 /// Build stats from a sample of `sample` values drawn from a column with
 /// `total_rows` rows.
 pub fn build_column_stats(sample: &[Value], total_rows: u64) -> ColumnStatsData {
-    let mut non_null: Vec<&Value> = sample.iter().filter(|v| !v.is_null()).collect();
-    let nulls_in_sample = sample.len() - non_null.len();
-    non_null.sort();
+    column_stats_of(sample.iter(), total_rows)
+}
+
+/// [`build_column_stats`] over borrowed values in any order — the catalog
+/// feeds it one column of rows it only borrows from storage.
+pub fn column_stats_of<'a>(
+    sample: impl Iterator<Item = &'a Value>,
+    total_rows: u64,
+) -> ColumnStatsData {
+    let mut sampled = 0usize;
+    let mut bytes = 0usize;
+    let mut non_null: Vec<&Value> = Vec::with_capacity(sample.size_hint().0);
+    for v in sample {
+        sampled += 1;
+        bytes += match v {
+            Value::Null | Value::Boolean(_) => 1usize,
+            Value::Integer(_) | Value::Float(_) | Value::Timestamp(_) => 8,
+            Value::Varchar(s) => s.len() + 4,
+        };
+        if !v.is_null() {
+            non_null.push(v);
+        }
+    }
+    let nulls_in_sample = sampled - non_null.len();
+    sort_values(&mut non_null);
     let d_sample = {
         let mut d = 0u64;
         let mut prev: Option<&&Value> = None;
@@ -40,7 +62,7 @@ pub fn build_column_stats(sample: &[Value], total_rows: u64) -> ColumnStatsData 
     };
     // First-order jackknife / GEE-flavored scale-up (Haas et al. [16]):
     // d̂ = d * sqrt(N / n), capped at N.
-    let n = sample.len().max(1) as f64;
+    let n = sampled.max(1) as f64;
     let scale = (total_rows as f64 / n).max(1.0).sqrt();
     let distinct = ((d_sample as f64) * scale).round().min(total_rows as f64) as u64;
     let mut histogram = Vec::new();
@@ -51,18 +73,10 @@ pub fn build_column_stats(sample: &[Value], total_rows: u64) -> ColumnStatsData 
         }
         histogram.dedup();
     }
-    let avg_bytes = if sample.is_empty() {
+    let avg_bytes = if sampled == 0 {
         8.0
     } else {
-        sample
-            .iter()
-            .map(|v| match v {
-                Value::Null | Value::Boolean(_) => 1usize,
-                Value::Integer(_) | Value::Float(_) | Value::Timestamp(_) => 8,
-                Value::Varchar(s) => s.len() + 4,
-            })
-            .sum::<usize>() as f64
-            / sample.len() as f64
+        bytes as f64 / sampled as f64
     };
     let null_fraction = nulls_in_sample as f64 / n;
     ColumnStatsData {
@@ -73,6 +87,46 @@ pub fn build_column_stats(sample: &[Value], total_rows: u64) -> ColumnStatsData 
         distinct: distinct.max(u64::from(d_sample > 0)),
         avg_bytes,
         histogram,
+    }
+}
+
+/// Sort by `Value::cmp`. A column of one type family — the usual case —
+/// sorts on keys extracted once instead of comparing enums through two
+/// pointers: the sort is most of what a catalog rebuild costs. Within a
+/// family equal keys are equal values, so the result is the same.
+fn sort_values(values: &mut [&Value]) {
+    /// Sort on `key` if it is defined for every value.
+    fn by_key<'a, K: Ord + Copy>(
+        values: &mut [&'a Value],
+        key: impl Fn(&'a Value) -> Option<K>,
+    ) -> bool {
+        let keyed: Option<Vec<(K, &Value)>> =
+            values.iter().map(|&v| key(v).map(|k| (k, v))).collect();
+        let Some(mut keyed) = keyed else {
+            return false;
+        };
+        keyed.sort_unstable_by_key(|k| k.0);
+        for (slot, (_, v)) in values.iter_mut().zip(keyed) {
+            *slot = v;
+        }
+        true
+    }
+    let sorted = by_key(values, |v| match v {
+        Value::Integer(i) | Value::Timestamp(i) => Some(*i),
+        _ => None,
+    }) || by_key(values, |v| match v {
+        // `f64::total_cmp`'s order as an integer.
+        Value::Float(f) => {
+            let bits = f.to_bits() as i64;
+            Some(bits ^ (((bits >> 63) as u64) >> 1) as i64)
+        }
+        _ => None,
+    }) || by_key(values, |v| match v {
+        Value::Varchar(s) => Some(s.as_str()),
+        _ => None,
+    });
+    if !sorted {
+        values.sort();
     }
 }
 
@@ -231,5 +285,45 @@ mod tests {
         sample.extend(std::iter::repeat_n(Value::Null, 100));
         let s = build_column_stats(&sample, 2000);
         assert!(s.nulls > 800 && s.nulls < 1200, "nulls = {}", s.nulls);
+    }
+
+    /// The keyed sort is `Value::cmp`'s order for every column shape.
+    #[test]
+    fn keyed_sort_matches_value_order() {
+        let floats = [
+            3.5,
+            -0.0,
+            0.0,
+            -7.25,
+            f64::NAN,
+            f64::INFINITY,
+            -f64::NAN,
+            1e-300,
+        ];
+        let columns: Vec<Vec<Value>> = vec![
+            (0..200)
+                .map(|i| Value::Integer((i * 7919) % 101 - 50))
+                .collect(),
+            (0..50).map(|i| Value::Timestamp(1000 - i)).collect(),
+            vec![
+                Value::Integer(5),
+                Value::Timestamp(-3),
+                Value::Integer(i64::MIN),
+            ],
+            floats.iter().map(|&f| Value::Float(f)).collect(),
+            ["pear", "", "apple", "pear", "Zed"]
+                .iter()
+                .map(|s| Value::Varchar(s.to_string()))
+                .collect(),
+            vec![Value::Integer(2), Value::Float(1.5), Value::Boolean(true)],
+            vec![],
+        ];
+        for col in &columns {
+            let mut keyed: Vec<&Value> = col.iter().collect();
+            let mut plain = keyed.clone();
+            sort_values(&mut keyed);
+            plain.sort();
+            assert_eq!(keyed, plain);
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! modify storage: they append to **delete vectors** ([`delete_vector`]).
 //! The **tuple mover** ([`tuple_mover`]) runs moveout (WOS→ROS) and
 //! strata-based mergeout, preserving `PARTITION BY` ([`partition`]) and
-//! local-segment boundaries. A node's projections are collected in a
-//! [`engine::StorageEngine`].
+//! local-segment boundaries. What the planner needs to know about a
+//! container is summarized once, beside it ([`container_stats`]). A node's
+//! projections are collected in a [`engine::StorageEngine`].
 //!
 //! Durability (§5.1): the volatile WOS is backed by a per-projection
 //! **redo log** ([`redo`]), the live container set by a per-projection
@@ -19,6 +20,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod backend;
+pub mod container_stats;
 pub mod delete_vector;
 pub mod engine;
 pub mod fault;
@@ -32,6 +34,7 @@ pub mod tuple_mover;
 pub mod wos;
 
 pub use backend::{FsBackend, MemBackend, StorageBackend};
+pub use container_stats::{ColumnSummary, ContainerStats, STATS_SAMPLE_ROWS};
 pub use delete_vector::DeleteVector;
 pub use engine::StorageEngine;
 pub use projection::{ProjectionDef, Segmentation};

@@ -168,20 +168,51 @@ impl RosContainer {
 
     /// Reconstruct complete rows (all columns).
     pub fn read_rows(&self, backend: &dyn StorageBackend) -> DbResult<Vec<Row>> {
+        self.read_leading_rows(backend, usize::MAX)
+    }
+
+    /// Reconstruct the first `limit` rows: one read per column file,
+    /// decoding only the leading blocks that hold them.
+    pub fn read_leading_rows(
+        &self,
+        backend: &dyn StorageBackend,
+        limit: usize,
+    ) -> DbResult<Vec<Row>> {
         if self.grouped {
-            return self.read_rows_grouped(backend);
+            let mut rows = self.read_rows_grouped(backend)?;
+            rows.truncate(limit);
+            return Ok(rows);
         }
-        let arity = self.indexes.len();
-        let mut columns = Vec::with_capacity(arity);
-        for c in 0..arity {
-            columns.push(self.read_column(backend, c)?);
+        let n = (self.row_count as usize).min(limit);
+        let mut columns = Vec::with_capacity(self.indexes.len());
+        for (c, index) in self.indexes.iter().enumerate() {
+            let data = backend.read_file(&self.data_path(c))?;
+            let reader = ColumnReader::new(&data, index);
+            let mut values = Vec::with_capacity(n);
+            for b in 0..reader.num_blocks() {
+                if values.len() >= n {
+                    break;
+                }
+                values.extend(reader.read_block(b)?.into_values());
+            }
+            if values.len() < n {
+                return Err(DbError::Corrupt(format!(
+                    "{}: column {c} holds {} rows, container says {}",
+                    self.id,
+                    values.len(),
+                    self.row_count
+                )));
+            }
+            columns.push(values.into_iter());
         }
-        let n = self.row_count as usize;
-        let mut rows = Vec::with_capacity(n);
-        for i in 0..n {
-            rows.push(columns.iter().map(|c| c[i].clone()).collect());
-        }
-        Ok(rows)
+        Ok((0..n)
+            .map(|_| {
+                columns
+                    .iter_mut()
+                    .map(|c| c.next().expect("length checked above"))
+                    .collect()
+            })
+            .collect())
     }
 
     fn read_rows_grouped(&self, backend: &dyn StorageBackend) -> DbResult<Vec<Row>> {

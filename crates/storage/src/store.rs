@@ -10,6 +10,7 @@
 //! check for fully-visible containers, which is the common case.
 
 use crate::backend::StorageBackend;
+use crate::container_stats::ContainerStats;
 use crate::delete_vector::DeleteVector;
 use crate::fault;
 use crate::partition::PartitionSpec;
@@ -254,6 +255,8 @@ pub struct ProjectionStore {
     containers: BTreeMap<ContainerId, RosContainer>,
     delete_vectors: BTreeMap<ContainerId, DeleteVector>,
     pins: BTreeMap<ContainerId, Arc<ContainerPin>>,
+    /// One summary per live container, inserted and removed with its pin.
+    stats: BTreeMap<ContainerId, ContainerStats>,
     next_container: u64,
     /// WOS durability (§5.1): every WOS mutation is logged; moveout
     /// checkpoints and truncates.
@@ -294,6 +297,7 @@ impl ProjectionStore {
             containers: BTreeMap::new(),
             delete_vectors: BTreeMap::new(),
             pins: BTreeMap::new(),
+            stats: BTreeMap::new(),
             next_container: 1,
             redo,
             wos_start_seq: 0,
@@ -379,6 +383,7 @@ impl ProjectionStore {
                     id,
                 )),
             );
+            store.stats.insert(id, ContainerStats::new(&container));
             store.containers.insert(id, container);
             store.delete_vectors.insert(id, dv);
         }
@@ -461,7 +466,7 @@ impl ProjectionStore {
     /// the storage-side input to the planner's degree-of-parallelism
     /// choice (one morsel per container, plus the WOS tail).
     pub fn morsel_count(&self) -> usize {
-        self.containers.len() + usize::from(!self.wos.is_empty())
+        self.stats.len() + usize::from(!self.wos.is_empty())
     }
 
     pub fn containers(&self) -> impl Iterator<Item = &RosContainer> {
@@ -622,6 +627,7 @@ impl ProjectionStore {
                 id,
                 Arc::new(ContainerPin::new(self.backend.clone(), &self.def.name, id)),
             );
+            self.stats.insert(id, ContainerStats::new(&container));
             self.containers.insert(id, container);
             self.delete_vectors.insert(id, dv);
             created.push(id);
@@ -805,13 +811,9 @@ impl ProjectionStore {
     /// across containers — the optimizer's compression-aware I/O input.
     pub fn column_bytes(&self) -> Vec<u64> {
         let mut bytes = vec![0u64; self.def.arity()];
-        for c in self.containers.values() {
-            if c.grouped {
-                continue;
-            }
-            for (col, b) in bytes.iter_mut().enumerate() {
-                *b += self.backend.file_size(&c.data_path(col)).unwrap_or(0)
-                    + self.backend.file_size(&c.index_path(col)).unwrap_or(0);
+        for st in self.stats.values() {
+            for (total, col) in bytes.iter_mut().zip(&st.columns) {
+                *total += col.bytes;
             }
         }
         bytes
@@ -823,17 +825,11 @@ impl ProjectionStore {
     /// actually picked on real data, surfaced to the optimizer catalog so
     /// encoding choices are inspectable and re-designable.
     pub fn column_encodings(&self) -> Vec<Vec<(String, u64)>> {
-        let mut per_col: Vec<std::collections::BTreeMap<&'static str, u64>> =
-            vec![std::collections::BTreeMap::new(); self.def.arity()];
-        for c in self.containers.values() {
-            if c.grouped {
-                continue;
-            }
-            for (col, counts) in per_col.iter_mut().enumerate() {
-                if let Some(idx) = c.indexes.get(col) {
-                    for b in &idx.blocks {
-                        *counts.entry(b.encoding.name()).or_insert(0) += u64::from(b.count);
-                    }
+        let mut per_col: Vec<BTreeMap<&'static str, u64>> = vec![BTreeMap::new(); self.def.arity()];
+        for st in self.stats.values() {
+            for (counts, col) in per_col.iter_mut().zip(&st.columns) {
+                for &(name, rows) in &col.encodings {
+                    *counts.entry(name).or_insert(0) += rows;
                 }
             }
         }
@@ -843,10 +839,49 @@ impl ProjectionStore {
             .collect()
     }
 
-    /// Total visible row count at a snapshot (cheap: container row counts
-    /// minus deletes; WOS visible rows).
+    /// Upper bound on the visible row count: container row counts plus
+    /// the WOS, deletes not subtracted.
     pub fn row_count_estimate(&self) -> u64 {
-        self.containers.values().map(|c| c.row_count).sum::<u64>() + self.wos.len() as u64
+        self.stats.values().map(|st| st.row_count).sum::<u64>() + self.wos.len() as u64
+    }
+
+    /// This store's share of the planner's statistics sample, borrowed and
+    /// projection-shaped: the rows visible at `snapshot` among each
+    /// container's leading
+    /// [`STATS_SAMPLE_ROWS`](crate::container_stats::STATS_SAMPLE_ROWS),
+    /// in container order, then the visible WOS rows — at most `limit`.
+    ///
+    /// This is `visible_rows(snapshot)` cut to `limit`, except that a
+    /// container longer than its leading window is not read past it: rows
+    /// of the window that are invisible at `snapshot` shorten that
+    /// container's share instead of being replaced by later rows. A
+    /// container pays one leading-block read per column the first time the
+    /// walk reaches it; after that the walk does no I/O.
+    pub fn sample_rows(&self, snapshot: Epoch, limit: usize) -> DbResult<Vec<&[Value]>> {
+        self.ensure_usable()?;
+        debug_assert_eq!(self.stats.len(), self.containers.len());
+        let arity = self.def.arity();
+        let mut out: Vec<&[Value]> = Vec::new();
+        for (id, st) in &self.stats {
+            if out.len() == limit {
+                break;
+            }
+            let deletes = self.delete_vectors.get(id);
+            let rows = st.sample(&self.containers[id], self.backend.as_ref())?;
+            let visible = rows.iter().enumerate().filter(|(pos, row)| {
+                let committed = row
+                    .get(arity)
+                    .and_then(Value::as_i64)
+                    .is_some_and(|e| Epoch(e as u64) <= snapshot);
+                committed && !deletes.is_some_and(|dv| dv.is_deleted(*pos as u64, snapshot))
+            });
+            let room = limit - out.len();
+            out.extend(visible.map(|(_, row)| &row[..arity]).take(room));
+        }
+        let room = limit - out.len();
+        let wos = self.wos.visible_iter(snapshot);
+        out.extend(wos.map(Vec::as_slice).take(room));
+        Ok(out)
     }
 
     /// Fast bulk delete of one partition (§3.5): moveout any WOS rows, then
@@ -911,6 +946,7 @@ impl ProjectionStore {
     fn detach_container(&mut self, id: ContainerId) -> Option<Arc<ContainerPin>> {
         self.containers.remove(&id)?;
         self.delete_vectors.remove(&id);
+        self.stats.remove(&id);
         self.pins.remove(&id)
     }
 
@@ -922,6 +958,42 @@ impl ProjectionStore {
     pub(crate) fn remove_container(&mut self, id: ContainerId) {
         if let Some(pin) = self.detach_container(id) {
             pin.doom();
+        }
+    }
+
+    /// The side map holds exactly the live containers, and each summary
+    /// says what the container's files and rows say.
+    #[cfg(test)]
+    pub(crate) fn assert_stats_track_containers(&self) {
+        let ids = |keys: Vec<&ContainerId>| keys.into_iter().copied().collect::<Vec<_>>();
+        assert_eq!(
+            ids(self.stats.keys().collect()),
+            ids(self.containers.keys().collect())
+        );
+        assert_eq!(
+            ids(self.pins.keys().collect()),
+            ids(self.containers.keys().collect())
+        );
+        let backend = self.backend.as_ref();
+        for (id, c) in &self.containers {
+            let st = &self.stats[id];
+            assert_eq!(st.row_count, c.row_count);
+            assert_eq!(st.columns.len(), c.indexes.len());
+            let rows = c.read_rows(backend).unwrap();
+            for (col, summary) in st.columns.iter().enumerate() {
+                let files = backend.file_size(&c.data_path(col)).unwrap()
+                    + backend.file_size(&c.index_path(col)).unwrap();
+                assert_eq!(summary.bytes, files, "{id} column {col}");
+                let encoded: u64 = summary.encodings.iter().map(|(_, n)| n).sum();
+                assert_eq!(encoded, c.row_count);
+                let values = rows.iter().map(|r| &r[col]).filter(|v| !v.is_null());
+                let min_max = values.clone().min().cloned().zip(values.max().cloned());
+                assert_eq!(summary.min_max, min_max, "{id} column {col}");
+                let nulls = rows.iter().filter(|r| r[col].is_null()).count() as u64;
+                assert_eq!(summary.nulls, nulls);
+            }
+            let window = rows.len().min(crate::STATS_SAMPLE_ROWS);
+            assert_eq!(st.sample(c, backend).unwrap(), &rows[..window]);
         }
     }
 
@@ -1472,5 +1544,145 @@ mod tests {
             older.containers[0].visible(s.backend().as_ref()).unwrap(),
             VisibleSet::None
         );
+    }
+
+    fn nullable_row(id: i64) -> Row {
+        let amt = if id % 7 == 0 {
+            Value::Null
+        } else {
+            Value::Integer(id % 50)
+        };
+        vec![Value::Integer(id), amt]
+    }
+
+    #[test]
+    fn container_stats_agree_with_files_and_survive_reopen() {
+        let backend: Arc<MemBackend> = Arc::new(MemBackend::new());
+        let def = ProjectionDef::super_projection(&schema(), "sales_flat", &[0], &[]);
+        let mut s = ProjectionStore::new(def.clone(), None, 1, backend.clone());
+        let rows: Vec<Row> = (0..2500).rev().map(nullable_row).collect();
+        s.insert_direct_ros(rows, Epoch(1)).unwrap();
+        s.insert_wos(vec![nullable_row(9000)], Epoch(2)).unwrap();
+        s.assert_stats_track_containers();
+        assert_eq!(s.row_count_estimate(), 2501);
+        assert_eq!(s.morsel_count(), 2);
+        let (bytes, encodings) = (s.column_bytes(), s.column_encodings());
+        assert_eq!(bytes.len(), 2, "the hidden epoch column is not reported");
+        assert!(encodings
+            .iter()
+            .all(|col| col.iter().map(|(_, n)| n).sum::<u64>() == 2500));
+        let sample: Vec<Row> = s
+            .sample_rows(Epoch(2), 5000)
+            .unwrap()
+            .into_iter()
+            .map(<[Value]>::to_vec)
+            .collect();
+        let mut want: Vec<Row> = (0..1000).map(nullable_row).collect();
+        want.push(nullable_row(9000));
+        assert_eq!(sample, want, "leading window in sort order, then the WOS");
+        drop(s);
+        // Nothing of the summary was persisted; it is rebuilt from the
+        // container's own files and says the same.
+        let s2 = ProjectionStore::open(def, None, 1, backend).unwrap();
+        s2.assert_stats_track_containers();
+        assert_eq!(
+            (s2.column_bytes(), s2.column_encodings()),
+            (bytes, encodings)
+        );
+        let again: Vec<Row> = s2
+            .sample_rows(Epoch(2), 5000)
+            .unwrap()
+            .into_iter()
+            .map(<[Value]>::to_vec)
+            .collect();
+        assert_eq!(again, want);
+    }
+
+    /// `sample_rows` is `visible_rows` cut to the limit as long as every
+    /// row of a long container's leading window is visible; an invisible
+    /// row there makes that container's share shorter by one instead of
+    /// pulling in row 1001.
+    #[test]
+    fn sample_is_visible_rows_cut_to_leading_windows() {
+        let mut s = flat_store();
+        s.insert_direct_ros((0..1500).map(|i| row(i, i)).collect(), Epoch(1))
+            .unwrap();
+        s.insert_direct_ros((2000..2300).map(|i| row(i, i)).collect(), Epoch(2))
+            .unwrap();
+        s.insert_wos((5000..5005).map(|i| row(i, i)).collect(), Epoch(3))
+            .unwrap();
+        let sample = |s: &ProjectionStore, snapshot: u64, limit: usize| -> Vec<Row> {
+            s.sample_rows(Epoch(snapshot), limit)
+                .unwrap()
+                .into_iter()
+                .map(<[Value]>::to_vec)
+                .collect()
+        };
+        for snapshot in 0..=3 {
+            let mut visible = s.visible_rows(Epoch(snapshot)).unwrap();
+            visible.truncate(1000);
+            assert_eq!(sample(&s, snapshot, 1000), visible, "snapshot {snapshot}");
+        }
+        // Past the window the walk moves on to the next container.
+        let ids: Vec<i64> = sample(&s, 3, 5000)
+            .iter()
+            .map(|r| r[0].as_i64().unwrap())
+            .collect();
+        let want: Vec<i64> = (0..1000).chain(2000..2300).chain(5000..5005).collect();
+        assert_eq!(ids, want);
+
+        let first = s.containers().next().unwrap().id;
+        for pos in [0, 10, 999] {
+            s.mark_deleted(RowLocation::Ros(first, pos), Epoch(4))
+                .unwrap();
+        }
+        s.mark_deleted(RowLocation::Ros(first, 1200), Epoch(4))
+            .unwrap();
+        s.mark_deleted(RowLocation::Wos(0), Epoch(4)).unwrap();
+        let ids: Vec<i64> = sample(&s, 4, 1000)
+            .iter()
+            .map(|r| r[0].as_i64().unwrap())
+            .collect();
+        let want: Vec<i64> = (0..1000)
+            .filter(|i| ![0, 10, 999].contains(i))
+            .chain(2000..2003)
+            .collect();
+        assert_eq!(ids, want, "997 of the window, then the next container");
+        assert_eq!(sample(&s, 3, 1000).len(), 1000, "older snapshot unaffected");
+        assert_eq!(sample(&s, 4, 5000).len(), 997 + 300 + 4);
+    }
+
+    #[test]
+    fn stats_never_outlive_their_containers() {
+        let def = ProjectionDef::super_projection(&schema(), "p", &[0], &[0]);
+        let spec = PartitionSpec::new(vdb_types::Expr::binary(
+            vdb_types::BinOp::Mod,
+            vdb_types::Expr::col(0, "id"),
+            vdb_types::Expr::int(2),
+        ));
+        let backend: Arc<MemBackend> = Arc::new(MemBackend::new());
+        let mut s = ProjectionStore::new(def.clone(), Some(spec.clone()), 2, backend.clone());
+        s.insert_direct_ros((0..40).map(|i| row(i, i)).collect(), Epoch(1))
+            .unwrap();
+        s.insert_wos((40..60).map(|i| row(i, i)).collect(), Epoch(2))
+            .unwrap();
+        s.assert_stats_track_containers();
+        s.moveout(Epoch(2)).unwrap();
+        s.assert_stats_track_containers();
+        let before = s.container_count();
+        assert!(s.drop_partition(&Value::Integer(0), Epoch(2)).unwrap() > 0);
+        assert!(s.container_count() < before);
+        s.assert_stats_track_containers();
+        s.insert_direct_ros((61..80).map(|i| row(i, i)).collect(), Epoch(3))
+            .unwrap();
+        s.truncate_after(Epoch(2)).unwrap();
+        s.assert_stats_track_containers();
+        let id = s.containers().next().unwrap().id;
+        s.remove_container(id);
+        s.assert_stats_track_containers();
+        s.save_manifest().unwrap();
+        drop(s);
+        let s = ProjectionStore::open(def, Some(spec), 2, backend).unwrap();
+        s.assert_stats_track_containers();
     }
 }

@@ -244,6 +244,7 @@ mod tests {
             "containers after: {}",
             s.container_count()
         );
+        s.assert_stats_track_containers();
         // Data intact.
         assert_eq!(s.visible_rows(Epoch(6)).unwrap().len(), 6);
         // History intact: snapshot at epoch 3 sees 3 rows.
@@ -265,6 +266,7 @@ mod tests {
         // AHM = 6: the epoch-5 delete is ancient (purged); epoch-9 is not.
         let stats = m.run_mergeout(&mut s, Epoch(6)).unwrap();
         assert_eq!(stats.rows_purged, 1);
+        s.assert_stats_track_containers();
         // The epoch-9-deleted row must still be visible at snapshot 8.
         let visible_at_8 = s.visible_rows(Epoch(8)).unwrap();
         assert_eq!(visible_at_8.len(), 3);

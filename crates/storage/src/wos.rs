@@ -62,15 +62,22 @@ impl Wos {
         &self.deletes
     }
 
-    /// Rows visible at `snapshot`: committed at or before it and not
-    /// deleted at or before it.
-    pub fn visible_rows(&self, snapshot: Epoch) -> Vec<Row> {
+    /// Rows visible at `snapshot`, borrowed in insertion order: committed
+    /// at or before it and not deleted at or before it.
+    pub fn visible_iter(&self, snapshot: Epoch) -> impl Iterator<Item = &Row> + '_ {
         self.rows
             .iter()
             .enumerate()
-            .filter(|(i, wr)| wr.epoch <= snapshot && !self.deletes.is_deleted(*i as u64, snapshot))
-            .map(|(_, wr)| wr.row.clone())
-            .collect()
+            .filter(move |(i, wr)| {
+                wr.epoch <= snapshot && !self.deletes.is_deleted(*i as u64, snapshot)
+            })
+            .map(|(_, wr)| &wr.row)
+    }
+
+    /// Owned copy of [`Wos::visible_iter`] (a scan snapshot outlives the
+    /// store lock).
+    pub fn visible_rows(&self, snapshot: Epoch) -> Vec<Row> {
+        self.visible_iter(snapshot).cloned().collect()
     }
 
     /// Iterate all rows with epochs and delete marks (for moveout, which

@@ -9,7 +9,8 @@ use std::sync::Mutex;
 use vdb_core::{Engine, Value};
 use vdb_types::Row;
 
-/// Fault points are process-global; the kill tests serialize on this.
+/// Fault points are process-global; every test that executes a
+/// distributed query serializes on this.
 static FAULT_SERIAL: Mutex<()> = Mutex::new(());
 
 fn fault_serial() -> std::sync::MutexGuard<'static, ()> {
@@ -106,6 +107,9 @@ proptest! {
         tail in arb_fact(),
         cut in prop::option::of(-60i64..60),
     ) {
+        // Its queries run `cluster.exec.node<i>` too and would consume a
+        // fault a kill test armed for its own cluster.
+        let _guard = fault_serial();
         let single = build(1, &fact, &dim, &tail, cut);
         let expected: Vec<Vec<Row>> = query_mix()
             .iter()

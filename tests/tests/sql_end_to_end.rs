@@ -120,6 +120,30 @@ fn dml_visibility_and_history() {
     assert_eq!(got[0][0], Value::Float(0.5));
 }
 
+/// DELETE and UPDATE report table rows, not one per projection that
+/// stores them (with two projections the tags used to say 20 and 2).
+#[test]
+fn dml_tags_count_each_row_once_with_two_projections() {
+    let db = sales_db(1, 0);
+    db.execute(
+        "CREATE PROJECTION sales_by_region AS SELECT region, id, amt FROM sales ORDER BY region",
+    )
+    .unwrap();
+    load_sales(&db, 100);
+    let deleted = db.execute("DELETE FROM sales WHERE id < 10").unwrap();
+    assert_eq!(deleted.tag, "DELETE 10");
+    let updated = db
+        .execute("UPDATE sales SET amt = 0.5 WHERE id = 60")
+        .unwrap();
+    assert_eq!(updated.tag, "UPDATE 1");
+    let (_, n) = db.cluster().delete("sales", None).unwrap();
+    assert_eq!(n, 90);
+    assert_eq!(
+        db.query("SELECT COUNT(*) FROM sales").unwrap()[0][0],
+        Value::Integer(0)
+    );
+}
+
 #[test]
 fn tuple_mover_does_not_change_results() {
     let db = sales_db(1, 0);
