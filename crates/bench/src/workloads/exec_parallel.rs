@@ -76,7 +76,6 @@ pub fn run_serial(store: &ProjectionStore) -> DbResult<(Vec<Row>, f64)> {
 pub fn run_parallel(store: &ProjectionStore, lanes: usize) -> DbResult<(Vec<Row>, f64)> {
     let snap = store.scan_snapshot(Epoch(1));
     let t = Instant::now();
-    let morsels = snap.into_morsels();
     let spec = ParallelScanSpec::new(store.backend().clone(), vec![0, 1]);
     let mut op = ParallelScanOp::new(
         spec,
@@ -84,7 +83,7 @@ pub fn run_parallel(store: &ProjectionStore, lanes: usize) -> DbResult<(Vec<Row>
             group_columns: vec![0],
             aggs: aggs(),
         },
-        morsels,
+        snap,
         lanes,
         MemoryBudget::unlimited(),
     );

@@ -101,10 +101,10 @@ pub fn run_parallel(
     let mut op = ParallelHashJoinOp::new(
         ParallelJoinSpec {
             probe: ParallelScanSpec::new(fact.backend().clone(), vec![0, 1]),
-            probe_morsels: fact.scan_snapshot(Epoch(1)).into_morsels(),
+            probe_snapshot: fact.scan_snapshot(Epoch(1)),
             probe_threads: lanes,
             build: ParallelScanSpec::new(dim.backend().clone(), vec![0, 1]),
-            build_morsels: dim.scan_snapshot(Epoch(1)).into_morsels(),
+            build_snapshot: dim.scan_snapshot(Epoch(1)),
             build_threads: lanes,
             left_keys: vec![0],
             right_keys: vec![0],

@@ -1142,7 +1142,8 @@ impl Cluster {
                 let mut sample: Vec<&[Value]> = Vec::new();
                 // Max per-node morsel count: the planner's parallel-scan
                 // DoP cap (each node executes its local plan, so the
-                // per-node container count is what bounds useful workers).
+                // block-range morsels one node holds are what bounds
+                // useful workers).
                 let mut scan_morsels = 1usize;
                 for s in &stores {
                     row_count += s.row_count_estimate();

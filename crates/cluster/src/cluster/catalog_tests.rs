@@ -7,7 +7,7 @@
 use super::*;
 use proptest::prelude::*;
 use vdb_storage::projection::Segmentation;
-use vdb_storage::{RowLocation, StorageBackend};
+use vdb_storage::{CountingBackend, IoCall, IoOp, RowLocation, StorageBackend};
 use vdb_types::{BinOp, ColumnDef, DataType};
 
 /// `t(k, g, v)`: `k` unique and ascending with load order, `g` the
@@ -394,52 +394,8 @@ proptest! {
     }
 }
 
-/// Counts the calls that touch a file's contents or size, by path.
-#[derive(Default)]
-struct CountingBackend {
-    inner: MemBackend,
-    reads: Mutex<Vec<String>>,
-    sizes: Mutex<Vec<String>>,
-}
-
-impl CountingBackend {
-    fn reset(&self) {
-        self.reads.lock().clear();
-        self.sizes.lock().clear();
-    }
-
-    fn reads(&self) -> Vec<String> {
-        let mut paths = self.reads.lock().clone();
-        paths.sort();
-        paths
-    }
-}
-
-impl StorageBackend for CountingBackend {
-    fn write_file(&self, path: &str, bytes: &[u8]) -> DbResult<()> {
-        self.inner.write_file(path, bytes)
-    }
-    fn read_file(&self, path: &str) -> DbResult<Vec<u8>> {
-        self.reads.lock().push(path.to_string());
-        self.inner.read_file(path)
-    }
-    fn delete_file(&self, path: &str) -> DbResult<()> {
-        self.inner.delete_file(path)
-    }
-    fn file_size(&self, path: &str) -> DbResult<u64> {
-        self.sizes.lock().push(path.to_string());
-        self.inner.file_size(path)
-    }
-    fn list_files(&self, prefix: &str) -> Vec<String> {
-        self.inner.list_files(prefix)
-    }
-    fn hard_link(&self, src: &str, dst: &str) -> DbResult<()> {
-        self.inner.hard_link(src, dst)
-    }
-}
-
 #[test]
-fn catalog_rebuild_reads_no_file_once_summaries_are_warm() {
+fn catalog_rebuild_reads_no_byte_once_summaries_are_warm() {
     let counting = Arc::new(CountingBackend::default());
     let backends = vec![counting.clone() as Arc<dyn StorageBackend>];
     let c = start(1, false, &backends);
@@ -449,26 +405,39 @@ fn catalog_rebuild_reads_no_file_once_summaries_are_warm() {
         .unwrap();
     c.load("t", &[row(5000)], false).unwrap();
     // Sizes, encodings and counts come from the position indexes; the
-    // sample costs one read per column — epoch column included — of the
-    // one container it reaches (its 1500 rows fill the sample), once.
-    let leading_reads: Vec<String> = ["t_by_k", "t_by_v"]
-        .iter()
-        .flat_map(|p| (0..4).map(move |col| format!("{p}/ros1/c{col}.dat")))
-        .collect();
+    // sample costs one ranged read per column — epoch column included —
+    // of the one container it reaches (its 1500 rows fill the sample),
+    // once, and that read is the leading block's bytes, not the file.
+    let leading_blocks = |c: &Cluster| -> Vec<IoCall> {
+        ["t_by_k", "t_by_v"]
+            .iter()
+            .flat_map(|p| {
+                let store = c.nodes[0].engine.projection(p).unwrap();
+                let store = store.read();
+                let first = store.containers().next().unwrap();
+                assert_eq!(first.block_count(), 2, "1500 rows");
+                (0..4)
+                    .map(|col| IoCall {
+                        op: IoOp::ReadRange,
+                        path: first.data_path(col),
+                        bytes: u64::from(first.indexes[col].blocks[0].byte_len),
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    };
     counting.reset();
     let first = c.catalog().unwrap();
-    assert_eq!(counting.reads(), leading_reads);
-    assert_eq!(*counting.sizes.lock(), Vec::<String>::new());
+    assert_eq!(counting.calls(), leading_blocks(&c));
     assert_eq!(first, c.reference_catalog(false));
 
     // After an INSERT the epoch moved and the catalog is rebuilt — now
-    // from the summaries alone.
+    // from the summaries alone: no read, no `stat`.
     c.load("t", &[row(5001)], false).unwrap();
     counting.reset();
     let second = c.catalog().unwrap();
     assert_ne!(second, first);
-    assert_eq!(counting.reads(), Vec::<String>::new());
-    assert_eq!(*counting.sizes.lock(), Vec::<String>::new());
+    assert_eq!(counting.calls(), vec![]);
 
     // Restarted on the same files, the same again: nothing of a summary
     // was persisted, and nothing but the leading blocks is needed back.
@@ -477,11 +446,10 @@ fn catalog_rebuild_reads_no_file_once_summaries_are_warm() {
     counting.reset();
     let reopened = c.catalog().unwrap();
     assert_eq!(reopened, second);
-    assert_eq!(counting.reads(), leading_reads);
-    assert_eq!(*counting.sizes.lock(), Vec::<String>::new());
+    assert_eq!(counting.calls(), leading_blocks(&c));
     counting.reset();
     assert_eq!(c.catalog().unwrap(), reopened);
-    assert_eq!(counting.reads(), Vec::<String>::new());
+    assert_eq!(counting.calls(), vec![]);
 }
 
 /// Summaries live in the store: a dropped projection takes them with it.

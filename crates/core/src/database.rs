@@ -23,7 +23,7 @@ pub struct DatabaseConfig {
     /// Executor thread budget per query (morsel-driven parallel scans).
     /// Defaults to `VDB_EXEC_THREADS` or the host's available
     /// parallelism; the planner clamps per scan to the projection's
-    /// container-morsel count.
+    /// morsel count (block ranges of its containers, plus the WOS tail).
     pub exec: ExecOptions,
 }
 
@@ -111,7 +111,8 @@ impl Database {
         }
     }
 
-    /// Open (or create) a durable single-node database rooted at `root`.
+    /// [`Database::new`] rooted at `root` for durability (the engine
+    /// builder's durable path; `config.cluster.data_root` is overwritten).
     ///
     /// First open creates the directory; subsequent opens **recover**: the
     /// DDL log is replayed to rebuild tables and projections (projection
@@ -120,37 +121,6 @@ impl Database {
     /// marker, and any effects stamped after that marker — writes applied
     /// by a transaction that crashed before its marker — are truncated
     /// away. See `ARCHITECTURE.md` ("Durability and crash recovery").
-    #[deprecated(since = "0.2.0", note = "use Engine::builder().data_dir(root).open()")]
-    pub fn open(root: impl AsRef<std::path::Path>) -> DbResult<Database> {
-        Database::open_at(
-            root,
-            DatabaseConfig {
-                cluster: ClusterConfig {
-                    n_nodes: 1,
-                    k_safety: 0,
-                    n_local_segments: 1,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Durable open with explicit cluster/executor configuration.
-    /// `config.cluster.data_root` is overwritten with `root`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().data_dir(root) with topology knobs"
-    )]
-    pub fn open_with_config(
-        root: impl AsRef<std::path::Path>,
-        config: DatabaseConfig,
-    ) -> DbResult<Database> {
-        Database::open_at(root, config)
-    }
-
-    /// [`Database::new`] rooted at `root` for durability (the engine
-    /// builder's durable path; `config.cluster.data_root` is overwritten).
     pub(crate) fn open_at(
         root: impl AsRef<std::path::Path>,
         mut config: DatabaseConfig,
@@ -274,59 +244,13 @@ impl Database {
         f.sync_all().map_err(io)
     }
 
-    /// Single-node, no-buddy database (laptop mode; what the Table 3 and
-    /// Table 4 experiments use).
-    #[deprecated(since = "0.2.0", note = "use Engine::builder().open()")]
-    pub fn single_node() -> Database {
-        Database::new(DatabaseConfig {
-            cluster: ClusterConfig {
-                n_nodes: 1,
-                k_safety: 0,
-                n_local_segments: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
-    }
-
-    /// A K-safe multi-node cluster.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().nodes(n).k_safety(k).open()"
-    )]
-    pub fn cluster_of(n_nodes: usize, k_safety: usize) -> Database {
-        Database::new(DatabaseConfig {
-            cluster: ClusterConfig {
-                n_nodes,
-                k_safety,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
-    }
-
-    /// Single-node database with an explicit executor thread budget
-    /// (overrides `VDB_EXEC_THREADS` / host parallelism).
-    #[deprecated(since = "0.2.0", note = "use Engine::builder().threads(t).open()")]
-    pub fn single_node_with_threads(threads: usize) -> Database {
-        Database::new(DatabaseConfig {
-            cluster: ClusterConfig {
-                n_nodes: 1,
-                k_safety: 0,
-                n_local_segments: 1,
-                ..Default::default()
-            },
-            exec: ExecOptions::with_threads(threads),
-        })
-    }
-
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
     }
 
     /// The executor thread budget every query is planned with (the planner
     /// clamps per scan — and per parallel-join side — to the projection's
-    /// container-morsel count).
+    /// morsel count).
     pub fn exec_options(&self) -> ExecOptions {
         self.exec
     }

@@ -1,9 +1,8 @@
 //! One front door for every deployment shape.
 //!
-//! `Engine::builder()` replaces the constructor zoo that grew around
-//! [`Database`] (`single_node`, `single_node_with_threads`, `cluster_of`,
-//! `open`, `open_with_config`) and [`Server`] (`new`, `with_defaults`):
-//! the builder assembles the cluster topology, the executor budget, and
+//! `Engine::builder()` is the only way to open a [`Database`] or a
+//! [`Server`] (the per-shape constructors that once grew around both are
+//! gone): the builder assembles the cluster topology, the executor budget, and
 //! the serving layer in one place, and the resulting [`Engine`] exposes
 //! the whole stack — direct statements through [`Database`] methods (the
 //! engine derefs to its database) plus admission-controlled [`Session`]s

@@ -328,20 +328,6 @@ impl Server {
         })
     }
 
-    #[deprecated(since = "0.2.0", note = "use Engine::builder().serve(config).open()")]
-    pub fn new(db: Arc<Database>, config: ServeConfig) -> Arc<Server> {
-        Server::build(db, config)
-    }
-
-    /// Serving defaults over a fresh handle to `db`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().open() and engine.server()"
-    )]
-    pub fn with_defaults(db: Arc<Database>) -> Arc<Server> {
-        Server::build(db, ServeConfig::default())
-    }
-
     /// Open a new session. Sessions are independent: each carries its own
     /// prepared statements, and all share this server's admission gate,
     /// plan cache, and database.

@@ -108,14 +108,28 @@ fn min_max_non_null(values: &[Value]) -> (Value, Value) {
 }
 
 /// Reads an encoded column given its data bytes and position index.
+///
+/// `data` may be the whole column file or any byte range of it that
+/// starts at file offset `base`: blocks are located by their position
+/// index offsets minus `base`, so a scan decodes straight from a ranged
+/// read of just the blocks it needs. Asking for a block that lies outside
+/// the loaded range is a [`DbError::Corrupt`], never a panic.
 pub struct ColumnReader<'a> {
     data: &'a [u8],
+    base: u64,
     index: &'a PositionIndex,
 }
 
 impl<'a> ColumnReader<'a> {
+    /// Reader over the whole column file.
     pub fn new(data: &'a [u8], index: &'a PositionIndex) -> ColumnReader<'a> {
-        ColumnReader { data, index }
+        ColumnReader::with_base(data, 0, index)
+    }
+
+    /// Reader over a partial buffer holding the file's bytes from offset
+    /// `base` on.
+    pub fn with_base(data: &'a [u8], base: u64, index: &'a PositionIndex) -> ColumnReader<'a> {
+        ColumnReader { data, base, index }
     }
 
     pub fn num_blocks(&self) -> usize {
@@ -153,13 +167,14 @@ impl<'a> ColumnReader<'a> {
             .blocks
             .get(i)
             .ok_or_else(|| DbError::Corrupt(format!("block {i} out of range")))?;
-        let start = meta.byte_offset as usize;
-        let end = start + meta.byte_len as usize;
-        if end > self.data.len() {
-            return Err(DbError::Corrupt("block extends past data file".into()));
-        }
-        let (block, skipped) =
-            decode_block_native_selected(&mut Reader::new(&self.data[start..end]), sel)?;
+        let bytes = meta
+            .byte_offset
+            .checked_sub(self.base)
+            .and_then(|start| usize::try_from(start).ok())
+            .and_then(|start| Some(start..start.checked_add(meta.byte_len as usize)?))
+            .and_then(|range| self.data.get(range))
+            .ok_or_else(|| DbError::Corrupt(format!("block {i} lies outside the loaded bytes")))?;
+        let (block, skipped) = decode_block_native_selected(&mut Reader::new(bytes), sel)?;
         if block.len() != meta.count as usize {
             return Err(DbError::Corrupt(format!(
                 "block {i} decoded {} rows, index says {}",
@@ -289,6 +304,28 @@ mod tests {
         let (data, index) = write_column(&vals, EncodingType::Plain);
         let r = ColumnReader::new(&data[..data.len() / 2], &index);
         assert!(r.read_all().is_err());
+    }
+
+    #[test]
+    fn partial_buffer_decodes_with_base_offset() {
+        let vals: Vec<Value> = (0..550).map(|i| Value::Integer(i * 3)).collect();
+        let (data, index) = write_column(&vals, EncodingType::Auto);
+        let whole = ColumnReader::new(&data, &index);
+        // Blocks 2..4 only: the buffer starts at block 2's offset.
+        let base = index.blocks[2].byte_offset;
+        let end = index.blocks[3].byte_offset + u64::from(index.blocks[3].byte_len);
+        let part = ColumnReader::with_base(&data[base as usize..end as usize], base, &index);
+        for b in 2..4 {
+            assert_eq!(
+                part.read_block(b).unwrap().into_values(),
+                whole.read_block(b).unwrap().into_values()
+            );
+        }
+        assert_eq!(part.value_at(250).unwrap(), Value::Integer(750));
+        // Blocks before and after the loaded range are errors, not panics.
+        assert!(matches!(part.read_block(1), Err(DbError::Corrupt(_))));
+        assert!(matches!(part.read_block(4), Err(DbError::Corrupt(_))));
+        assert!(matches!(part.value_at(0), Err(DbError::Corrupt(_))));
     }
 
     #[test]

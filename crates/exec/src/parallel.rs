@@ -2,14 +2,19 @@
 //!
 //! §5 of the paper: "many operations, such as loading data or executing
 //! queries, are executed with multiple threads" — ROS containers are
-//! independently stored and independently readable, so a scan decomposes
-//! into **morsels** (one per container, plus the WOS tail) that a pool of
-//! workers pulls from a shared queue:
+//! immutable and every block of a column file is independently readable
+//! through the position index, so a scan decomposes into **morsels**: the
+//! snapshot is pruned on its indexes first, and the blocks that survive
+//! are cut into (container, block range) units of at most
+//! [`MORSEL_BLOCKS`](vdb_storage::store::MORSEL_BLOCKS) blocks, plus the
+//! WOS tail. One mergeout-sized container therefore feeds every worker,
+//! while a pruned point query is one morsel and runs inline. A pool of
+//! workers pulls morsels from a shared queue:
 //!
 //! ```text
-//!            ┌────────────── morsel queue (shared) ──────────────┐
-//!            │ ros1 │ ros2 │ ros3 │ ... │ rosN │ WOS tail        │
-//!            └──┬──────┬──────┬───────────────┬──────────────────┘
+//!            ┌────────────── morsel queue (shared) ──────────────────┐
+//!            │ ros1[0..16) │ ros1[16..32) │ ... │ ros2[0..9) │ WOS   │
+//!            └──┬──────┬──────┬───────────────┬──────────────────────┘
 //!        worker 0  worker 1  worker 2   ...   (pull on demand)
 //!   scan→visibility→SIP/predicate→[partial GroupBy | sort run | collect]
 //!            └──────┴──────┴───────────────┴───────┘
@@ -49,7 +54,7 @@ use crate::scan::{ScanOperator, ScanStats, SipBinding};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use vdb_storage::store::ScanMorsel;
+use vdb_storage::store::{ScanMorsel, SnapshotScan};
 use vdb_storage::StorageBackend;
 use vdb_types::schema::{compare_rows, SortKey};
 use vdb_types::{DbResult, Expr, Row};
@@ -130,19 +135,40 @@ impl ParallelScanSpec {
         }
     }
 
-    /// Open the scan pipeline for one morsel, folding counters into the
-    /// shared whole-scan stats.
-    pub(crate) fn open(&self, morsel: ScanMorsel, stats: &Arc<Mutex<ScanStats>>) -> ScanOperator {
-        ScanOperator::with_stats(
-            self.backend.clone(),
-            morsel.containers,
-            morsel.wos_rows,
+    /// Open the scan pipeline with no morsels queued yet, folding counters
+    /// into the shared whole-scan stats.
+    pub(crate) fn open(&self, stats: &Arc<Mutex<ScanStats>>) -> ScanOperator {
+        ScanOperator::for_morsels(
             self.output_columns.clone(),
             self.predicate.clone(),
             self.partition_predicate.clone(),
             self.sip.clone(),
             stats.clone(),
         )
+    }
+
+    /// Prune `snapshot` on its position indexes and cut the surviving
+    /// blocks into morsels (`ScanOperator::cut`) — before any I/O, on
+    /// the calling thread.
+    pub(crate) fn cut(
+        &self,
+        snapshot: &SnapshotScan,
+        stats: &Arc<Mutex<ScanStats>>,
+    ) -> DbResult<Vec<ScanMorsel>> {
+        self.open(stats).cut(snapshot)
+    }
+
+    /// The serial scan of `morsels`, in order.
+    pub(crate) fn scan_of(
+        &self,
+        morsels: Vec<ScanMorsel>,
+        stats: &Arc<Mutex<ScanStats>>,
+    ) -> ScanOperator {
+        let mut scan = self.open(stats);
+        for morsel in morsels {
+            scan.push_morsel(morsel);
+        }
+        scan
     }
 }
 
@@ -172,11 +198,12 @@ pub enum ParallelStage {
 }
 
 /// Shared work queue: workers pull `(morsel index, morsel)` units until it
-/// drains, which balances skewed container sizes automatically. Morsels
-/// are dispensed heaviest-first (by [`ScanMorsel::rows`], the
-/// longest-processing-time heuristic) so a huge container isn't picked up
-/// last to run alone after every other worker has drained the queue; the
-/// index tag preserves each morsel's snapshot position for
+/// drains, which balances skew automatically. Morsels are dispensed
+/// heaviest-first (by [`ScanMorsel::rows`], the longest-processing-time
+/// heuristic; the sort is stable, so equally sized block-range morsels
+/// stay in file order) so a large WOS tail or a full-size morsel isn't
+/// picked up last to run alone after every other worker has drained the
+/// queue; the index tag preserves each morsel's snapshot position for
 /// order-sensitive merges.
 pub struct MorselQueue {
     morsels: Mutex<VecDeque<(usize, ScanMorsel)>>,
@@ -185,7 +212,7 @@ pub struct MorselQueue {
 impl MorselQueue {
     pub fn new(morsels: Vec<ScanMorsel>) -> MorselQueue {
         let mut tagged: Vec<(usize, ScanMorsel)> = morsels.into_iter().enumerate().collect();
-        tagged.sort_by_key(|(_, m)| std::cmp::Reverse(m.rows));
+        tagged.sort_by_key(|(_, m)| std::cmp::Reverse(m.rows()));
         MorselQueue {
             morsels: Mutex::new(tagged.into()),
         }
@@ -201,22 +228,18 @@ impl MorselQueue {
 /// the only shared state.
 pub struct MorselScanOp {
     queue: Arc<MorselQueue>,
-    spec: ParallelScanSpec,
-    stats: Arc<Mutex<ScanStats>>,
-    current: Option<ScanOperator>,
+    scan: ScanOperator,
 }
 
 impl MorselScanOp {
     pub fn new(
         queue: Arc<MorselQueue>,
-        spec: ParallelScanSpec,
-        stats: Arc<Mutex<ScanStats>>,
+        spec: &ParallelScanSpec,
+        stats: &Arc<Mutex<ScanStats>>,
     ) -> MorselScanOp {
         MorselScanOp {
             queue,
-            spec,
-            stats,
-            current: None,
+            scan: spec.open(stats),
         }
     }
 }
@@ -224,14 +247,11 @@ impl MorselScanOp {
 impl Operator for MorselScanOp {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         loop {
-            if let Some(scan) = &mut self.current {
-                if let Some(batch) = scan.next_batch()? {
-                    return Ok(Some(batch));
-                }
-                self.current = None;
+            if let Some(batch) = self.scan.next_batch()? {
+                return Ok(Some(batch));
             }
             match self.queue.pop() {
-                Some((_, morsel)) => self.current = Some(self.spec.open(morsel, &self.stats)),
+                Some((_, morsel)) => self.scan.push_morsel(morsel),
                 None => return Ok(None),
             }
         }
@@ -294,16 +314,19 @@ pub struct ParallelScanOp {
 struct Pending {
     spec: ParallelScanSpec,
     stage: ParallelStage,
-    morsels: Vec<ScanMorsel>,
+    snapshot: SnapshotScan,
     threads: usize,
     budget: MemoryBudget,
 }
 
 impl ParallelScanOp {
+    /// A parallel scan of `snapshot` on at most `threads` workers. The
+    /// snapshot is pruned and cut into morsels when the operator first
+    /// runs; the worker count clamps to what survives.
     pub fn new(
         spec: ParallelScanSpec,
         stage: ParallelStage,
-        morsels: Vec<ScanMorsel>,
+        snapshot: SnapshotScan,
         threads: usize,
         budget: MemoryBudget,
     ) -> ParallelScanOp {
@@ -311,7 +334,7 @@ impl ParallelScanOp {
             pending: Some(Pending {
                 spec,
                 stage,
-                morsels,
+                snapshot,
                 threads,
                 budget,
             }),
@@ -327,17 +350,19 @@ impl ParallelScanOp {
         self.stats.clone()
     }
 
-    /// Workers actually launched (after clamping to the morsel count);
-    /// 1 means the pipeline ran inline, with no threads spawned.
+    /// Workers actually launched (after clamping to the number of morsels
+    /// that survived pruning); 1 means the pipeline ran inline on the
+    /// calling thread, with no pool hand-off.
     pub fn threads_used(&self) -> usize {
         self.threads_used
     }
 
     fn run(&mut self, p: Pending) -> DbResult<()> {
-        let threads = p.threads.clamp(1, p.morsels.len().max(1));
+        let morsels = p.spec.cut(&p.snapshot, &self.stats)?;
+        let threads = p.threads.clamp(1, morsels.len().max(1));
         self.threads_used = threads;
         let (job, merge) = resolve_stage(p.stage)?;
-        let queue = Arc::new(MorselQueue::new(p.morsels));
+        let queue = Arc::new(MorselQueue::new(morsels));
         // The operator's budget covers all its workers together: each
         // worker's group-by/sort state gets an equal slice, so N lanes
         // spill at the same total footprint the serial plan would.
@@ -437,8 +462,9 @@ fn run_worker(
     match job {
         WorkerJob::Collect => {
             let mut out = Vec::new();
+            let mut scan = spec.open(stats);
             while let Some((idx, morsel)) = queue.pop() {
-                let mut scan = spec.open(morsel, stats);
+                scan.push_morsel(morsel);
                 let mut batches = Vec::new();
                 while let Some(b) = scan.next_batch()? {
                     batches.push(b);
@@ -453,7 +479,7 @@ fn run_worker(
         } => {
             // One hash table per worker across all its morsels ("partial
             // aggregation per worker", not per morsel).
-            let source = MorselScanOp::new(queue.clone(), spec.clone(), stats.clone());
+            let source = MorselScanOp::new(queue.clone(), spec, stats);
             let mut gb = HashGroupByOp::new(
                 Box::new(source),
                 group_columns.clone(),
@@ -465,7 +491,7 @@ fn run_worker(
             )?))
         }
         WorkerJob::Sort { keys } => {
-            let source = MorselScanOp::new(queue.clone(), spec.clone(), stats.clone());
+            let source = MorselScanOp::new(queue.clone(), spec, stats);
             let mut sort = crate::sort::SortOp::new(Box::new(source), keys.clone(), budget);
             Ok(WorkerOutput::Run(crate::operator::collect_rows(&mut sort)?))
         }
@@ -627,8 +653,8 @@ mod tests {
         ParallelScanSpec::new(store.backend().clone(), vec![0, 1])
     }
 
-    fn morsels_of(store: &ProjectionStore) -> Vec<ScanMorsel> {
-        store.scan_snapshot(Epoch(1)).into_morsels()
+    fn morsels_of(store: &ProjectionStore) -> SnapshotScan {
+        store.scan_snapshot(Epoch(1))
     }
 
     fn serial_scan(store: &ProjectionStore) -> Vec<Row> {
@@ -799,18 +825,59 @@ mod tests {
         assert_eq!(op.threads_used(), 2, "1 container + WOS tail = 2 morsels");
     }
 
+    /// One large container no longer means one worker: it is cut into
+    /// block-range morsels, and the cut happens after pruning, so a
+    /// predicate that leaves one block leaves one morsel — run inline.
+    #[test]
+    fn one_container_splits_across_workers_unless_pruned_to_one_morsel() {
+        use vdb_storage::store::MORSEL_BLOCKS;
+        let rows = (3 * MORSEL_BLOCKS * vdb_encoding::BLOCK_SIZE) as i64;
+        let store = make_store(rows, 1);
+        assert_eq!(store.container_count(), 1);
+        assert_eq!(store.morsel_count(), 3 + 1, "three block ranges + WOS");
+        let expected = serial_scan(&store);
+        let mut op = ParallelScanOp::new(
+            spec_of(&store),
+            ParallelStage::Collect,
+            morsels_of(&store),
+            64,
+            MemoryBudget::unlimited(),
+        );
+        assert_eq!(collect_rows(&mut op).unwrap(), expected);
+        assert_eq!(op.threads_used(), 4);
+
+        // With the WOS row moved out (into a container the predicate's
+        // bounds prune) a point predicate leaves one block of one container.
+        let mut store = store;
+        store.moveout(Epoch(1)).unwrap();
+        let mut spec = spec_of(&store);
+        spec.predicate = Some(Expr::eq(Expr::col(1, "v"), Expr::int(20_000)));
+        let mut op = ParallelScanOp::new(
+            spec,
+            ParallelStage::Collect,
+            morsels_of(&store),
+            64,
+            MemoryBudget::unlimited(),
+        );
+        let stats = op.stats();
+        let got = collect_rows(&mut op).unwrap();
+        assert_eq!(
+            got,
+            vec![vec![Value::Integer(20_000 % 13), Value::Integer(20_000)]]
+        );
+        assert_eq!(op.threads_used(), 1, "one surviving block: inline");
+        let s = stats.lock().clone();
+        assert_eq!(s.containers_pruned_minmax, 1);
+        assert_eq!(s.blocks_total - s.blocks_pruned, 1);
+        assert_eq!(s.rows_scanned, 1024);
+    }
+
     #[test]
     fn morsel_queue_dispenses_heaviest_first() {
-        let store = make_store(100, 1);
-        let snap = store.scan_snapshot(Epoch(1));
-        let template = snap.into_morsels().remove(0);
-        let weighted = |rows: u64| ScanMorsel {
-            rows,
-            ..template.clone()
-        };
+        let weighted = |rows: usize| ScanMorsel::Wos(vec![Vec::new(); rows]);
         let queue = MorselQueue::new(vec![weighted(1), weighted(5), weighted(3)]);
         let order: Vec<(usize, u64)> = std::iter::from_fn(|| queue.pop())
-            .map(|(idx, m)| (idx, m.rows))
+            .map(|(idx, m)| (idx, m.rows()))
             .collect();
         assert_eq!(order, vec![(1, 5), (2, 3), (0, 1)], "LPT with index tags");
     }

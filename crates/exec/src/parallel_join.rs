@@ -2,19 +2,22 @@
 //!
 //! The paper's join performance comes from parallel partitioned hash joins
 //! tightly coupled with sideways information passing into the scan. This
-//! module extends the PR 3 morsel framework ([`crate::parallel`]) to joins:
+//! module extends the PR 3 morsel framework ([`crate::parallel`]) to joins.
+//! Both sides are pruned on their position indexes and cut into
+//! (container, block range) morsels before either is read, so a side
+//! stored as one large container still feeds every worker:
 //!
 //! ```text
 //!   build side (right)                      probe side (left)
 //!   ┌──── morsel queue ────┐                ┌──── morsel queue ────┐
-//!   │ ros1 │ ros2 │ … │WOS │                │ ros1 │ ros2 │ … │WOS │
+//!   │ r1[0..16) │ … │ WOS  │                │ r1[0..16) │ … │ WOS  │
 //!   └──┬──────┬───────┬────┘                └──┬──────┬───────┬────┘
 //!   worker 0..B: scan → hash-partition      worker 0..P: scan → SIP →
 //!   rows into B per-worker buckets          predicate → typed probe of the
 //!      └──────┴───────┘                     merged partition tables
 //!     build barrier: merge buckets             └──────┴───────┘
-//!     per partition (seq-sorted), then      probe barrier: concat joined
-//!     publish the SIP filter                output in morsel order
+//!     per partition (seq-sorted), then      probe waves: one morsel per
+//!     publish the SIP filter                worker, output in morsel order
 //! ```
 //!
 //! * **Partitioned build, no locks.** Each build worker pulls morsels and
@@ -29,7 +32,11 @@
 //!   published to the attached [`SipFilter`] — probe-side workers have not
 //!   started yet, so every probe scan sees a ready filter, exactly like the
 //!   serial pull model.
-//! * **Typed vectorized probe.** Probe workers pull scan morsels and probe
+//! * **Typed vectorized probe, in waves.** The probe side runs one wave
+//!   of morsels at a time — one morsel per worker — and each wave's joined
+//!   output streams downstream before the next wave starts, so the
+//!   operator holds the output of `threads` morsels, never of the whole
+//!   probe side. Probe workers scan their morsel and probe
 //!   [`crate::vector::TypedVector`] key columns natively: i64/f64 keys hash
 //!   via `Value::hash64_of_*` without constructing a `Value` per row,
 //!   dictionary-coded keys probe once per distinct code, RLE keys once per
@@ -51,7 +58,7 @@ use crate::join::{key_of, HashJoinOp, JoinType};
 use crate::memory::MemoryBudget;
 use crate::operator::{BoxedOperator, Operator};
 use crate::parallel::{MorselQueue, ParallelScanSpec};
-use crate::scan::{ScanOperator, ScanStats};
+use crate::scan::ScanStats;
 use crate::sip::SipFilter;
 use crate::vector::VectorData;
 use parking_lot::Mutex;
@@ -59,7 +66,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use vdb_storage::store::ScanMorsel;
+use vdb_storage::store::{ScanMorsel, SnapshotScan};
 use vdb_types::{DbError, DbResult, Row, Value};
 
 /// Everything the operator needs to run both sides of the join.
@@ -67,12 +74,13 @@ pub struct ParallelJoinSpec {
     /// Probe (left) side scan parameters; its `sip` bindings may include
     /// the filter this very join publishes.
     pub probe: ParallelScanSpec,
-    pub probe_morsels: Vec<ScanMorsel>,
-    /// Probe-side degree of parallelism (clamped to the morsel count).
+    pub probe_snapshot: SnapshotScan,
+    /// Probe-side degree of parallelism (clamped to the number of morsels
+    /// that survive pruning).
     pub probe_threads: usize,
     /// Build (right) side scan parameters.
     pub build: ParallelScanSpec,
-    pub build_morsels: Vec<ScanMorsel>,
+    pub build_snapshot: SnapshotScan,
     /// Build-side degree of parallelism; also the partition fan-out.
     pub build_threads: usize,
     /// Key columns over the probe scan's output.
@@ -88,9 +96,6 @@ pub struct ParallelJoinSpec {
 /// key hash, key, row)`. The sequence encodes `(morsel index, row within
 /// morsel)` so the barrier can restore serial build-insertion order.
 type BuildEntry = (u64, u64, Vec<Value>, Row);
-/// A probe worker's output: joined batches tagged by probe-morsel index,
-/// concatenated in morsel order at the probe barrier.
-type ProbeOutput = Vec<(usize, Vec<Batch>)>;
 
 /// Merged build side: one table per partition, specialized like the serial
 /// [`HashJoinOp`] for the dominant single-column-key case.
@@ -149,22 +154,24 @@ fn combined_hash(key: &[Value]) -> u64 {
     SipFilter::key_hash(&refs)
 }
 
-/// The morsel-parallel partitioned hash join. Blocking (the build barrier
-/// and the probe barrier make it a plan zone boundary); output then
-/// streams in batches. Supports the join flavors that emit only during the
+/// The morsel-parallel partitioned hash join. Blocking on its build side
+/// (the build barrier makes it a plan zone boundary); probe output then
+/// streams wave by wave. Supports the join flavors that emit only during the
 /// probe — INNER, LEFT OUTER, SEMI, ANTI; the planner keeps
 /// RIGHT/FULL OUTER (which need build-side matched flags) on the serial
 /// operator.
 ///
-/// Like [`crate::parallel::ParallelStage::Collect`], the probe barrier
-/// materializes the joined output before streaming it (the serial join
-/// streams probe output) — the operator therefore counts as stateful for
-/// the §6.1 memory split; its [`MemoryBudget`] bounds the build side, and
-/// streaming morsel-ordered emission as workers retire is future work.
+/// The operator counts as stateful for the §6.1 memory split: its
+/// [`MemoryBudget`] bounds the build side, and beyond that it holds one
+/// probe wave's joined output at a time (the serial join streams batch by
+/// batch).
 pub struct ParallelHashJoinOp {
     join_type: JoinType,
     pending: Option<(ParallelJoinSpec, MemoryBudget)>,
+    /// The current probe wave's joined output, streaming out.
     output: std::vec::IntoIter<Batch>,
+    /// The probe side's remaining morsels, once the build barrier is past.
+    probe: Option<ProbePhase>,
     /// Serial fallback when the parallel build exceeds its budget.
     fallback: Option<BoxedOperator>,
     probe_stats: Arc<Mutex<ScanStats>>,
@@ -182,6 +189,7 @@ impl ParallelHashJoinOp {
             join_type: spec.join_type,
             pending: Some((spec, budget)),
             output: Vec::new().into_iter(),
+            probe: None,
             fallback: None,
             probe_stats: Arc::new(Mutex::new(ScanStats::default())),
             build_stats: Arc::new(Mutex::new(ScanStats::default())),
@@ -225,8 +233,12 @@ impl ParallelHashJoinOp {
                 spec.join_type.name()
             )));
         }
-        let build_threads = spec.build_threads.clamp(1, spec.build_morsels.len().max(1));
-        let probe_threads = spec.probe_threads.clamp(1, spec.probe_morsels.len().max(1));
+        // Prune and cut both sides before reading either (pruning needs
+        // the predicates only, not the SIP filter the build will publish).
+        let build_morsels = spec.build.cut(&spec.build_snapshot, &self.build_stats)?;
+        let probe_morsels = spec.probe.cut(&spec.probe_snapshot, &self.probe_stats)?;
+        let build_threads = spec.build_threads.clamp(1, build_morsels.len().max(1));
+        let probe_threads = spec.probe_threads.clamp(1, probe_morsels.len().max(1));
         self.build_threads_used = build_threads;
         self.probe_threads_used = probe_threads;
 
@@ -239,8 +251,8 @@ impl ParallelHashJoinOp {
         // stays false.
         if build_threads <= 1 && probe_threads <= 1 {
             let t = Instant::now();
-            let left = serial_scan_over(&spec.probe, spec.probe_morsels, &self.probe_stats);
-            let right = serial_scan_over(&spec.build, spec.build_morsels, &self.build_stats);
+            let left = spec.probe.scan_of(probe_morsels, &self.probe_stats);
+            let right = spec.build.scan_of(build_morsels, &self.build_stats);
             self.fallback = Some(Box::new(HashJoinOp::new(
                 Box::new(left),
                 Box::new(right),
@@ -256,7 +268,7 @@ impl ParallelHashJoinOp {
 
         // ---- Phase 1: partitioned parallel build --------------------------
         let t = Instant::now();
-        let queue = Arc::new(MorselQueue::new(spec.build_morsels.clone()));
+        let queue = Arc::new(MorselQueue::new(build_morsels.clone()));
         let overflow = Arc::new(AtomicBool::new(false));
         let used_bytes = Arc::new(AtomicUsize::new(0));
         let bucket_sets: Vec<Vec<Vec<BuildEntry>>> = if build_threads <= 1 {
@@ -300,8 +312,8 @@ impl ParallelHashJoinOp {
             // which re-detects the overflow and externalizes to sort-merge.
             self.switched_to_serial = true;
             self.build_ms = t.elapsed().as_secs_f64() * 1000.0;
-            let left = serial_scan_over(&spec.probe, spec.probe_morsels, &self.probe_stats);
-            let right = serial_scan_over(&spec.build, spec.build_morsels, &self.build_stats);
+            let left = spec.probe.scan_of(probe_morsels, &self.probe_stats);
+            let right = spec.build.scan_of(build_morsels, &self.build_stats);
             self.fallback = Some(Box::new(HashJoinOp::new(
                 Box::new(left),
                 Box::new(right),
@@ -363,47 +375,90 @@ impl ParallelHashJoinOp {
         };
         self.build_ms = t.elapsed().as_secs_f64() * 1000.0;
 
-        // ---- Phase 2: parallel typed probe --------------------------------
-        let t = Instant::now();
-        let right_arity = spec.build.output_columns.len();
-        let tables = Arc::new(tables);
-        let queue = Arc::new(MorselQueue::new(spec.probe_morsels));
-        let outputs: Vec<ProbeOutput> = if probe_threads <= 1 {
-            vec![run_probe_worker(
-                &queue,
-                &spec.probe,
-                &tables,
-                &spec.left_keys,
-                spec.join_type,
-                right_arity,
-                &self.probe_stats,
-            )?]
-        } else {
-            let jobs: Vec<crate::pool::Job<ProbeOutput>> = (0..probe_threads)
-                .map(|_| {
-                    let queue = queue.clone();
-                    let pspec = spec.probe.clone();
-                    let tables = tables.clone();
-                    let keys = spec.left_keys.clone();
-                    let jt = spec.join_type;
-                    let stats = self.probe_stats.clone();
-                    Box::new(move || {
-                        run_probe_worker(&queue, &pspec, &tables, &keys, jt, right_arity, &stats)
-                    }) as crate::pool::Job<ProbeOutput>
-                })
-                .collect();
-            crate::pool::shared().run_tasks(jobs, "parallel join probe worker")?
-        };
-        // Probe barrier: morsel-ordered concat equals the serial probe.
-        let mut tagged: Vec<(usize, Vec<Batch>)> = outputs.into_iter().flatten().collect();
-        tagged.sort_by_key(|&(idx, _)| idx);
-        self.output = tagged
-            .into_iter()
-            .flat_map(|(_, b)| b)
-            .collect::<Vec<_>>()
-            .into_iter();
-        self.probe_ms = t.elapsed().as_secs_f64() * 1000.0;
+        // ---- Phase 2: parallel typed probe, a wave at a time --------------
+        self.probe = Some(ProbePhase {
+            morsels: probe_morsels.into(),
+            threads: probe_threads,
+            prober: Arc::new(Prober {
+                right_arity: spec.build.output_columns.len(),
+                spec: spec.probe,
+                tables,
+                left_keys: spec.left_keys,
+                join_type: spec.join_type,
+                stats: self.probe_stats.clone(),
+            }),
+        });
         Ok(())
+    }
+}
+
+/// The probe side after the build barrier. It runs in **waves** of one
+/// morsel per worker, each wave's joined output handed downstream before
+/// the next wave starts, so the operator holds what `threads` morsels
+/// produce — not the whole joined probe side, which for a fact table
+/// dwarfs anything else the query allocates.
+struct ProbePhase {
+    /// Probe morsels not yet run, in snapshot order.
+    morsels: std::collections::VecDeque<ScanMorsel>,
+    threads: usize,
+    prober: Arc<Prober>,
+}
+
+/// What every probe worker needs, shared.
+struct Prober {
+    spec: ParallelScanSpec,
+    tables: BuildTables,
+    left_keys: Vec<usize>,
+    join_type: JoinType,
+    right_arity: usize,
+    stats: Arc<Mutex<ScanStats>>,
+}
+
+impl ProbePhase {
+    /// Probe the next `threads` morsels, one per worker, and return their
+    /// joined output in morsel order — which is the serial probe's order.
+    fn next_wave(&mut self) -> DbResult<Vec<Batch>> {
+        let n = self.threads.min(self.morsels.len());
+        if n == 1 {
+            // A lone morsel runs inline on the calling thread.
+            return self
+                .morsels
+                .pop_front()
+                .map_or(Ok(Vec::new()), |m| self.prober.probe(m));
+        }
+        let jobs: Vec<crate::pool::Job<Vec<Batch>>> = self
+            .morsels
+            .drain(..n)
+            .map(|morsel| {
+                let prober = self.prober.clone();
+                Box::new(move || prober.probe(morsel)) as crate::pool::Job<Vec<Batch>>
+            })
+            .collect();
+        let outputs = crate::pool::shared().run_tasks(jobs, "parallel join probe worker")?;
+        Ok(outputs.into_iter().flatten().collect())
+    }
+}
+
+impl Prober {
+    /// Probe one morsel: run the scan pipeline (visibility, SIP, predicate)
+    /// over it and join each surviving batch against the partition tables.
+    fn probe(&self, morsel: ScanMorsel) -> DbResult<Vec<Batch>> {
+        let mut scan = self.spec.scan_of(vec![morsel], &self.stats);
+        let mut out: Vec<Batch> = Vec::new();
+        while let Some(batch) = scan.next_batch()? {
+            if batch.is_empty() {
+                continue;
+            }
+            probe_batch(
+                batch,
+                &self.tables,
+                &self.left_keys,
+                self.join_type,
+                self.right_arity,
+                &mut out,
+            );
+        }
+        Ok(out)
     }
 }
 
@@ -415,37 +470,22 @@ impl Operator for ParallelHashJoinOp {
         if let Some(fb) = &mut self.fallback {
             return fb.next_batch();
         }
-        Ok(self.output.next())
+        loop {
+            if let Some(batch) = self.output.next() {
+                return Ok(Some(batch));
+            }
+            let Some(probe) = self.probe.as_mut().filter(|p| !p.morsels.is_empty()) else {
+                return Ok(None);
+            };
+            let t = Instant::now();
+            self.output = probe.next_wave()?.into_iter();
+            self.probe_ms += t.elapsed().as_secs_f64() * 1000.0;
+        }
     }
 
     fn name(&self) -> String {
         format!("ParallelHashJoin({})", self.join_type.name())
     }
-}
-
-/// Reassemble one serial [`ScanOperator`] over a morsel list (the fallback
-/// path re-reads both sides through the ordinary serial pipeline).
-fn serial_scan_over(
-    spec: &ParallelScanSpec,
-    morsels: Vec<ScanMorsel>,
-    stats: &Arc<Mutex<ScanStats>>,
-) -> ScanOperator {
-    let mut containers = Vec::new();
-    let mut wos_rows = Vec::new();
-    for m in morsels {
-        containers.extend(m.containers);
-        wos_rows.extend(m.wos_rows);
-    }
-    ScanOperator::with_stats(
-        spec.backend.clone(),
-        containers,
-        wos_rows,
-        spec.output_columns.clone(),
-        spec.predicate.clone(),
-        spec.partition_predicate.clone(),
-        spec.sip.clone(),
-        stats.clone(),
-    )
 }
 
 /// One build worker: pull morsels, scan, hash-partition keyed rows into
@@ -463,11 +503,12 @@ fn run_build_worker(
     stats: &Arc<Mutex<ScanStats>>,
 ) -> DbResult<Vec<Vec<BuildEntry>>> {
     let mut buckets: Vec<Vec<BuildEntry>> = (0..nparts).map(|_| Vec::new()).collect();
+    let mut scan = spec.open(stats);
     while let Some((idx, morsel)) = queue.pop() {
         if overflow.load(Ordering::Relaxed) {
             break; // another worker tripped the budget; fallback rescans
         }
-        let mut scan = spec.open(morsel, stats);
+        scan.push_morsel(morsel);
         let mut row_no: u64 = 0;
         while let Some(batch) = scan.next_batch()? {
             let bytes = batch.approx_bytes();
@@ -529,40 +570,6 @@ fn merge_partition(mut entries: Vec<BuildEntry>, single_key: bool) -> (Partition
         }
         (PartitionTable::Many(map), hashes)
     }
-}
-
-/// One probe worker: pull morsels, run the scan pipeline (visibility, SIP,
-/// predicate), probe each surviving batch, and tag the joined output with
-/// the morsel index for the order-preserving concat at the barrier.
-fn run_probe_worker(
-    queue: &Arc<MorselQueue>,
-    spec: &ParallelScanSpec,
-    tables: &BuildTables,
-    left_keys: &[usize],
-    join_type: JoinType,
-    right_arity: usize,
-    stats: &Arc<Mutex<ScanStats>>,
-) -> DbResult<Vec<(usize, Vec<Batch>)>> {
-    let mut out = Vec::new();
-    while let Some((idx, morsel)) = queue.pop() {
-        let mut scan = spec.open(morsel, stats);
-        let mut pending: Vec<Batch> = Vec::new();
-        while let Some(batch) = scan.next_batch()? {
-            if batch.is_empty() {
-                continue;
-            }
-            probe_batch(
-                batch,
-                tables,
-                left_keys,
-                join_type,
-                right_arity,
-                &mut pending,
-            );
-        }
-        out.push((idx, pending));
-    }
-    Ok(out)
 }
 
 /// Per-logical-row lookup results for one batch: the typed vectorized
@@ -740,7 +747,7 @@ fn probe_batch(
 mod tests {
     use super::*;
     use crate::operator::collect_rows;
-    use crate::scan::SipBinding;
+    use crate::scan::{ScanOperator, SipBinding};
     use vdb_storage::projection::ProjectionDef;
     use vdb_storage::{MemBackend, ProjectionStore};
     use vdb_types::{BinOp, ColumnDef, DataType, Epoch, Expr, TableSchema};
@@ -789,8 +796,20 @@ mod tests {
         ParallelScanSpec::new(store.backend().clone(), vec![0, 1])
     }
 
-    fn morsels_of(store: &ProjectionStore) -> Vec<ScanMorsel> {
-        store.scan_snapshot(Epoch(1)).into_morsels()
+    fn morsels_of(store: &ProjectionStore) -> SnapshotScan {
+        store.scan_snapshot(Epoch(1))
+    }
+
+    fn serial_scan_over(spec: &ParallelScanSpec, snapshot: SnapshotScan) -> ScanOperator {
+        ScanOperator::new(
+            spec.backend.clone(),
+            snapshot.containers,
+            snapshot.wos_rows,
+            spec.output_columns.clone(),
+            spec.predicate.clone(),
+            spec.partition_predicate.clone(),
+            spec.sip.clone(),
+        )
     }
 
     fn serial_join(
@@ -799,16 +818,8 @@ mod tests {
         jt: JoinType,
         budget: MemoryBudget,
     ) -> Vec<Row> {
-        let left = serial_scan_over(
-            &spec_of(probe),
-            morsels_of(probe),
-            &Arc::new(Mutex::new(ScanStats::default())),
-        );
-        let right = serial_scan_over(
-            &spec_of(build),
-            morsels_of(build),
-            &Arc::new(Mutex::new(ScanStats::default())),
-        );
+        let left = serial_scan_over(&spec_of(probe), morsels_of(probe));
+        let right = serial_scan_over(&spec_of(build), morsels_of(build));
         let mut op = HashJoinOp::new(
             Box::new(left),
             Box::new(right),
@@ -838,10 +849,10 @@ mod tests {
         ParallelHashJoinOp::new(
             ParallelJoinSpec {
                 probe: probe_spec,
-                probe_morsels: morsels_of(probe),
+                probe_snapshot: morsels_of(probe),
                 probe_threads: threads,
                 build: spec_of(build),
-                build_morsels: morsels_of(build),
+                build_snapshot: morsels_of(build),
                 build_threads: threads,
                 left_keys: vec![0],
                 right_keys: vec![0],
@@ -898,10 +909,10 @@ mod tests {
         let mut op = ParallelHashJoinOp::new(
             ParallelJoinSpec {
                 probe: probe_spec,
-                probe_morsels: morsels_of(&probe),
+                probe_snapshot: morsels_of(&probe),
                 probe_threads: 3,
                 build: spec_of(&build),
-                build_morsels: morsels_of(&build),
+                build_snapshot: morsels_of(&build),
                 build_threads: 3,
                 left_keys: vec![0],
                 right_keys: vec![0],
@@ -937,10 +948,10 @@ mod tests {
         let mut op = ParallelHashJoinOp::new(
             ParallelJoinSpec {
                 probe: probe_spec,
-                probe_morsels: morsels_of(&probe),
+                probe_snapshot: morsels_of(&probe),
                 probe_threads: 4,
                 build: spec_of(&build),
-                build_morsels: morsels_of(&build),
+                build_snapshot: morsels_of(&build),
                 build_threads: 2,
                 left_keys: vec![0],
                 right_keys: vec![0],

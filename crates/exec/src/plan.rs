@@ -23,7 +23,7 @@ use crate::sip::SipFilter;
 use crate::sort::{LimitOp, SortOp};
 use std::collections::HashMap;
 use std::sync::Arc;
-use vdb_storage::store::{ScanMorsel, SnapshotScan};
+use vdb_storage::store::SnapshotScan;
 use vdb_storage::StorageBackend;
 use vdb_types::schema::SortKey;
 use vdb_types::{DbError, DbResult, Expr, Row};
@@ -47,11 +47,12 @@ pub enum PhysicalPlan {
         /// `(sip id, key columns of the scan output)`.
         sip: Vec<(SipId, Vec<usize>)>,
     },
-    /// Morsel-driven parallel scan: `threads` workers pull container
-    /// morsels from a shared queue, run scan → visibility → SIP/predicate
-    /// (plus the per-worker `stage`) independently, and merge at a single
-    /// barrier. `threads = 1` (or a single-morsel snapshot) degenerates to
-    /// the serial pipeline.
+    /// Morsel-driven parallel scan: up to `threads` workers pull
+    /// (container, block range) morsels from a shared queue, run scan →
+    /// visibility → SIP/predicate (plus the per-worker `stage`)
+    /// independently, and merge at a single barrier. `threads = 1`, or a
+    /// scan that pruning leaves with a single morsel, runs the same
+    /// pipeline inline on the calling thread.
     ParallelScan {
         projection: String,
         output_columns: Vec<usize>,
@@ -213,66 +214,24 @@ fn build_inner(
     budget: MemoryBudget,
 ) -> DbResult<BoxedOperator> {
     Ok(match plan {
-        PhysicalPlan::Scan {
-            projection,
-            output_columns,
-            predicate,
-            partition_predicate,
-            sip,
-        } => {
-            let bindings: Vec<SipBinding> = sip
-                .iter()
-                .map(|(id, cols)| SipBinding {
-                    filter: ctx.sip(*id),
-                    key_columns: cols.clone(),
-                })
-                .collect();
-            let snap = ctx
-                .snapshots
-                .get(projection)
-                .ok_or_else(|| DbError::Plan(format!("no snapshot for projection {projection}")))?;
+        PhysicalPlan::Scan { .. } => {
+            let (spec, snapshot) = scan_parts(plan, ctx)?;
             Box::new(ScanOperator::new(
-                ctx.backend.clone(),
-                snap.containers.clone(),
-                snap.wos_rows.clone(),
-                output_columns.clone(),
-                predicate.clone(),
-                partition_predicate.clone(),
-                bindings,
+                spec.backend,
+                snapshot.containers,
+                snapshot.wos_rows,
+                spec.output_columns,
+                spec.predicate,
+                spec.partition_predicate,
+                spec.sip,
             ))
         }
-        PhysicalPlan::ParallelScan {
-            projection,
-            output_columns,
-            predicate,
-            partition_predicate,
-            sip,
-            stage,
-            threads,
-        } => {
-            let bindings: Vec<SipBinding> = sip
-                .iter()
-                .map(|(id, cols)| SipBinding {
-                    filter: ctx.sip(*id),
-                    key_columns: cols.clone(),
-                })
-                .collect();
-            let snap = ctx
-                .snapshots
-                .get(projection)
-                .ok_or_else(|| DbError::Plan(format!("no snapshot for projection {projection}")))?;
-            let morsels = snap.clone().into_morsels();
-            let spec = ParallelScanSpec {
-                backend: ctx.backend.clone(),
-                output_columns: output_columns.clone(),
-                predicate: predicate.clone(),
-                partition_predicate: partition_predicate.clone(),
-                sip: bindings,
-            };
+        PhysicalPlan::ParallelScan { stage, threads, .. } => {
+            let (spec, snapshot) = scan_parts(plan, ctx)?;
             Box::new(ParallelScanOp::new(
                 spec,
                 stage.clone(),
-                morsels,
+                snapshot,
                 *threads,
                 budget,
             ))
@@ -335,15 +294,15 @@ fn build_inner(
             build_threads,
         } => {
             let sip_filter = sip.map(|id| ctx.sip(id));
-            let (build, build_morsels) = parallel_scan_parts(right, ctx)?;
-            let (probe, probe_morsels) = parallel_scan_parts(left, ctx)?;
+            let (build, build_snapshot) = parallel_scan_parts(right, ctx)?;
+            let (probe, probe_snapshot) = parallel_scan_parts(left, ctx)?;
             Box::new(ParallelHashJoinOp::new(
                 ParallelJoinSpec {
                     probe,
-                    probe_morsels,
+                    probe_snapshot,
                     probe_threads: *probe_threads,
                     build,
-                    build_morsels,
+                    build_snapshot,
                     build_threads: *build_threads,
                     left_keys: left_keys.clone(),
                     right_keys: right_keys.clone(),
@@ -459,18 +418,40 @@ fn build_inner(
 fn parallel_scan_parts(
     plan: &PhysicalPlan,
     ctx: &mut ExecContext,
-) -> DbResult<(ParallelScanSpec, Vec<ScanMorsel>)> {
-    let PhysicalPlan::Scan {
+) -> DbResult<(ParallelScanSpec, SnapshotScan)> {
+    if !matches!(plan, PhysicalPlan::Scan { .. }) {
+        return Err(DbError::Plan(
+            "parallel hash join requires Scan inputs on both sides".into(),
+        ));
+    }
+    scan_parts(plan, ctx)
+}
+
+/// What every scan shape starts from: the scan parameters of a `Scan` or
+/// `ParallelScan` node with their SIP filters bound, and the projection's
+/// snapshot (pointer copies of its containers plus the visible WOS rows;
+/// the context keeps its own, since a plan may scan one projection twice).
+fn scan_parts(
+    plan: &PhysicalPlan,
+    ctx: &mut ExecContext,
+) -> DbResult<(ParallelScanSpec, SnapshotScan)> {
+    let (PhysicalPlan::Scan {
         projection,
         output_columns,
         predicate,
         partition_predicate,
         sip,
-    } = plan
+    }
+    | PhysicalPlan::ParallelScan {
+        projection,
+        output_columns,
+        predicate,
+        partition_predicate,
+        sip,
+        ..
+    }) = plan
     else {
-        return Err(DbError::Plan(
-            "parallel hash join requires Scan inputs on both sides".into(),
-        ));
+        return Err(DbError::Plan("not a scan node".into()));
     };
     let bindings: Vec<SipBinding> = sip
         .iter()
@@ -479,11 +460,11 @@ fn parallel_scan_parts(
             key_columns: cols.clone(),
         })
         .collect();
-    let snap = ctx
+    let snapshot = ctx
         .snapshots
         .get(projection)
-        .ok_or_else(|| DbError::Plan(format!("no snapshot for projection {projection}")))?;
-    let morsels = snap.clone().into_morsels();
+        .ok_or_else(|| DbError::Plan(format!("no snapshot for projection {projection}")))?
+        .clone();
     Ok((
         ParallelScanSpec {
             backend: ctx.backend.clone(),
@@ -492,7 +473,7 @@ fn parallel_scan_parts(
             partition_predicate: partition_predicate.clone(),
             sip: bindings,
         },
-        morsels,
+        snapshot,
     ))
 }
 

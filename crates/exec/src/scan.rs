@@ -13,6 +13,13 @@
 //! 4. **SIP filters** — membership tests against a join's hash table (§6.1).
 //! 5. Residual predicate evaluation, vectorized per batch.
 //!
+//! Steps 1–3 run over the in-memory position indexes **before any I/O**
+//! (`ScanOperator::cut`): what survives is cut into (container, block
+//! range) morsels, and a morsel fetches only its blocks' bytes — one ranged
+//! read per column per run of neighbouring survivors. A serial scan works
+//! through its morsels in order; parallel operators hand the same morsels
+//! to workers. There is one scan implementation either way.
+//!
 //! Blocks whose columns survive untouched keep RLE runs unexpanded, feeding
 //! the encoded-execution path of pipelined GroupBy.
 
@@ -22,10 +29,10 @@ use crate::sip::SipFilter;
 use crate::vector::{SelectionVector, VectorData};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
-use vdb_encoding::ColumnReader;
-use vdb_storage::store::{ScanContainer, VisibleSet};
-use vdb_storage::StorageBackend;
+use vdb_storage::store::{ScanContainer, ScanMorsel, SnapshotScan, Visibility, VisibleSet};
+use vdb_storage::{ColumnChunk, StorageBackend};
 use vdb_types::{BinOp, DbResult, Expr, Row, Value};
 
 /// A SIP filter bound to this scan: which output columns form the join key.
@@ -181,12 +188,6 @@ pub fn extract_null_tests(pred: &Expr) -> Vec<NullTest> {
 
 /// The Scan operator over one projection's snapshot on one node.
 pub struct ScanOperator {
-    /// Default backend (containers carry their own, so cross-node container
-    /// mixes — buddy reads, broadcast gathers — read from the right node).
-    #[allow(dead_code)]
-    backend: Arc<dyn StorageBackend>,
-    /// Remaining containers to scan.
-    containers: VecDeque<ScanContainer>,
     /// Projection column indexes this scan outputs, in output order.
     output_columns: Vec<usize>,
     /// Residual predicate over the *output* columns.
@@ -198,26 +199,42 @@ pub struct ScanOperator {
     /// Predicate over the 1-column row `[partition_key]`.
     partition_predicate: Option<Expr>,
     sip: Vec<SipBinding>,
-    /// Visible WOS rows (projection-shaped), drained after containers.
-    wos_rows: Option<Vec<Row>>,
-    /// In-flight container state: decoded column readers per block.
-    current: Option<ContainerCursor>,
+    /// A snapshot still to be pruned and cut — a serial scan does that on
+    /// its first pull; a morsel worker is handed morsels instead.
+    snapshot: Option<SnapshotScan>,
+    /// Morsels to scan, in order.
+    morsels: VecDeque<ScanMorsel>,
+    /// The morsel being scanned.
+    current: Option<MorselCursor>,
     stats: Arc<Mutex<ScanStats>>,
-    done: bool,
 }
 
-struct ContainerCursor {
-    /// Raw column bytes + cloned index, per output column.
-    columns: Vec<(Vec<u8>, vdb_encoding::PositionIndex)>,
+/// Progress through one container morsel: its runs of neighbouring
+/// surviving blocks, one at a time.
+struct MorselCursor {
+    container: ScanContainer,
+    runs: std::vec::IntoIter<Range<usize>>,
+    run: Option<RunCursor>,
+}
+
+/// One run of neighbouring blocks, fetched: a chunk per output column (one
+/// ranged read each) and the run's visibility.
+struct RunCursor {
+    columns: Vec<ColumnChunk>,
+    /// Over the run's rows: index 0 is the row at `first_row`.
     visible: VisibleSet,
-    num_blocks: usize,
-    next_block: usize,
+    first_row: u64,
+    /// Blocks of the run not yet emitted.
+    blocks: Range<usize>,
 }
 
 impl ScanOperator {
+    /// A serial scan of a snapshot. (`_backend` is the node's default;
+    /// containers carry their own, so cross-node container mixes — buddy
+    /// reads, broadcast gathers — read from the right node.)
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        backend: Arc<dyn StorageBackend>,
+        _backend: Arc<dyn StorageBackend>,
         containers: Vec<ScanContainer>,
         wos_rows: Vec<Row>,
         output_columns: Vec<usize>,
@@ -225,26 +242,26 @@ impl ScanOperator {
         partition_predicate: Option<Expr>,
         sip: Vec<SipBinding>,
     ) -> ScanOperator {
-        Self::with_stats(
-            backend,
-            containers,
-            wos_rows,
+        let mut scan = Self::for_morsels(
             output_columns,
             predicate,
             partition_predicate,
             sip,
             Arc::new(Mutex::new(ScanStats::default())),
-        )
+        );
+        scan.snapshot = Some(SnapshotScan {
+            containers,
+            wos_rows,
+        });
+        scan
     }
 
-    /// Like [`ScanOperator::new`] but folding counters into an external
-    /// [`ScanStats`] handle — morsel-parallel scans share one handle across
-    /// every worker so pruning/SIP telemetry stays whole-scan accurate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_stats(
-        backend: Arc<dyn StorageBackend>,
-        containers: Vec<ScanContainer>,
-        wos_rows: Vec<Row>,
+    /// A scan with nothing to scan yet: `ScanOperator::cut` turns a
+    /// snapshot into morsels, `ScanOperator::push_morsel` feeds them.
+    /// Counters fold into `stats` — morsel-parallel scans share one handle
+    /// across every worker so pruning/SIP telemetry stays whole-scan
+    /// accurate.
+    pub(crate) fn for_morsels(
         output_columns: Vec<usize>,
         predicate: Option<Expr>,
         partition_predicate: Option<Expr>,
@@ -256,20 +273,17 @@ impl ScanOperator {
             .as_ref()
             .map(extract_null_tests)
             .unwrap_or_default();
-        stats.lock().containers_total += containers.len();
         ScanOperator {
-            backend,
-            containers: containers.into(),
             output_columns,
             predicate,
             bounds,
             null_tests,
             partition_predicate,
             sip,
-            wos_rows: Some(wos_rows),
+            snapshot: None,
+            morsels: VecDeque::new(),
             current: None,
             stats,
-            done: false,
         }
     }
 
@@ -278,133 +292,155 @@ impl ScanOperator {
         self.stats.clone()
     }
 
-    /// Advance to the next unpruned container, building its cursor.
-    fn open_next_container(&mut self) -> DbResult<bool> {
-        while let Some(sc) = self.containers.pop_front() {
-            // 1. Partition pruning.
-            if let (Some(pred), Some(key)) =
-                (&self.partition_predicate, &sc.container.partition_key)
-            {
-                if !pred.matches(std::slice::from_ref(key))? {
-                    self.stats.lock().containers_pruned_partition += 1;
-                    continue;
-                }
-            }
-            // 2. Container-level min/max pruning.
-            let mut pruned = false;
-            for b in &self.bounds {
-                let proj_col = self.output_columns[b.column];
-                if let Some((min, max)) = sc.container.column_min_max(proj_col) {
-                    if b.low.as_ref().is_some_and(|lo| &max < lo)
-                        || b.high.as_ref().is_some_and(|hi| &min > hi)
-                    {
-                        pruned = true;
-                        break;
-                    }
-                }
-            }
-            // 2b. Null-count pruning: an `IS [NOT] NULL` conjunct no block
-            // can satisfy prunes the whole container.
-            if !pruned {
-                for t in &self.null_tests {
-                    let proj_col = self.output_columns[t.column];
-                    let possible = sc.container.indexes[proj_col].blocks.iter().any(|b| {
-                        if t.negated {
-                            b.might_contain_non_null()
-                        } else {
-                            b.might_contain_null()
-                        }
-                    });
-                    if !possible {
-                        pruned = true;
-                        break;
-                    }
-                }
-            }
-            if pruned {
-                self.stats.lock().containers_pruned_minmax += 1;
-                continue;
-            }
-            // Visibility (epoch + delete vector).
-            let visible = sc.visible(sc.backend.as_ref())?;
-            if matches!(visible, VisibleSet::None) {
-                continue;
-            }
-            // Load needed column bytes from the container's own backend.
-            let mut columns = Vec::with_capacity(self.output_columns.len());
-            for &proj_col in &self.output_columns {
-                let bytes = sc
-                    .container
-                    .read_column_bytes(sc.backend.as_ref(), proj_col)?;
-                columns.push((bytes, sc.container.indexes[proj_col].clone()));
-            }
-            // Blocks are row-aligned across columns, so the container-level
-            // count (the intra-morsel work granularity) applies to all.
-            let num_blocks = if columns.is_empty() {
-                0
-            } else {
-                sc.container.block_count()
-            };
-            self.stats.lock().blocks_total += num_blocks;
-            self.current = Some(ContainerCursor {
-                columns,
-                visible,
-                num_blocks,
-                next_block: 0,
-            });
-            return Ok(true);
-        }
-        Ok(false)
+    /// Queue one more morsel behind those already queued.
+    pub(crate) fn push_morsel(&mut self, morsel: ScanMorsel) {
+        self.morsels.push_back(morsel);
     }
 
-    /// Produce the batch for the next surviving block of the current
-    /// container; `None` when the container is exhausted.
+    /// Steps 1–3 for a whole snapshot, on the position indexes alone: drop
+    /// the containers and blocks that cannot satisfy the predicate, and cut
+    /// the blocks that can into morsels. No I/O happens here — a point
+    /// query learns it needs one or two blocks before it reads a byte.
+    pub(crate) fn cut(&self, snapshot: &SnapshotScan) -> DbResult<Vec<ScanMorsel>> {
+        // Held across the cut: it does no I/O and no worker has started.
+        let mut stats = self.stats.lock();
+        stats.containers_total += snapshot.containers.len();
+        snapshot.morsels(|sc| self.surviving_blocks(sc, &mut stats))
+    }
+
+    /// The blocks of one container the scan still has to read.
+    fn surviving_blocks(&self, sc: &ScanContainer, stats: &mut ScanStats) -> DbResult<Vec<usize>> {
+        // 1. Partition pruning.
+        if let (Some(pred), Some(key)) = (&self.partition_predicate, &sc.container.partition_key) {
+            if !pred.matches(std::slice::from_ref(key))? {
+                stats.containers_pruned_partition += 1;
+                return Ok(Vec::new());
+            }
+        }
+        let index_of = |column: usize| &sc.container.indexes[self.output_columns[column]];
+        // 2. Container-level min/max pruning.
+        let out_of_range = self.bounds.iter().any(|b| {
+            index_of(b.column)
+                .column_min_max()
+                .is_some_and(|(min, max)| {
+                    b.low.as_ref().is_some_and(|lo| &max < lo)
+                        || b.high.as_ref().is_some_and(|hi| &min > hi)
+                })
+        });
+        // 2b. Null-count pruning: an `IS [NOT] NULL` conjunct no block can
+        // satisfy prunes the whole container.
+        let null_test_fails = |t: &NullTest, meta: &vdb_encoding::BlockMeta| {
+            if t.negated {
+                !meta.might_contain_non_null()
+            } else {
+                !meta.might_contain_null()
+            }
+        };
+        let never_null_matches = self.null_tests.iter().any(|t| {
+            index_of(t.column)
+                .blocks
+                .iter()
+                .all(|meta| null_test_fails(t, meta))
+        });
+        if out_of_range || never_null_matches {
+            stats.containers_pruned_minmax += 1;
+            return Ok(Vec::new());
+        }
+        // Nothing of the container is visible at the snapshot.
+        if sc.visibility() == Visibility::None {
+            return Ok(Vec::new());
+        }
+        // 3. Block-level pruning on bounded columns and null tests. Blocks
+        // are row-aligned across columns, so the container-level count
+        // applies to all of them.
+        let num_blocks = if self.output_columns.is_empty() {
+            0
+        } else {
+            sc.container.block_count()
+        };
+        stats.blocks_total += num_blocks;
+        let surviving: Vec<usize> = (0..num_blocks)
+            .filter(|&bi| {
+                self.bounds.iter().all(|b| {
+                    index_of(b.column).blocks[bi]
+                        .might_contain_range(b.low.as_ref(), b.high.as_ref())
+                }) && !self
+                    .null_tests
+                    .iter()
+                    .any(|t| null_test_fails(t, &index_of(t.column).blocks[bi]))
+            })
+            .collect();
+        stats.blocks_pruned += num_blocks - surviving.len();
+        Ok(surviving)
+    }
+
+    /// Fetch one run of a morsel: its visibility first (a run with nothing
+    /// visible reads no column), then one ranged read per output column.
+    fn open_run(&self, sc: &ScanContainer, run: Range<usize>) -> DbResult<Option<RunCursor>> {
+        let metas = &sc.container.indexes[self.output_columns[0]].blocks[run.clone()];
+        let visible = sc.visible_in(sc.backend.as_ref(), run.clone())?;
+        if matches!(visible, VisibleSet::None) {
+            let rows: u64 = metas.iter().map(|m| u64::from(m.count)).sum();
+            let mut st = self.stats.lock();
+            st.rows_scanned += rows;
+            st.rows_decode_skipped += rows * self.output_columns.len() as u64;
+            return Ok(None);
+        }
+        let columns = self
+            .output_columns
+            .iter()
+            .map(|&proj_col| {
+                sc.container
+                    .read_blocks(sc.backend.as_ref(), proj_col, run.clone())
+            })
+            .collect::<DbResult<Vec<_>>>()?;
+        Ok(Some(RunCursor {
+            columns,
+            visible,
+            first_row: metas.first().map_or(0, |m| m.start_position),
+            blocks: run,
+        }))
+    }
+
+    /// Produce the batch for the next block of the current morsel; `None`
+    /// when the morsel is exhausted (or there is none).
     fn next_block_batch(&mut self) -> DbResult<Option<Batch>> {
+        let Some(mut cur) = self.current.take() else {
+            return Ok(None);
+        };
+        let batch = self.advance(&mut cur)?;
+        if batch.is_some() {
+            self.current = Some(cur);
+        }
+        Ok(batch)
+    }
+
+    /// Move `cur` to its next block that yields rows, fetching runs as it
+    /// reaches them.
+    fn advance(&self, cur: &mut MorselCursor) -> DbResult<Option<Batch>> {
         loop {
-            let Some(cur) = self.current.as_mut() else {
-                return Ok(None);
-            };
-            if cur.next_block >= cur.num_blocks {
-                self.current = None;
-                return Ok(None);
-            }
-            let bi = cur.next_block;
-            cur.next_block += 1;
-            // 3. Block-level pruning on bounded columns and null tests.
-            let mut skip = false;
-            for b in &self.bounds {
-                let meta = &cur.columns[b.column].1.blocks[bi];
-                if !meta.might_contain_range(b.low.as_ref(), b.high.as_ref()) {
-                    skip = true;
-                    break;
-                }
-            }
-            for t in &self.null_tests {
-                if skip {
-                    break;
-                }
-                let meta = &cur.columns[t.column].1.blocks[bi];
-                skip = if t.negated {
-                    !meta.might_contain_non_null()
-                } else {
-                    !meta.might_contain_null()
+            let Some(bi) = cur.run.as_mut().and_then(|run| run.blocks.next()) else {
+                let Some(next_run) = cur.runs.next() else {
+                    return Ok(None);
                 };
-            }
-            if skip {
-                self.stats.lock().blocks_pruned += 1;
+                cur.run = self.open_run(&cur.container, next_run)?;
                 continue;
-            }
-            let meta0 = &cur.columns[0].1.blocks[bi];
-            let block_start = meta0.start_position;
+            };
+            let run = cur.run.as_ref().expect("a block came from it");
+            let indexes = &cur.container.container.indexes;
+            let index_of = |column: usize| &indexes[self.output_columns[column]];
+            let meta0 = &index_of(0).blocks[bi];
             let block_rows = meta0.count as usize;
+            let ncols = run.columns.len();
             // Visibility (epoch + delete vector) becomes a selection
             // vector *before* decode: invisible rows restrict what gets
             // decoded, not just what gets emitted.
-            let mut sel: Option<Vec<u32>> = if matches!(cur.visible, VisibleSet::All) {
+            let mut sel: Option<Vec<u32>> = if matches!(run.visible, VisibleSet::All) {
                 None
             } else {
+                let offset = meta0.start_position - run.first_row;
                 let visible: Vec<u32> = (0..block_rows as u32)
-                    .filter(|&i| cur.visible.is_visible(block_start + u64::from(i)))
+                    .filter(|&i| run.visible.is_visible(offset + u64::from(i)))
                     .collect();
                 if visible.len() < block_rows {
                     Some(visible)
@@ -418,15 +454,16 @@ impl ScanOperator {
             // the final selection — straight into typed vectors (native
             // buffers) or RLE vectors; no per-row `Value` construction for
             // specialized encodings.
-            let ncols = cur.columns.len();
             let mut slices: Vec<Option<ColumnSlice>> = (0..ncols).map(|_| None).collect();
             let mut skipped = 0u64;
             for b in &self.bounds {
+                if sel.as_ref().is_some_and(|s| s.is_empty()) {
+                    break;
+                }
                 if slices[b.column].is_some() {
                     continue;
                 }
-                let (bytes, index) = &cur.columns[b.column];
-                let reader = ColumnReader::new(bytes, index);
+                let reader = run.columns[b.column].reader(index_of(b.column));
                 let (native, sk) = reader.read_block_native_selected(bi, sel.as_deref())?;
                 skipped += sk;
                 let slice = ColumnSlice::from_native(native);
@@ -441,13 +478,10 @@ impl ScanOperator {
                     None
                 };
                 slices[b.column] = Some(slice);
-                if sel.as_ref().is_some_and(|s| s.is_empty()) {
-                    break;
-                }
             }
             if sel.as_ref().is_some_and(|s| s.is_empty()) {
-                // Bounds eliminated every row: the remaining columns are
-                // never decoded at all.
+                // Nothing visible, or bounds eliminated every row: the
+                // remaining columns are never decoded at all.
                 let undecoded = slices.iter().filter(|s| s.is_none()).count() as u64;
                 let mut st = self.stats.lock();
                 st.rows_scanned += block_rows as u64;
@@ -458,8 +492,7 @@ impl ScanOperator {
                 if slot.is_some() {
                     continue;
                 }
-                let (bytes, index) = &cur.columns[ci];
-                let reader = ColumnReader::new(bytes, index);
+                let reader = run.columns[ci].reader(index_of(ci));
                 let (native, sk) = reader.read_block_native_selected(bi, sel.as_deref())?;
                 skipped += sk;
                 *slot = Some(ColumnSlice::from_native(native));
@@ -624,10 +657,7 @@ impl ScanOperator {
     }
 
     /// Project + filter the WOS rows.
-    fn wos_batch(&mut self) -> DbResult<Option<Batch>> {
-        let Some(rows) = self.wos_rows.take() else {
-            return Ok(None);
-        };
+    fn wos_batch(&self, rows: Vec<Row>) -> DbResult<Option<Batch>> {
         if rows.is_empty() {
             return Ok(None);
         }
@@ -647,28 +677,29 @@ impl ScanOperator {
 
 impl Operator for ScanOperator {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        if self.done {
-            return Ok(None);
+        if let Some(snapshot) = self.snapshot.take() {
+            self.morsels = self.cut(&snapshot)?.into();
         }
         loop {
-            if self.current.is_some() {
-                if let Some(batch) = self.next_block_batch()? {
-                    return Ok(Some(batch));
+            if let Some(batch) = self.next_block_batch()? {
+                return Ok(Some(batch));
+            }
+            match self.morsels.pop_front() {
+                Some(ScanMorsel::Blocks {
+                    container, runs, ..
+                }) => {
+                    self.current = Some(MorselCursor {
+                        container,
+                        runs: runs.into_iter(),
+                        run: None,
+                    });
                 }
-                continue;
-            }
-            if self.open_next_container()? {
-                continue;
-            }
-            // Containers exhausted: WOS tail.
-            match self.wos_batch()? {
-                Some(batch) => return Ok(Some(batch)),
-                None => {
-                    if self.wos_rows.is_none() {
-                        self.done = true;
-                        return Ok(None);
+                Some(ScanMorsel::Wos(rows)) => {
+                    if let Some(batch) = self.wos_batch(rows)? {
+                        return Ok(Some(batch));
                     }
                 }
+                None => return Ok(None),
             }
         }
     }

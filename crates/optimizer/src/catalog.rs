@@ -26,10 +26,13 @@ pub struct ProjectionMeta {
     /// only). The Database Designer reads this to compare what `Auto`
     /// actually chose against its trial-encoding pick (§6.3).
     pub column_encodings: Vec<Vec<(String, u64)>>,
-    /// Scan morsels a single node's snapshot of this projection yields
-    /// (max across nodes): ROS containers plus the WOS tail. The planner
-    /// caps a parallel scan's degree of parallelism at this — more workers
-    /// than independently stored containers cannot help.
+    /// Scan morsels an unpruned snapshot of this projection yields on a
+    /// single node (max across nodes): one per 16-block range of every ROS
+    /// container, rounded up, plus the WOS tail
+    /// (`ProjectionStore::morsel_count`). The planner caps a parallel
+    /// scan's degree of parallelism at this — more workers than morsels
+    /// cannot help; pruning can only lower the count at run time, where
+    /// the operator clamps again.
     pub scan_morsels: usize,
 }
 
@@ -66,7 +69,7 @@ impl ProjectionMeta {
         }
     }
 
-    /// Record the container-level morsel count storage reported.
+    /// Record the block-range morsel count storage reported.
     pub fn with_scan_morsels(mut self, morsels: usize) -> ProjectionMeta {
         self.scan_morsels = morsels.max(1);
         self
@@ -117,7 +120,7 @@ impl OptimizerCatalog {
         self.tables.get(name)
     }
 
-    /// Container-level morsel count recorded for a projection (1 when the
+    /// Block-range morsel count recorded for a projection (1 when the
     /// projection is unknown). The planner caps every parallel scan's —
     /// and parallel join side's — degree of parallelism at this.
     pub fn scan_morsels(&self, projection: &str) -> usize {

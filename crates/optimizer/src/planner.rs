@@ -26,7 +26,7 @@ use vdb_types::{DbError, DbResult, Expr, Func, Value};
 /// Plan a bound query. `live_projections`: projections currently available
 /// (None = all); node-down replans pass the surviving set (§6.2). `exec`
 /// bounds the degree of parallelism the plan may use per scan — the
-/// planner picks the actual DoP per projection from its container-level
+/// planner picks the actual DoP per projection from its block-range
 /// morsel count ([`ProjectionMeta::scan_morsels`]), and
 /// [`ExecOptions::serial`] keeps every plan single-threaded.
 pub fn plan(
@@ -228,9 +228,13 @@ impl<'a> Planner<'a> {
     }
 
     /// Degree of parallelism for one projection's scan: bounded by
-    /// [`ExecOptions::threads`] and by the projection's container-level
-    /// morsel count — workers beyond the number of independently stored
-    /// containers would idle.
+    /// [`ExecOptions::threads`] and by the projection's morsel count —
+    /// (container, block range) units of ~16 k rows, so a single large
+    /// container still yields many — since workers beyond the number of
+    /// morsels would idle. This is the unpruned count: a plan may ask for
+    /// more workers than a selective predicate leaves morsels for, and the
+    /// operator clamps to what survives pruning when it runs (a point
+    /// query ends up inline on the calling thread).
     fn scan_dop(&self, projection: &str) -> usize {
         self.exec
             .threads
@@ -350,7 +354,7 @@ impl<'a> Planner<'a> {
 
     /// Rewrite `HashJoin{Scan, Scan}` shapes into morsel-parallel
     /// partitioned hash joins. The probe-side DoP comes from the probe
-    /// projection's container morsel count (like `ParallelScan`), the
+    /// projection's morsel count (like `ParallelScan`), the
     /// build-side DoP from the build projection's; a probe DoP of 1 keeps
     /// the serial operator. Left-deep join trees recurse down the probe
     /// spine, so the innermost (fact ⋈ first dimension) join — the hot
@@ -1730,7 +1734,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_container_groupby_parallelizes() {
+    fn multi_morsel_groupby_parallelizes() {
         let mut cat = catalog();
         cat.tables.get_mut("fact").unwrap().projections[0].scan_morsels = 8;
         let planned = plan(
@@ -1747,7 +1751,9 @@ mod tests {
     }
 
     #[test]
-    fn dop_clamps_to_container_morsel_count() {
+    fn dop_clamps_to_morsel_count() {
+        // Two block-range morsels — say one 20k-row container, or one
+        // small container and a WOS tail — bound the plan at two workers.
         let mut cat = catalog();
         cat.tables.get_mut("fact").unwrap().projections[0].scan_morsels = 2;
         let planned = plan(
@@ -1762,7 +1768,7 @@ mod tests {
     }
 
     #[test]
-    fn single_container_projection_stays_serial() {
+    fn single_morsel_projection_stays_serial() {
         // from_sample defaults to one morsel: nothing to parallelize over.
         let planned = plan(
             &catalog(),

@@ -4,10 +4,13 @@
 //! implements backup by hard-linking data files (§5.2). [`FsBackend`] does
 //! exactly that; [`MemBackend`] is a drop-in in-memory implementation used
 //! by tests and by benchmarks that measure logical byte counts.
+//! [`CountingBackend`] wraps either and records what was read, so tests
+//! can assert the I/O shape of a code path.
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use vdb_types::{DbError, DbResult};
 
 /// Abstract flat file store. Paths are slash-separated logical names.
@@ -22,6 +25,9 @@ pub trait StorageBackend: Send + Sync {
     /// Atomically replace (or create) `path` with `bytes`.
     fn write_file(&self, path: &str, bytes: &[u8]) -> DbResult<()>;
     fn read_file(&self, path: &str) -> DbResult<Vec<u8>>;
+    /// Exactly the `len` bytes of `path` starting at `offset`. A range that
+    /// reaches past the end of the file is an error, never a short result.
+    fn read_range(&self, path: &str, offset: u64, len: usize) -> DbResult<Vec<u8>>;
     fn delete_file(&self, path: &str) -> DbResult<()>;
     fn file_size(&self, path: &str) -> DbResult<u64>;
     /// All file paths under a prefix, sorted.
@@ -64,6 +70,18 @@ impl StorageBackend for MemBackend {
             .ok_or_else(|| DbError::NotFound(format!("file {path}")))
     }
 
+    fn read_range(&self, path: &str, offset: u64, len: usize) -> DbResult<Vec<u8>> {
+        let files = self.files.read();
+        let file = files
+            .get(path)
+            .ok_or_else(|| DbError::NotFound(format!("file {path}")))?;
+        usize::try_from(offset)
+            .ok()
+            .and_then(|start| file.get(start..start.checked_add(len)?))
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| range_past_end(path, offset, len))
+    }
+
     fn delete_file(&self, path: &str) -> DbResult<()> {
         self.files
             .write()
@@ -94,6 +112,12 @@ impl StorageBackend for MemBackend {
         self.files.write().insert(dst.to_string(), bytes);
         Ok(())
     }
+}
+
+fn range_past_end(path: &str, offset: u64, len: usize) -> DbError {
+    DbError::Io(format!(
+        "read of {len} bytes at offset {offset} reaches past the end of {path}"
+    ))
 }
 
 /// Filesystem backend rooted at a directory.
@@ -165,6 +189,27 @@ impl StorageBackend for FsBackend {
         Ok(std::fs::read(self.resolve(path)?)?)
     }
 
+    fn read_range(&self, path: &str, offset: u64, len: usize) -> DbResult<Vec<u8>> {
+        let file = std::fs::File::open(self.resolve(path)?)?;
+        // Checked against the file's size before the buffer is allocated:
+        // `len` comes from a position index, which may be corrupt.
+        let size = file.metadata()?.len();
+        if offset.checked_add(len as u64).is_none_or(|end| end > size) {
+            return Err(range_past_end(path, offset, len));
+        }
+        let mut buf = vec![0u8; len];
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(&file, &mut buf, offset)?;
+        #[cfg(not(unix))]
+        {
+            use std::io::{Read, Seek, SeekFrom};
+            let mut file = file;
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(&mut buf)?;
+        }
+        Ok(buf)
+    }
+
     fn delete_file(&self, path: &str) -> DbResult<()> {
         Ok(std::fs::remove_file(self.resolve(path)?)?)
     }
@@ -213,6 +258,105 @@ impl StorageBackend for FsBackend {
     }
 }
 
+/// Which call a [`CountingBackend`] recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IoOp {
+    ReadFile,
+    ReadRange,
+    FileSize,
+}
+
+/// One recorded call: what was asked of which file, and how many bytes
+/// came back (0 for [`IoOp::FileSize`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IoCall {
+    pub op: IoOp,
+    pub path: String,
+    pub bytes: u64,
+}
+
+/// A backend that forwards to another and records every call that touches
+/// a file's contents or size — the instrument behind the I/O-shape tests
+/// ("a point query reads < 5 % of its columns", "a mover tick with nothing
+/// to merge stats no file").
+pub struct CountingBackend {
+    inner: Arc<dyn StorageBackend>,
+    calls: Mutex<Vec<IoCall>>,
+}
+
+impl CountingBackend {
+    pub fn new(inner: Arc<dyn StorageBackend>) -> CountingBackend {
+        CountingBackend {
+            inner,
+            calls: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Forget everything recorded so far.
+    pub fn reset(&self) {
+        self.calls.lock().clear();
+    }
+
+    /// Every call recorded since the last reset, in call order.
+    pub fn calls(&self) -> Vec<IoCall> {
+        self.calls.lock().clone()
+    }
+
+    /// How many calls of one kind were recorded.
+    pub fn count(&self, op: IoOp) -> usize {
+        self.calls.lock().iter().filter(|c| c.op == op).count()
+    }
+
+    /// Bytes returned by whole-file and ranged reads together.
+    pub fn bytes_read(&self) -> u64 {
+        self.calls.lock().iter().map(|c| c.bytes).sum()
+    }
+
+    fn record(&self, op: IoOp, path: &str, bytes: u64) {
+        self.calls.lock().push(IoCall {
+            op,
+            path: path.to_string(),
+            bytes,
+        });
+    }
+}
+
+impl Default for CountingBackend {
+    /// Counting over a fresh [`MemBackend`].
+    fn default() -> CountingBackend {
+        CountingBackend::new(Arc::new(MemBackend::new()))
+    }
+}
+
+impl StorageBackend for CountingBackend {
+    fn write_file(&self, path: &str, bytes: &[u8]) -> DbResult<()> {
+        self.inner.write_file(path, bytes)
+    }
+    fn read_file(&self, path: &str) -> DbResult<Vec<u8>> {
+        let bytes = self.inner.read_file(path)?;
+        self.record(IoOp::ReadFile, path, bytes.len() as u64);
+        Ok(bytes)
+    }
+    fn read_range(&self, path: &str, offset: u64, len: usize) -> DbResult<Vec<u8>> {
+        let bytes = self.inner.read_range(path, offset, len)?;
+        self.record(IoOp::ReadRange, path, bytes.len() as u64);
+        Ok(bytes)
+    }
+    fn delete_file(&self, path: &str) -> DbResult<()> {
+        self.inner.delete_file(path)
+    }
+    fn file_size(&self, path: &str) -> DbResult<u64> {
+        self.record(IoOp::FileSize, path, 0);
+        self.inner.file_size(path)
+    }
+    fn list_files(&self, prefix: &str) -> Vec<String> {
+        self.inner.list_files(prefix)
+    }
+    fn hard_link(&self, src: &str, dst: &str) -> DbResult<()> {
+        self.inner.hard_link(src, dst)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +366,26 @@ mod tests {
         backend.write_file("proj/a/1.idx", b"xy").unwrap();
         backend.write_file("proj/b/2.dat", b"zzz").unwrap();
         assert_eq!(backend.read_file("proj/a/1.dat").unwrap(), b"hello");
+        assert_eq!(backend.read_range("proj/a/1.dat", 1, 3).unwrap(), b"ell");
+        assert_eq!(backend.read_range("proj/a/1.dat", 0, 5).unwrap(), b"hello");
+        assert_eq!(backend.read_range("proj/a/1.dat", 5, 0).unwrap(), b"");
+        // Short, out-of-range, overflowing, missing and escaping reads are
+        // structured errors, never panics or short results.
+        for (path, offset, len) in [
+            ("proj/a/1.dat", 3, 3),
+            ("proj/a/1.dat", 6, 1),
+            ("proj/a/1.dat", u64::MAX, 2),
+            ("proj/a/1.dat", 1, usize::MAX),
+            ("proj/a/missing.dat", 0, 1),
+            ("../proj/a/1.dat", 0, 1),
+            ("proj/../../etc/passwd", 0, 1),
+        ] {
+            let err = backend.read_range(path, offset, len).unwrap_err();
+            assert!(
+                matches!(err, DbError::Io(_) | DbError::NotFound(_)),
+                "{path} @{offset}+{len}: {err:?}"
+            );
+        }
         assert_eq!(backend.file_size("proj/a/1.idx").unwrap(), 2);
         assert_eq!(
             backend.list_files("proj/a/"),
@@ -249,6 +413,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         exercise(&FsBackend::new(&dir).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn counting_backend_records_reads_and_sizes() {
+        let counting = CountingBackend::default();
+        exercise(&counting);
+        counting.reset();
+        counting.write_file("f", b"0123456789").unwrap();
+        counting.read_file("f").unwrap();
+        counting.read_range("f", 2, 3).unwrap();
+        counting.file_size("f").unwrap();
+        assert!(
+            counting.read_range("f", 8, 3).is_err(),
+            "failures not counted"
+        );
+        let call = |op, bytes| IoCall {
+            op,
+            path: "f".into(),
+            bytes,
+        };
+        assert_eq!(
+            counting.calls(),
+            vec![
+                call(IoOp::ReadFile, 10),
+                call(IoOp::ReadRange, 3),
+                call(IoOp::FileSize, 0)
+            ]
+        );
+        assert_eq!(counting.bytes_read(), 13);
+        assert_eq!(counting.count(IoOp::ReadRange), 1);
     }
 
     #[test]

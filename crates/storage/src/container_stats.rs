@@ -80,8 +80,15 @@ impl ContainerStats {
         }
     }
 
-    /// The container's leading rows: one read per column file, decoding
-    /// only the leading block, the first time; from memory afterwards.
+    /// Bytes of the container's data and position-index files together —
+    /// what `stat`ing each of them would add up to.
+    pub fn total_bytes(&self) -> u64 {
+        self.columns.iter().map(|c| c.bytes).sum()
+    }
+
+    /// The container's leading rows: one ranged read per column file
+    /// covering only the leading block, the first time; from memory
+    /// afterwards.
     pub(crate) fn sample(
         &self,
         container: &RosContainer,

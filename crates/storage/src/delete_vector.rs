@@ -71,6 +71,14 @@ impl DeleteVector {
         self.entries.iter().copied()
     }
 
+    /// The marks on positions `start..end`, in position order — what a scan
+    /// of one block range consults instead of walking the whole vector.
+    pub fn range(&self, positions: std::ops::Range<u64>) -> &[(u64, Epoch)] {
+        let lo = self.entries.partition_point(|e| e.0 < positions.start);
+        let hi = self.entries.partition_point(|e| e.0 < positions.end);
+        &self.entries[lo..hi.max(lo)]
+    }
+
     /// Number of rows deleted at or before `ahm` — candidates for purge.
     pub fn purgeable(&self, ahm: Epoch) -> usize {
         self.entries.iter().filter(|(_, e)| *e <= ahm).count()
@@ -138,6 +146,20 @@ impl DeleteVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn range_returns_marks_inside_the_positions() {
+        let mut dv = DeleteVector::new();
+        for p in [3, 10, 11, 40] {
+            dv.mark(p, Epoch(p));
+        }
+        let positions =
+            |r: std::ops::Range<u64>| -> Vec<u64> { dv.range(r).iter().map(|e| e.0).collect() };
+        assert_eq!(positions(0..100), vec![3, 10, 11, 40]);
+        assert_eq!(positions(10..40), vec![10, 11]);
+        assert_eq!(positions(4..10), Vec::<u64>::new());
+        assert_eq!(positions(41..u64::MAX), Vec::<u64>::new());
+    }
 
     #[test]
     fn mark_and_visibility() {

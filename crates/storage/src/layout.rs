@@ -30,12 +30,12 @@ pub fn summarize(store: &ProjectionStore) -> LayoutSummary {
     let mut containers = 0usize;
     let mut column_data_files = 0usize;
     let mut total_bytes = 0u64;
-    for c in store.containers() {
+    for (c, stats) in store.container_summaries() {
         containers += 1;
         partition_keys.insert(format!("{:?}", c.partition_key));
         local_segments.insert(c.local_segment);
         column_data_files += if c.grouped { 1 } else { c.indexes.len() };
-        total_bytes += c.total_bytes(store.backend().as_ref());
+        total_bytes += stats.total_bytes();
     }
     LayoutSummary {
         containers,
@@ -54,8 +54,8 @@ pub fn render(store: &ProjectionStore) -> String {
     let _ = writeln!(out, "{}", def.describe());
     // (partition, segment) → container lines.
     let mut tree: BTreeMap<(Option<Value>, u32), Vec<String>> = BTreeMap::new();
-    for c in store.containers() {
-        let bytes = c.total_bytes(store.backend().as_ref());
+    for (c, stats) in store.container_summaries() {
+        let bytes = stats.total_bytes();
         let files = if c.grouped { 1 } else { c.indexes.len() };
         tree.entry((c.partition_key.clone(), c.local_segment))
             .or_default()

@@ -33,12 +33,12 @@ pub mod store;
 pub mod tuple_mover;
 pub mod wos;
 
-pub use backend::{FsBackend, MemBackend, StorageBackend};
+pub use backend::{CountingBackend, FsBackend, IoCall, IoOp, MemBackend, StorageBackend};
 pub use container_stats::{ColumnSummary, ContainerStats, STATS_SAMPLE_ROWS};
 pub use delete_vector::DeleteVector;
 pub use engine::StorageEngine;
 pub use projection::{ProjectionDef, Segmentation};
 pub use redo::{RedoLog, RedoRecord};
-pub use ros::{ContainerId, RosContainer};
+pub use ros::{ColumnChunk, ContainerId, RosContainer};
 pub use store::{ContainerPin, ProjectionStore, RowLocation, SnapshotScan};
 pub use tuple_mover::{TupleMover, TupleMoverConfig};

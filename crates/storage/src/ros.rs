@@ -13,6 +13,7 @@
 
 use crate::backend::StorageBackend;
 use crate::projection::ProjectionDef;
+use std::ops::Range;
 use vdb_encoding::{ColumnReader, ColumnWriter, PositionIndex};
 use vdb_types::codec::{Reader, Writer};
 use vdb_types::{DbError, DbResult, Epoch, Row, Value};
@@ -24,6 +25,31 @@ pub struct ContainerId(pub u64);
 impl std::fmt::Display for ContainerId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ros{}", self.0)
+    }
+}
+
+/// The bytes of a run of neighbouring blocks of one column file, fetched
+/// by one ranged read ([`RosContainer::read_blocks`]). Decodes through
+/// [`ColumnChunk::reader`], which knows where in the file the bytes start.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnChunk {
+    base: u64,
+    bytes: Vec<u8>,
+}
+
+impl ColumnChunk {
+    /// Reader for the blocks this chunk holds; `index` is the column's
+    /// position index (`container.indexes[col]`).
+    pub fn reader<'a>(&'a self, index: &'a PositionIndex) -> ColumnReader<'a> {
+        ColumnReader::with_base(&self.bytes, self.base, index)
+    }
+
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
     }
 }
 
@@ -150,13 +176,11 @@ impl RosContainer {
             let rows = self.read_rows_grouped(backend)?;
             return Ok(rows.into_iter().map(|mut r| r.swap_remove(col)).collect());
         }
-        let data = backend.read_file(&self.data_path(col))?;
-        let index = &self.indexes[col];
-        ColumnReader::new(&data, index).read_all()
+        self.read_block_values(backend, col, 0..self.block_count())
     }
 
-    /// Read the raw column file bytes (for block-pruned scans, which need
-    /// the bytes plus the cached index).
+    /// Read a whole column file's bytes (probes and tools; scans fetch
+    /// block ranges through [`RosContainer::read_blocks`]).
     pub fn read_column_bytes(&self, backend: &dyn StorageBackend, col: usize) -> DbResult<Vec<u8>> {
         if self.grouped {
             return Err(DbError::Execution(
@@ -166,13 +190,68 @@ impl RosContainer {
         backend.read_file(&self.data_path(col))
     }
 
+    /// Fetch blocks `blocks` of column `col` with one ranged read: blocks
+    /// are appended back to back, so a run of neighbours is one byte range
+    /// `first.byte_offset .. last.byte_offset + last.byte_len`. An empty
+    /// run reads nothing.
+    pub fn read_blocks(
+        &self,
+        backend: &dyn StorageBackend,
+        col: usize,
+        blocks: Range<usize>,
+    ) -> DbResult<ColumnChunk> {
+        let metas = self
+            .indexes
+            .get(col)
+            .and_then(|index| index.blocks.get(blocks.clone()))
+            .ok_or_else(|| {
+                DbError::Corrupt(format!("{}: no blocks {blocks:?} in column {col}", self.id))
+            })?;
+        let (Some(first), Some(last)) = (metas.first(), metas.last()) else {
+            return Ok(ColumnChunk {
+                base: 0,
+                bytes: Vec::new(),
+            });
+        };
+        let base = first.byte_offset;
+        let len = (last.byte_offset + u64::from(last.byte_len))
+            .checked_sub(base)
+            .and_then(|len| usize::try_from(len).ok())
+            .ok_or_else(|| {
+                DbError::Corrupt(format!(
+                    "{}: column {col} block offsets go backwards",
+                    self.id
+                ))
+            })?;
+        Ok(ColumnChunk {
+            base,
+            bytes: backend.read_range(&self.data_path(col), base, len)?,
+        })
+    }
+
+    /// Decode blocks `blocks` of column `col` to values.
+    fn read_block_values(
+        &self,
+        backend: &dyn StorageBackend,
+        col: usize,
+        blocks: Range<usize>,
+    ) -> DbResult<Vec<Value>> {
+        let chunk = self.read_blocks(backend, col, blocks.clone())?;
+        let reader = chunk.reader(&self.indexes[col]);
+        let mut values = Vec::new();
+        for b in blocks {
+            values.extend(reader.read_block(b)?.into_values());
+        }
+        Ok(values)
+    }
+
     /// Reconstruct complete rows (all columns).
     pub fn read_rows(&self, backend: &dyn StorageBackend) -> DbResult<Vec<Row>> {
         self.read_leading_rows(backend, usize::MAX)
     }
 
-    /// Reconstruct the first `limit` rows: one read per column file,
-    /// decoding only the leading blocks that hold them.
+    /// Reconstruct the first `limit` rows: one ranged read per column,
+    /// covering only the leading blocks that hold them.
     pub fn read_leading_rows(
         &self,
         backend: &dyn StorageBackend,
@@ -186,15 +265,15 @@ impl RosContainer {
         let n = (self.row_count as usize).min(limit);
         let mut columns = Vec::with_capacity(self.indexes.len());
         for (c, index) in self.indexes.iter().enumerate() {
-            let data = backend.read_file(&self.data_path(c))?;
-            let reader = ColumnReader::new(&data, index);
-            let mut values = Vec::with_capacity(n);
-            for b in 0..reader.num_blocks() {
-                if values.len() >= n {
-                    break;
-                }
-                values.extend(reader.read_block(b)?.into_values());
-            }
+            let blocks = match n.checked_sub(1) {
+                // Past-the-end means the index holds fewer rows than the
+                // container claims; reading every block shows how many.
+                Some(last) => index
+                    .block_for_position(last as u64)
+                    .map_or(index.blocks.len(), |b| b + 1),
+                None => 0,
+            };
+            let values = self.read_block_values(backend, c, 0..blocks)?;
             if values.len() < n {
                 return Err(DbError::Corrupt(format!(
                     "{}: column {c} holds {} rows, container says {}",
@@ -241,25 +320,16 @@ impl RosContainer {
                 .cloned()
                 .ok_or_else(|| DbError::Corrupt(format!("position {position} out of range")));
         }
+        // One block per column: the one holding `position`.
         let mut row = Vec::with_capacity(self.indexes.len());
-        for c in 0..self.indexes.len() {
-            let data = backend.read_file(&self.data_path(c))?;
-            row.push(ColumnReader::new(&data, &self.indexes[c]).value_at(position)?);
+        for (c, index) in self.indexes.iter().enumerate() {
+            let block = index
+                .block_for_position(position)
+                .ok_or_else(|| DbError::Corrupt(format!("position {position} out of range")))?;
+            let chunk = self.read_blocks(backend, c, block..block + 1)?;
+            row.push(chunk.reader(index).value_at(position)?);
         }
         Ok(row)
-    }
-
-    /// Total bytes of this container's user-data files (data + index).
-    pub fn total_bytes(&self, backend: &dyn StorageBackend) -> u64 {
-        if self.grouped {
-            return backend.file_size(&self.grouped_path()).unwrap_or(0);
-        }
-        (0..self.indexes.len())
-            .map(|c| {
-                backend.file_size(&self.data_path(c)).unwrap_or(0)
-                    + backend.file_size(&self.index_path(c)).unwrap_or(0)
-            })
-            .sum()
     }
 
     /// Delete all files (rollback / post-mergeout reclamation; "removing a
@@ -282,9 +352,11 @@ impl RosContainer {
         self.indexes.get(col)?.column_min_max()
     }
 
-    /// Number of 1024-row storage blocks per column — the work granularity
-    /// inside one scan morsel (a morsel is one container; workers stream it
-    /// block by block).
+    /// Number of 1024-row storage blocks per column. Blocks are row-aligned
+    /// across a container's columns, so block `b` means the same rows in
+    /// every column file — which is what lets a scan morsel be a
+    /// (container, block range) pair: pruned, fetched and decoded block
+    /// by block without touching the rest of the container.
     pub fn block_count(&self) -> usize {
         self.indexes.first().map_or(0, |idx| idx.blocks.len())
     }
@@ -405,6 +477,87 @@ mod tests {
         assert!(c.read_row_at(&backend, 50).is_err());
     }
 
+    /// A container of 5000 rows: five blocks per column.
+    fn five_block_container(backend: &dyn StorageBackend) -> RosContainer {
+        RosContainer::write(
+            backend,
+            &def(),
+            ContainerId(9),
+            &rows(5000),
+            Epoch(1),
+            None,
+            0,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn block_range_reads_fetch_only_their_bytes() {
+        use crate::backend::{CountingBackend, IoOp};
+        let backend = CountingBackend::default();
+        let c = five_block_container(&backend);
+        let whole = c.read_column_bytes(&backend, 0).unwrap();
+        let reference = ColumnReader::new(&whole, &c.indexes[0]);
+        backend.reset();
+        let chunk = c.read_blocks(&backend, 0, 2..4).unwrap();
+        let blocks = &c.indexes[0].blocks;
+        assert_eq!(
+            chunk.len() as u64,
+            u64::from(blocks[2].byte_len) + u64::from(blocks[3].byte_len)
+        );
+        assert_eq!(backend.count(IoOp::ReadRange), 1, "neighbours coalesce");
+        assert_eq!(backend.bytes_read(), chunk.len() as u64);
+        for b in 2..4 {
+            assert_eq!(
+                chunk.reader(&c.indexes[0]).read_block(b).unwrap(),
+                reference.read_block(b).unwrap()
+            );
+        }
+        // An empty run reads nothing; a run past the index is an error.
+        backend.reset();
+        assert!(c.read_blocks(&backend, 0, 3..3).unwrap().is_empty());
+        assert_eq!(backend.calls(), vec![]);
+        assert!(matches!(
+            c.read_blocks(&backend, 0, 4..6),
+            Err(DbError::Corrupt(_))
+        ));
+        assert!(matches!(
+            c.read_blocks(&backend, 7, 0..1),
+            Err(DbError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn leading_rows_and_row_at_read_only_the_blocks_they_need() {
+        use crate::backend::{CountingBackend, IoOp};
+        let backend = CountingBackend::default();
+        let c = five_block_container(&backend);
+        let block_bytes = |col: usize, b: usize| u64::from(c.indexes[col].blocks[b].byte_len);
+        backend.reset();
+        assert_eq!(c.read_leading_rows(&backend, 1000).unwrap(), rows(1000));
+        assert_eq!(backend.count(IoOp::ReadFile), 0);
+        assert_eq!(backend.count(IoOp::ReadRange), 2, "one read per column");
+        assert_eq!(backend.bytes_read(), block_bytes(0, 0) + block_bytes(1, 0));
+        // 1025 rows reach into the second block.
+        backend.reset();
+        assert_eq!(c.read_leading_rows(&backend, 1025).unwrap(), rows(1025));
+        assert_eq!(
+            backend.bytes_read(),
+            (0..2)
+                .map(|b| block_bytes(0, b) + block_bytes(1, b))
+                .sum::<u64>()
+        );
+        backend.reset();
+        assert_eq!(c.read_leading_rows(&backend, 0).unwrap(), Vec::<Row>::new());
+        assert_eq!(backend.calls(), vec![]);
+        // One value is one block per column.
+        backend.reset();
+        assert_eq!(c.read_row_at(&backend, 3000).unwrap(), rows(3001)[3000]);
+        assert_eq!(backend.count(IoOp::ReadRange), 2);
+        assert_eq!(backend.bytes_read(), block_bytes(0, 2) + block_bytes(1, 2));
+        assert_eq!(c.read_rows(&backend).unwrap(), rows(5000));
+    }
+
     #[test]
     fn container_min_max_for_pruning() {
         let backend = MemBackend::new();
@@ -450,17 +603,14 @@ mod tests {
         // columnar form compresses sorted data; the grouped form cannot.
         let backend = MemBackend::new();
         let many = rows(5000);
-        let col = RosContainer::write(&backend, &def(), ContainerId(5), &many, Epoch(1), None, 0)
+        RosContainer::write(&backend, &def(), ContainerId(5), &many, Epoch(1), None, 0).unwrap();
+        RosContainer::write_grouped(&backend, &def(), ContainerId(6), &many, Epoch(1), None, 0)
             .unwrap();
-        let grp =
-            RosContainer::write_grouped(&backend, &def(), ContainerId(6), &many, Epoch(1), None, 0)
-                .unwrap();
-        assert!(
-            col.total_bytes(&backend) < grp.total_bytes(&backend) / 2,
-            "columnar {} vs grouped {}",
-            col.total_bytes(&backend),
-            grp.total_bytes(&backend)
+        let (col, grp) = (
+            backend.total_size("t_super/ros5/"),
+            backend.total_size("t_super/ros6/"),
         );
+        assert!(col < grp / 2, "columnar {col} vs grouped {grp}");
     }
 
     #[test]
@@ -493,7 +643,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert!(c.total_bytes(&backend) > 0);
+        assert!(backend.total_size("t_super/") > 0);
         c.delete_files(&backend).unwrap();
         assert_eq!(backend.list_files("t_super/").len(), 0);
     }

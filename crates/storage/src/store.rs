@@ -19,9 +19,10 @@ use crate::redo::{RedoLog, RedoRecord};
 use crate::ros::{ContainerId, RosContainer};
 use crate::wos::Wos;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use vdb_encoding::EncodingType;
+use vdb_encoding::{EncodingType, BLOCK_SIZE};
 use vdb_types::codec::{Reader, Writer};
 use vdb_types::{DbError, DbResult, Epoch, Row, Value};
 
@@ -32,7 +33,10 @@ pub enum RowLocation {
     Ros(ContainerId, u64),
 }
 
-/// Visibility of a container's rows at a snapshot.
+/// Visibility of a run of rows at a snapshot. A mask's index 0 is the
+/// first row of the run it was computed for — position 0 of the container
+/// for [`ScanContainer::visible`], the first row of the block range for
+/// [`ScanContainer::visible_in`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum VisibleSet {
     /// Every position visible.
@@ -59,6 +63,21 @@ impl VisibleSet {
             VisibleSet::Mask(m) => m.iter().filter(|&&b| b).count() as u64,
         }
     }
+}
+
+/// What a container's epoch range and delete vector say about a snapshot
+/// before any row is looked at. Decided once per (container, snapshot) in
+/// [`ProjectionStore::scan_snapshot`] and carried by every morsel cut from
+/// the container.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visibility {
+    /// Every row was committed after the snapshot.
+    None,
+    /// Every row is committed at the snapshot and nothing is deleted.
+    All,
+    /// Rows must be checked: the container straddles the snapshot epoch,
+    /// or has a delete vector.
+    PerRow,
 }
 
 /// Keeps a removed container's files alive until its last holder drops.
@@ -108,19 +127,23 @@ impl std::fmt::Debug for ContainerPin {
     }
 }
 
-/// One container plus its delete vector, pinned to a snapshot epoch — the
-/// unit handed to the scan operator. Carries the owning node's backend so
-/// a scan can mix containers sourced from several nodes (buddy-projection
-/// reads and broadcast gathers in the cluster layer).
+/// One container plus its delete vector, pinned to a snapshot epoch — what
+/// scan morsels are cut from. Containers and delete vectors are immutable
+/// once published, so this holds them by `Arc`: taking a snapshot, cloning
+/// it and cutting it into morsels copies pointers, never position indexes.
+/// Carries the owning node's backend so a scan can mix containers sourced
+/// from several nodes (buddy-projection reads and broadcast gathers in
+/// the cluster layer).
 #[derive(Clone)]
 pub struct ScanContainer {
-    pub container: RosContainer,
-    pub deletes: DeleteVector,
+    pub container: Arc<RosContainer>,
+    pub deletes: Arc<DeleteVector>,
     pub snapshot: Epoch,
     pub backend: Arc<dyn StorageBackend>,
     /// Holds the container's files alive if the tuple mover retires it
     /// while this scan is in flight.
     pub pin: Option<Arc<ContainerPin>>,
+    visibility: Visibility,
 }
 
 impl std::fmt::Debug for ScanContainer {
@@ -129,45 +152,119 @@ impl std::fmt::Debug for ScanContainer {
             .field("container", &self.container)
             .field("deletes", &self.deletes)
             .field("snapshot", &self.snapshot)
+            .field("visibility", &self.visibility)
             .finish()
     }
 }
 
+/// Smallest and largest commit epoch a block (or container) holds.
+fn epoch_range(min_max: Option<(&Value, &Value)>, fallback: Epoch) -> (Epoch, Epoch) {
+    match min_max {
+        Some((Value::Integer(a), Value::Integer(b))) => (Epoch(*a as u64), Epoch(*b as u64)),
+        _ => (fallback, fallback),
+    }
+}
+
 impl ScanContainer {
+    fn new(
+        container: Arc<RosContainer>,
+        deletes: Arc<DeleteVector>,
+        snapshot: Epoch,
+        backend: Arc<dyn StorageBackend>,
+        pin: Option<Arc<ContainerPin>>,
+        epochs: Option<&(Value, Value)>,
+    ) -> ScanContainer {
+        let (min_e, max_e) = epoch_range(epochs.map(|(a, b)| (a, b)), container.commit_epoch);
+        let visibility = if min_e > snapshot {
+            Visibility::None
+        } else if max_e <= snapshot && deletes.is_empty() {
+            Visibility::All
+        } else {
+            Visibility::PerRow
+        };
+        ScanContainer {
+            container,
+            deletes,
+            snapshot,
+            backend,
+            pin,
+            visibility,
+        }
+    }
+
     /// Index of the hidden epoch column.
     pub fn epoch_column(&self) -> usize {
         self.container.indexes.len() - 1
     }
 
-    /// Compute which positions are visible at the snapshot, consulting the
-    /// epoch column only when the container straddles the snapshot.
+    /// The container-level verdict (no I/O, already decided).
+    pub fn visibility(&self) -> Visibility {
+        self.visibility
+    }
+
+    /// Which positions of the whole container are visible at the snapshot.
     pub fn visible(&self, backend: &dyn StorageBackend) -> DbResult<VisibleSet> {
-        let (min_e, max_e) = match self.container.column_min_max(self.epoch_column()) {
-            Some((Value::Integer(a), Value::Integer(b))) => (Epoch(a as u64), Epoch(b as u64)),
-            _ => (self.container.commit_epoch, self.container.commit_epoch),
-        };
-        if min_e > self.snapshot {
+        self.visible_in(backend, 0..self.container.block_count())
+    }
+
+    /// Which rows of blocks `blocks` are visible at the snapshot, as a set
+    /// over that run's rows. Consults the delete vector by position range
+    /// and the epoch column only for the blocks whose epoch range straddles
+    /// the snapshot (one ranged read over them), so the cost follows the
+    /// run, not the container.
+    pub fn visible_in(
+        &self,
+        backend: &dyn StorageBackend,
+        blocks: Range<usize>,
+    ) -> DbResult<VisibleSet> {
+        match self.visibility {
+            Visibility::None => return Ok(VisibleSet::None),
+            Visibility::All => return Ok(VisibleSet::All),
+            Visibility::PerRow => {}
+        }
+        let epoch_col = self.epoch_column();
+        let index = &self.container.indexes[epoch_col];
+        let metas = index.blocks.get(blocks.clone()).ok_or_else(|| {
+            DbError::Corrupt(format!("{}: no blocks {blocks:?}", self.container.id))
+        })?;
+        let (Some(first), Some(last)) = (metas.first(), metas.last()) else {
             return Ok(VisibleSet::None);
+        };
+        let start = first.start_position;
+        let end = last.start_position + u64::from(last.count);
+        let mut mask = vec![true; (end - start) as usize];
+        let rows_of = |meta: &vdb_encoding::BlockMeta| {
+            let lo = (meta.start_position - start) as usize;
+            lo..lo + meta.count as usize
+        };
+        // Epochs: a block is wholly committed, wholly in the future, or
+        // straddles the snapshot — only the last kind is read.
+        let mut straddling: Vec<usize> = Vec::new();
+        for (b, meta) in blocks.clone().zip(metas) {
+            let (min_e, max_e) =
+                epoch_range(Some((&meta.min, &meta.max)), self.container.commit_epoch);
+            if min_e > self.snapshot {
+                mask[rows_of(meta)].fill(false);
+            } else if max_e > self.snapshot {
+                straddling.push(b);
+            }
         }
-        let epoch_visible_all = max_e <= self.snapshot;
-        if epoch_visible_all && self.deletes.is_empty() {
-            return Ok(VisibleSet::All);
-        }
-        let n = self.container.row_count as usize;
-        let mut mask = vec![true; n];
-        if !epoch_visible_all {
-            let epochs = self.container.read_column(backend, self.epoch_column())?;
-            for (i, e) in epochs.iter().enumerate() {
-                if e.as_i64().is_none_or(|v| Epoch(v as u64) > self.snapshot) {
-                    mask[i] = false;
+        if let (Some(&lo), Some(&hi)) = (straddling.first(), straddling.last()) {
+            let chunk = self.container.read_blocks(backend, epoch_col, lo..hi + 1)?;
+            let reader = chunk.reader(index);
+            for b in straddling {
+                let rows = rows_of(&index.blocks[b]);
+                let epochs = reader.read_block(b)?.into_values();
+                for (visible, e) in mask[rows].iter_mut().zip(epochs) {
+                    if e.as_i64().is_none_or(|v| Epoch(v as u64) > self.snapshot) {
+                        *visible = false;
+                    }
                 }
             }
         }
-        for (pos, del_epoch) in self.deletes.iter() {
+        for &(pos, del_epoch) in self.deletes.range(start..end) {
             if del_epoch <= self.snapshot {
-                if let Some(m) = mask.get_mut(pos as usize) {
-                    *m = false;
-                }
+                mask[(pos - start) as usize] = false;
             }
         }
         if mask.iter().all(|&b| b) {
@@ -177,6 +274,32 @@ impl ScanContainer {
         } else {
             Ok(VisibleSet::Mask(mask))
         }
+    }
+
+    /// Cut `surviving` — ascending block indexes a scan still wants after
+    /// pruning — into morsels of at most [`MORSEL_BLOCKS`] blocks each, in
+    /// block order.
+    pub fn morsels<'a>(&'a self, surviving: &'a [usize]) -> impl Iterator<Item = ScanMorsel> + 'a {
+        let row_index = self.container.indexes.first();
+        surviving.chunks(MORSEL_BLOCKS).map(move |chunk| {
+            let mut runs: Vec<Range<usize>> = Vec::new();
+            for &b in chunk {
+                match runs.last_mut() {
+                    Some(run) if run.end == b => run.end = b + 1,
+                    _ => runs.push(b..b + 1),
+                }
+            }
+            let rows = chunk
+                .iter()
+                .filter_map(|&b| row_index?.blocks.get(b))
+                .map(|meta| u64::from(meta.count))
+                .sum();
+            ScanMorsel::Blocks {
+                container: self.clone(),
+                runs,
+                rows,
+            }
+        })
     }
 }
 
@@ -188,58 +311,63 @@ pub struct SnapshotScan {
     pub wos_rows: Vec<Row>,
 }
 
+/// Target size of a scan morsel in storage blocks (16 × [`BLOCK_SIZE`] ≈
+/// 16 k rows): large enough that queue traffic and per-morsel reads
+/// vanish beside the decode, small enough that one mergeout-sized
+/// container spreads over every worker.
+pub const MORSEL_BLOCKS: usize = 16;
+
 impl SnapshotScan {
-    pub fn total_ros_rows(&self) -> u64 {
-        self.containers.iter().map(|c| c.container.row_count).sum()
-    }
-
-    /// How many morsels [`SnapshotScan::into_morsels`] would produce.
-    pub fn morsel_count(&self) -> usize {
-        self.containers.len() + usize::from(!self.wos_rows.is_empty())
-    }
-
-    /// Split into independently scannable units of parallel work: one
-    /// morsel per ROS container (containers are written independently and
-    /// carry their own delete vectors and position indexes, so they never
-    /// share scan state) plus one for the WOS tail. Morsels keep the
-    /// snapshot's container order so that concatenating per-morsel scan
-    /// output in morsel order reproduces the serial scan exactly.
-    pub fn into_morsels(self) -> Vec<ScanMorsel> {
-        let mut out: Vec<ScanMorsel> = self
-            .containers
-            .into_iter()
-            .map(|sc| {
-                let rows = sc.container.row_count;
-                ScanMorsel {
-                    containers: vec![sc],
-                    wos_rows: Vec::new(),
-                    rows,
-                }
-            })
-            .collect();
-        if !self.wos_rows.is_empty() {
-            let rows = self.wos_rows.len() as u64;
-            out.push(ScanMorsel {
-                containers: Vec::new(),
-                wos_rows: self.wos_rows,
-                rows,
-            });
+    /// Split into independently scannable units of parallel work, **after**
+    /// pruning: `surviving` names, per container, the blocks the scan still
+    /// wants (none = the container is pruned), and each container's
+    /// survivors are cut into morsels of at most [`MORSEL_BLOCKS`] blocks,
+    /// so one large container spreads across workers while a pruned point
+    /// query is a single morsel. The WOS tail, if any, is the last morsel.
+    /// Morsels keep snapshot order — container order, then block order —
+    /// so concatenating per-morsel scan output in morsel order reproduces
+    /// the serial scan exactly.
+    pub fn morsels(
+        &self,
+        mut surviving: impl FnMut(&ScanContainer) -> DbResult<Vec<usize>>,
+    ) -> DbResult<Vec<ScanMorsel>> {
+        let mut out = Vec::new();
+        for sc in &self.containers {
+            out.extend(sc.morsels(&surviving(sc)?));
         }
-        out
+        if !self.wos_rows.is_empty() {
+            out.push(ScanMorsel::Wos(self.wos_rows.clone()));
+        }
+        Ok(out)
     }
 }
 
-/// One unit of parallel scan work handed to an execution worker: a subset
-/// of a snapshot's containers, or the WOS tail. Produced by
-/// [`SnapshotScan::into_morsels`]; consumed by the executor's morsel queue.
+/// One unit of scan work handed to an execution worker. Produced by
+/// [`SnapshotScan::morsels`]; consumed by the executor's morsel queue.
 #[derive(Debug, Clone)]
-pub struct ScanMorsel {
-    pub containers: Vec<ScanContainer>,
-    /// Visible WOS rows (projection-shaped); non-empty only for the tail
-    /// morsel.
-    pub wos_rows: Vec<Row>,
+pub enum ScanMorsel {
+    /// Up to [`MORSEL_BLOCKS`] surviving blocks of one container, as runs
+    /// of neighbouring block indexes — each run is one ranged read per
+    /// column. The container handle is shared (`Arc`s) with every other
+    /// morsel cut from it.
+    Blocks {
+        container: ScanContainer,
+        runs: Vec<Range<usize>>,
+        /// Rows covered before visibility and predicates.
+        rows: u64,
+    },
+    /// The visible WOS rows (projection-shaped): the snapshot's tail.
+    Wos(Vec<Row>),
+}
+
+impl ScanMorsel {
     /// Rows covered before visibility/predicates — the scheduling weight.
-    pub rows: u64,
+    pub fn rows(&self) -> u64 {
+        match self {
+            ScanMorsel::Blocks { rows, .. } => *rows,
+            ScanMorsel::Wos(rows) => rows.len() as u64,
+        }
+    }
 }
 
 /// WOS + ROS + delete vectors for one projection on one node.
@@ -252,8 +380,10 @@ pub struct ProjectionStore {
     n_local_segments: u32,
     backend: Arc<dyn StorageBackend>,
     wos: Wos,
-    containers: BTreeMap<ContainerId, RosContainer>,
-    delete_vectors: BTreeMap<ContainerId, DeleteVector>,
+    /// Immutable once inserted; scans share them by `Arc`.
+    containers: BTreeMap<ContainerId, Arc<RosContainer>>,
+    /// Replaced whole (copy-on-write) by every delete mark.
+    delete_vectors: BTreeMap<ContainerId, Arc<DeleteVector>>,
     pins: BTreeMap<ContainerId, Arc<ContainerPin>>,
     /// One summary per live container, inserted and removed with its pin.
     stats: BTreeMap<ContainerId, ContainerStats>,
@@ -384,8 +514,8 @@ impl ProjectionStore {
                 )),
             );
             store.stats.insert(id, ContainerStats::new(&container));
-            store.containers.insert(id, container);
-            store.delete_vectors.insert(id, dv);
+            store.containers.insert(id, Arc::new(container));
+            store.delete_vectors.insert(id, Arc::new(dv));
         }
         store.gc_orphans(&live);
         let (wos, redo) =
@@ -462,23 +592,35 @@ impl ProjectionStore {
         self.containers.len()
     }
 
-    /// How many scan morsels a snapshot of this store yields right now —
-    /// the storage-side input to the planner's degree-of-parallelism
-    /// choice (one morsel per container, plus the WOS tail).
+    /// How many scan morsels an unpruned snapshot of this store yields
+    /// right now — the storage-side input to the planner's
+    /// degree-of-parallelism choice: every container contributes one
+    /// morsel per [`MORSEL_BLOCKS`] blocks (rounded up), plus one for the
+    /// WOS tail. From the summaries; no I/O.
     pub fn morsel_count(&self) -> usize {
-        self.stats.len() + usize::from(!self.wos.is_empty())
+        let morsel_rows = (MORSEL_BLOCKS * BLOCK_SIZE) as u64;
+        let ros: u64 = self
+            .stats
+            .values()
+            .map(|st| st.row_count.div_ceil(morsel_rows))
+            .sum();
+        ros as usize + usize::from(!self.wos.is_empty())
     }
 
     pub fn containers(&self) -> impl Iterator<Item = &RosContainer> {
-        self.containers.values()
+        self.containers.values().map(Arc::as_ref)
     }
 
-    /// Total on-backend bytes of this projection's containers.
+    /// Every live container beside its summary, in container order.
+    pub fn container_summaries(&self) -> impl Iterator<Item = (&RosContainer, &ContainerStats)> {
+        debug_assert!(self.containers.keys().eq(self.stats.keys()));
+        self.containers().zip(self.stats.values())
+    }
+
+    /// Total on-backend bytes of this projection's containers (data and
+    /// position-index files), from the summaries — no `stat`.
     pub fn ros_bytes(&self) -> u64 {
-        self.containers
-            .values()
-            .map(|c| c.total_bytes(self.backend.as_ref()))
-            .sum()
+        self.stats.values().map(ContainerStats::total_bytes).sum()
     }
 
     /// Local segment of a segmentation-ring value: the ring is cut into
@@ -628,8 +770,8 @@ impl ProjectionStore {
                 Arc::new(ContainerPin::new(self.backend.clone(), &self.def.name, id)),
             );
             self.stats.insert(id, ContainerStats::new(&container));
-            self.containers.insert(id, container);
-            self.delete_vectors.insert(id, dv);
+            self.containers.insert(id, Arc::new(container));
+            self.delete_vectors.insert(id, Arc::new(dv));
             created.push(id);
         }
         Ok(created)
@@ -724,26 +866,33 @@ impl ProjectionStore {
                 // Persist before mutating memory: a failed write then
                 // leaves the in-memory vector untouched instead of
                 // serving a delete that never reached disk.
-                let mut dv = self.delete_vectors.get(&id).cloned().unwrap_or_default();
+                let mut dv = self.delete_vector_of(id);
                 dv.mark(pos, epoch);
                 self.persist_delete_vector(id, &dv)?;
-                self.delete_vectors.insert(id, dv);
+                self.delete_vectors.insert(id, Arc::new(dv));
                 Ok(())
             }
         }
     }
 
-    /// Snapshot of everything a scan needs at `snapshot`.
+    /// Snapshot of everything a scan needs at `snapshot`: pointer copies
+    /// of the containers and their delete vectors, each with its
+    /// container-level [`Visibility`] already decided, plus the visible
+    /// WOS rows.
     pub fn scan_snapshot(&self, snapshot: Epoch) -> SnapshotScan {
         let containers = self
             .containers
-            .values()
-            .map(|c| ScanContainer {
-                container: c.clone(),
-                deletes: self.delete_vectors.get(&c.id).cloned().unwrap_or_default(),
-                snapshot,
-                backend: self.backend.clone(),
-                pin: self.pins.get(&c.id).cloned(),
+            .iter()
+            .map(|(id, c)| {
+                let epochs = self.stats.get(id).and_then(|st| st.columns.last());
+                ScanContainer::new(
+                    c.clone(),
+                    self.delete_vectors.get(id).cloned().unwrap_or_default(),
+                    snapshot,
+                    self.backend.clone(),
+                    self.pins.get(id).cloned(),
+                    epochs.and_then(|col| col.min_max.as_ref()),
+                )
             })
             .collect();
         SnapshotScan {
@@ -1008,6 +1157,7 @@ impl ProjectionStore {
             .get(&id)
             .ok_or_else(|| DbError::NotFound(format!("container {id}")))?;
         let dv = self.delete_vectors.get(&id).cloned().unwrap_or_default();
+        let commit_epoch = c.commit_epoch;
         let rows = c.read_rows(self.backend.as_ref())?;
         Ok(rows
             .into_iter()
@@ -1017,7 +1167,7 @@ impl ProjectionStore {
                     .pop()
                     .and_then(|v| v.as_i64())
                     .map(|v| Epoch(v as u64))
-                    .unwrap_or(c.commit_epoch);
+                    .unwrap_or(commit_epoch);
                 (row, e, dv.delete_epoch(i as u64))
             })
             .collect())
@@ -1054,7 +1204,10 @@ impl ProjectionStore {
     }
 
     pub(crate) fn delete_vector_of(&self, id: ContainerId) -> DeleteVector {
-        self.delete_vectors.get(&id).cloned().unwrap_or_default()
+        self.delete_vectors
+            .get(&id)
+            .map(|dv| DeleteVector::clone(dv))
+            .unwrap_or_default()
     }
 
     /// Truncate all effects after `epoch`: recovery's first step ("the node
@@ -1544,6 +1697,184 @@ mod tests {
             older.containers[0].visible(s.backend().as_ref()).unwrap(),
             VisibleSet::None
         );
+    }
+
+    #[test]
+    fn morsels_are_block_ranges_cut_after_pruning() {
+        let mut s = flat_store();
+        let morsel_rows = (MORSEL_BLOCKS * BLOCK_SIZE) as i64;
+        // 2 full morsels + 5 blocks, a second small container, a WOS tail.
+        let big = 2 * morsel_rows + 5 * BLOCK_SIZE as i64 - 3;
+        s.insert_direct_ros((0..big).map(|i| row(i, i)).collect(), Epoch(1))
+            .unwrap();
+        s.insert_direct_ros((big..big + 100).map(|i| row(i, i)).collect(), Epoch(1))
+            .unwrap();
+        s.insert_wos(vec![row(-1, 0), row(-2, 0)], Epoch(1))
+            .unwrap();
+        assert_eq!(s.morsel_count(), 3 + 1 + 1);
+        let snap = s.scan_snapshot(Epoch(1));
+        // Nothing pruned: exactly `morsel_count` morsels, in snapshot order,
+        // covering every row once.
+        let all = snap
+            .morsels(|sc| Ok((0..sc.container.block_count()).collect()))
+            .unwrap();
+        assert_eq!(all.len(), s.morsel_count());
+        // (first block, one past the last block, rows); the WOS tail has
+        // no blocks.
+        let shapes: Vec<(usize, usize, u64)> = all
+            .iter()
+            .map(|m| match m {
+                ScanMorsel::Blocks { runs, .. } => {
+                    assert_eq!(runs.len(), 1, "unpruned blocks are one run");
+                    (runs[0].start, runs[0].end, m.rows())
+                }
+                ScanMorsel::Wos(_) => (0, 0, m.rows()),
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            vec![
+                (0, 16, morsel_rows as u64),
+                (16, 32, morsel_rows as u64),
+                (32, 37, 5 * BLOCK_SIZE as u64 - 3),
+                (0, 1, 100),
+                (0, 0, 2),
+            ]
+        );
+        // Pruned: scattered survivors of the first container, none of the
+        // second — one morsel, neighbours coalesced into runs.
+        let first = snap.containers[0].container.id;
+        let pruned = snap
+            .morsels(|sc| {
+                Ok(if sc.container.id == first {
+                    vec![0, 1, 5, 6, 7, 30]
+                } else {
+                    vec![]
+                })
+            })
+            .unwrap();
+        assert_eq!(pruned.len(), 2, "one block morsel + the WOS tail");
+        let ScanMorsel::Blocks { runs, rows, .. } = &pruned[0] else {
+            panic!("blocks first");
+        };
+        assert_eq!(runs, &vec![0..2, 5..8, 30..31]);
+        assert_eq!(*rows, 6 * BLOCK_SIZE as u64);
+    }
+
+    #[test]
+    fn snapshots_share_containers_and_delete_vectors() {
+        let mut s = flat_store();
+        s.insert_direct_ros((0..3000).map(|i| row(i, i)).collect(), Epoch(1))
+            .unwrap();
+        let (a, b) = (s.scan_snapshot(Epoch(1)), s.scan_snapshot(Epoch(1)));
+        assert!(Arc::ptr_eq(
+            &a.containers[0].container,
+            &b.containers[0].container
+        ));
+        assert!(Arc::ptr_eq(
+            &a.containers[0].deletes,
+            &b.containers[0].deletes
+        ));
+        assert_eq!(a.containers[0].visibility(), Visibility::All);
+        // A delete replaces the vector; the snapshots already taken keep
+        // the one they saw.
+        let id = a.containers[0].container.id;
+        s.mark_deleted(RowLocation::Ros(id, 7), Epoch(2)).unwrap();
+        let c = s.scan_snapshot(Epoch(2));
+        assert!(!Arc::ptr_eq(
+            &a.containers[0].deletes,
+            &c.containers[0].deletes
+        ));
+        assert!(a.containers[0].deletes.is_empty());
+        assert_eq!(c.containers[0].visibility(), Visibility::PerRow);
+        assert_eq!(
+            s.scan_snapshot(Epoch(0)).containers[0].visibility(),
+            Visibility::None
+        );
+    }
+
+    /// Visibility of a block range looks at that range only: the delete
+    /// marks inside it, and the epoch column just where a block's epochs
+    /// straddle the snapshot.
+    #[test]
+    fn visibility_of_a_block_range_reads_only_straddling_epoch_blocks() {
+        use crate::backend::{CountingBackend, IoOp};
+        let counting = Arc::new(CountingBackend::default());
+        let def = ProjectionDef::super_projection(&schema(), "sales_flat", &[0], &[]);
+        let mut s = ProjectionStore::new(def, None, 1, counting.clone());
+        // One container of 4 blocks through the WOS: block 0 committed at
+        // epoch 1, block 1 mixed 1/3, blocks 2 and 3 at epoch 3.
+        let b = BLOCK_SIZE as i64;
+        s.insert_wos(
+            (0..2 * b)
+                .filter(|i| *i < b || i % 2 == 0)
+                .map(|i| row(i, i))
+                .collect(),
+            Epoch(1),
+        )
+        .unwrap();
+        s.insert_wos(
+            (b..4 * b)
+                .filter(|i| *i >= 2 * b || i % 2 == 1)
+                .map(|i| row(i, i))
+                .collect(),
+            Epoch(3),
+        )
+        .unwrap();
+        s.moveout(Epoch(3)).unwrap();
+        let id = s.containers().next().unwrap().id;
+        s.mark_deleted(RowLocation::Ros(id, 5), Epoch(2)).unwrap();
+        s.mark_deleted(RowLocation::Ros(id, 3 * b as u64 + 1), Epoch(4))
+            .unwrap();
+
+        let at = |snapshot: u64| s.scan_snapshot(Epoch(snapshot)).containers.remove(0);
+        let backend = counting.as_ref();
+        let sc = at(2);
+        assert_eq!(sc.visibility(), Visibility::PerRow);
+        let epoch_blocks = &sc.container.indexes[sc.epoch_column()].blocks;
+        // Block 0: committed, one delete — no I/O.
+        counting.reset();
+        let VisibleSet::Mask(mask) = sc.visible_in(backend, 0..1).unwrap() else {
+            panic!("row 5 is deleted");
+        };
+        assert_eq!(mask.iter().filter(|v| !**v).count(), 1);
+        assert!(!mask[5]);
+        assert_eq!(counting.calls(), vec![]);
+        // Blocks 2..4: wholly in the future — no I/O either.
+        assert_eq!(sc.visible_in(backend, 2..4).unwrap(), VisibleSet::None);
+        assert_eq!(counting.calls(), vec![]);
+        // Block 1 straddles: exactly its epoch bytes are read.
+        let VisibleSet::Mask(mask) = sc.visible_in(backend, 1..3).unwrap() else {
+            panic!("half of block 1 is visible");
+        };
+        assert_eq!(
+            mask.len(),
+            2 * BLOCK_SIZE,
+            "index 0 is the range's first row"
+        );
+        assert_eq!(mask.iter().filter(|v| **v).count(), BLOCK_SIZE / 2);
+        assert!(mask[0] && !mask[1] && !mask[BLOCK_SIZE]);
+        assert_eq!(counting.count(IoOp::ReadRange), 1);
+        assert_eq!(counting.bytes_read(), u64::from(epoch_blocks[1].byte_len));
+        // The whole-container answer is the ranges' answers laid end to end.
+        let VisibleSet::Mask(whole) = sc.visible(backend).unwrap() else {
+            panic!("mixed");
+        };
+        assert_eq!(whole.len(), 4 * BLOCK_SIZE);
+        assert_eq!(&whole[BLOCK_SIZE..3 * BLOCK_SIZE], &mask[..]);
+        assert_eq!(
+            whole.iter().filter(|v| **v).count(),
+            BLOCK_SIZE - 1 + BLOCK_SIZE / 2
+        );
+        // Later snapshots: everything committed; the second delete shows at 4.
+        counting.reset();
+        assert_eq!(at(3).visible_in(backend, 3..4).unwrap(), VisibleSet::All);
+        assert!(matches!(
+            at(4).visible_in(backend, 3..4).unwrap(),
+            VisibleSet::Mask(_)
+        ));
+        assert_eq!(counting.calls(), vec![]);
+        assert!(at(4).visible_in(backend, 3..9).is_err(), "no such blocks");
     }
 
     fn nullable_row(id: i64) -> Row {

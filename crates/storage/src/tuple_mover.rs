@@ -139,12 +139,13 @@ impl TupleMover {
 
     /// Find one overfull stratum within one (partition, segment) group.
     fn pick_merge(&self, store: &ProjectionStore) -> Option<(Vec<ContainerId>, u64)> {
-        let backend = store.backend().clone();
-        // (partition, local segment, stratum) → container ids + sizes.
+        // (partition, local segment, stratum) → container ids + sizes. Sizes
+        // come from the containers' summaries: a tick with nothing to
+        // merge touches no file.
         type Stratum = (Vec<ContainerId>, u64);
         let mut groups: BTreeMap<(Option<Value>, u32, u32), Stratum> = BTreeMap::new();
-        for c in store.containers() {
-            let bytes = c.total_bytes(backend.as_ref());
+        for (c, stats) in store.container_summaries() {
+            let bytes = stats.total_bytes();
             let stratum = self.stratum_of(bytes);
             let e = groups
                 .entry((c.partition_key.clone(), c.local_segment, stratum))
@@ -249,6 +250,34 @@ mod tests {
         assert_eq!(s.visible_rows(Epoch(6)).unwrap().len(), 6);
         // History intact: snapshot at epoch 3 sees 3 rows.
         assert_eq!(s.visible_rows(Epoch(3)).unwrap().len(), 3);
+    }
+
+    /// Picking strata reads container sizes from their summaries: a tick
+    /// that finds nothing to move or merge touches no file — no `stat`, no
+    /// read — and `ros_bytes`/the layout report say what `stat` would.
+    #[test]
+    fn idle_tick_stats_no_file() {
+        use crate::backend::{CountingBackend, StorageBackend};
+        let counting = Arc::new(CountingBackend::default());
+        let m = mover();
+        let mut s = ProjectionStore::new(store().def().clone(), None, 1, counting.clone());
+        // Two containers in different strata: nothing to merge.
+        s.insert_direct_ros((0..5).map(row).collect(), Epoch(1))
+            .unwrap();
+        s.insert_direct_ros((5..4000).map(row).collect(), Epoch(2))
+            .unwrap();
+        let on_disk: u64 = counting
+            .list_files("t_super/")
+            .iter()
+            .filter(|f| f.ends_with(".dat") || f.ends_with(".idx"))
+            .map(|f| counting.file_size(f).unwrap())
+            .sum();
+        counting.reset();
+        assert!(!m.run_moveout(&mut s, Epoch(2), false).unwrap().ran);
+        assert_eq!(m.run_mergeout(&mut s, Epoch::ZERO).unwrap().merges, 0);
+        assert_eq!(s.ros_bytes(), on_disk);
+        assert_eq!(crate::layout::summarize(&s).total_bytes, on_disk);
+        assert_eq!(counting.calls(), vec![], "an idle tick does no file I/O");
     }
 
     #[test]
