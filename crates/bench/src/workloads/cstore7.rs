@@ -109,8 +109,15 @@ pub fn constants() -> QueryConstants {
 }
 
 /// Install schema + projections and bulk load the Vertica-side database.
+///
+/// One executor thread, like the experiment (a single-core Pentium 4
+/// against the single-threaded C-Store prototype) — and so that the two
+/// engines' answers can be compared exactly: a serial plan adds a float
+/// SUM's terms in row order, as the baseline does, while a parallel one
+/// adds per-worker partials, whose last bits depend on which worker took
+/// which morsel.
 pub fn setup_vertica(lineitems: &[Row], orders: &[Row]) -> DbResult<Engine> {
-    let db = Engine::builder().open()?;
+    let db = Engine::builder().threads(1).open()?;
     db.execute(
         "CREATE TABLE lineitem (l_orderkey INT, l_suppkey INT, l_shipdate TIMESTAMP, \
          l_extendedprice FLOAT, l_returnflag VARCHAR)",

@@ -1,8 +1,9 @@
 //! Morsel-parallel hash join workload: a multi-container fact store joined
 //! to a smaller dimension store, serially (one `ScanOperator` per side
-//! feeding [`vdb_exec::join::HashJoinOp`]) and through the partitioned
-//! parallel join ([`ParallelHashJoinOp`]) at N worker lanes — exactly the
-//! operators the planner emits at `threads = 1` and `threads = N`.
+//! feeding [`vdb_exec::join::HashJoinOp`]) and through the morsel-parallel
+//! join ([`ParallelHashJoinOp`]) at N worker lanes — exactly the operators
+//! the planner emits at `threads = 1` and `threads = N`, both driving the
+//! same columnar join core.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,8 +74,8 @@ fn serial_scan(store: &ProjectionStore) -> ScanOperator {
     )
 }
 
-/// The serial path the planner emits at `threads = 1`: row-pivoted build
-/// and probe over both scans.
+/// The serial path the planner emits at `threads = 1`: one `HashJoinOp`
+/// over both scans.
 pub fn run_serial(fact: &ProjectionStore, dim: &ProjectionStore) -> DbResult<(Vec<Row>, f64)> {
     let t = Instant::now();
     let mut op = HashJoinOp::new(
@@ -90,7 +91,7 @@ pub fn run_serial(fact: &ProjectionStore, dim: &ProjectionStore) -> DbResult<(Ve
     Ok((rows, t.elapsed().as_secs_f64() * 1000.0))
 }
 
-/// The morsel-parallel partitioned join at `lanes` workers per side.
+/// The morsel-parallel join at `lanes` workers per side.
 /// Returns the joined rows, total wall ms, and the build/probe split.
 pub fn run_parallel(
     fact: &ProjectionStore,

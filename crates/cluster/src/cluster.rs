@@ -1077,25 +1077,12 @@ impl Cluster {
             routers.push(std::thread::spawn(move || send.run()));
         }
         drop(senders);
-        // Multiplexed drain: a blocking per-lane drain could deadlock with
-        // a router wedged on a full lane we are not reading yet, so poll
-        // every lane until all routers finished and the lanes ran dry.
         let mut per_node: Vec<Vec<Row>> = vec![Vec::new(); n_nodes];
-        loop {
-            let mut drained = false;
-            for (r, rx) in receivers.iter().enumerate() {
-                while let Some(batch) = rx.try_recv() {
-                    per_node[reading_node[r]].extend(batch.into_rows());
-                    drained = true;
-                }
-            }
-            if !drained {
-                if routers.iter().all(|h| h.is_finished()) {
-                    break; // final sweep saw dry lanes with no router left
-                }
-                std::thread::yield_now();
-            }
-        }
+        drain_lanes(
+            &receivers,
+            || routers.iter().all(|h| h.is_finished()),
+            |lane, batch: vdb_exec::Batch| per_node[reading_node[lane]].extend(batch.into_rows()),
+        );
         for h in routers {
             h.join()
                 .map_err(|_| DbError::Execution("exchange router panicked".into()))??;
@@ -1348,6 +1335,36 @@ fn union_arity(merge: &MergeSpec, rows: &[Row]) -> usize {
     })
 }
 
+/// Multiplexed drain of exchange lanes: a blocking per-lane drain could
+/// deadlock with a router wedged on a full lane nobody reads yet, so every
+/// lane is polled until all routers have finished and the lanes ran dry.
+///
+/// `routers_done` is asked *before* each sweep, not after a dry one: a
+/// router that delivers its last batch and finishes between a dry sweep and
+/// the question would leave that batch in a lane nobody reads again.
+fn drain_lanes<T>(
+    lanes: &[crossbeam::channel::Receiver<T>],
+    routers_done: impl Fn() -> bool,
+    mut deliver: impl FnMut(usize, T),
+) {
+    loop {
+        let done = routers_done();
+        let mut drained = false;
+        for (lane, rx) in lanes.iter().enumerate() {
+            while let Some(item) = rx.try_recv() {
+                deliver(lane, item);
+                drained = true;
+            }
+        }
+        if !drained {
+            if done {
+                return; // no router was left when this sweep found the lanes dry
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
 #[cfg(test)]
 mod catalog_tests;
 
@@ -1355,6 +1372,27 @@ mod catalog_tests;
 mod tests {
     use super::*;
     use vdb_types::{ColumnDef, DataType};
+
+    /// The exchange drain against the worst-timed router: it delivers its
+    /// last batch and finishes exactly when the drain asks whether the
+    /// routers are done. Asking only after a dry sweep would lose that
+    /// batch; asking before each sweep cannot.
+    #[test]
+    fn drain_lanes_reads_a_batch_sent_just_before_the_last_router_finished() {
+        let (tx, rx) = crossbeam::channel::bounded::<u32>(4);
+        tx.send(1).unwrap();
+        let router = std::cell::Cell::new(Some(tx));
+        let routers_done = || {
+            // The router's final act, interleaved at the question.
+            if let Some(tx) = router.take() {
+                tx.send(2).unwrap();
+            }
+            true
+        };
+        let mut got = Vec::new();
+        drain_lanes(&[rx], routers_done, |lane, item| got.push((lane, item)));
+        assert_eq!(got, vec![(0, 1), (0, 2)]);
+    }
 
     fn sales_schema() -> TableSchema {
         TableSchema::new(

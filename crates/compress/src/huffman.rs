@@ -8,7 +8,7 @@
 //!
 //! Code lengths are limited to [`MAX_CODE_LEN`] bits; the header stores the
 //! two length tables in 4 bits per symbol. Decoding uses a flat
-//! `2^MAX_CODE_LEN` lookup table per alphabet.
+//! lookup table per alphabet, `2^(longest code present)` entries.
 //!
 //! The [`HuffmanEncoder`]/[`HuffmanDecoder`] pair is also exposed directly
 //! for `vdb-encoding`'s Compressed Common Delta scheme, which entropy-codes
@@ -204,22 +204,28 @@ impl HuffmanEncoder {
     }
 }
 
-/// Flat-table canonical Huffman decoder.
+/// Flat-table canonical Huffman decoder. The table is sized by the longest
+/// code present, not by [`MAX_CODE_LEN`]: a Common Delta block with a
+/// handful of symbols gets a table of a few entries rather than 32 768.
 pub struct HuffmanDecoder {
-    /// `table[peek] = (symbol << 4) | code_len`; 0 means invalid.
+    /// `table[peek] = (symbol << 4) | code_len`; 0 means invalid. Holds
+    /// `1 << max_len` entries (one, invalid, when no symbol is present).
     table: Vec<u32>,
+    /// Longest code length present; the peek width.
+    max_len: u32,
 }
 
 impl HuffmanDecoder {
     pub fn from_lengths(lengths: &[u32]) -> Result<HuffmanDecoder, CompressError> {
+        let max_len = lengths.iter().copied().max().unwrap_or(0);
+        if max_len > MAX_CODE_LEN {
+            return Err(corrupt("code length exceeds limit"));
+        }
         let codes = canonical_codes(lengths);
-        let mut table = vec![0u32; 1 << MAX_CODE_LEN];
+        let mut table = vec![0u32; 1 << max_len];
         for (sym, (&len, &code)) in lengths.iter().zip(&codes).enumerate() {
             if len == 0 {
                 continue;
-            }
-            if len > MAX_CODE_LEN {
-                return Err(corrupt("code length exceeds limit"));
             }
             let step = 1usize << len;
             let mut idx = code as usize;
@@ -231,12 +237,12 @@ impl HuffmanDecoder {
                 idx += step;
             }
         }
-        Ok(HuffmanDecoder { table })
+        Ok(HuffmanDecoder { table, max_len })
     }
 
     #[inline]
     pub fn read(&self, r: &mut BitReader<'_>) -> Result<usize, CompressError> {
-        let peek = r.peek_bits(MAX_CODE_LEN) as usize;
+        let peek = r.peek_bits(self.max_len) as usize;
         let entry = self.table[peek];
         if entry == 0 {
             return Err(corrupt("invalid huffman code"));
@@ -406,6 +412,98 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(dec.read(&mut r).unwrap(), 1);
         }
+    }
+
+    /// Emit every present symbol (twice round, in a scrambled order) and
+    /// read them back.
+    fn round_trip(freqs: &[u64]) {
+        let enc = HuffmanEncoder::from_freqs(freqs);
+        let present: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+        let syms: Vec<usize> = (0..2 * present.len())
+            .map(|i| present[(i * 7 + i / 3) % present.len()])
+            .collect();
+        let mut w = BitWriter::new();
+        for &s in &syms {
+            enc.emit(&mut w, s);
+        }
+        let bytes = w.finish();
+        let dec = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
+        let longest = enc.lengths().iter().copied().max().unwrap();
+        assert_eq!(dec.table.len(), 1 << longest, "table sized by longest code");
+        let mut r = BitReader::new(&bytes);
+        for &s in &syms {
+            assert_eq!(dec.read(&mut r).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn round_trip_over_alphabet_sizes_1_to_1024() {
+        for n in 1..=1024usize {
+            // Flat, skewed, and (for sparse alphabets) gappy frequencies.
+            round_trip(&vec![1u64; n]);
+            round_trip(
+                &(0..n)
+                    .map(|i| 1 + (i as u64 % 13) * (i as u64 % 5))
+                    .collect::<Vec<_>>(),
+            );
+            round_trip(
+                &(0..2 * n)
+                    .map(|i| (i % 2) as u64 * (1 + i as u64))
+                    .collect::<Vec<_>>(),
+            );
+        }
+    }
+
+    #[test]
+    fn fifteen_bit_code_round_trips() {
+        // Fibonacci frequencies make the deepest possible tree; 40 symbols
+        // overflow 15 bits, so the limiter pins the longest code at 15.
+        let mut freqs = vec![0u64; 40];
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in freqs.iter_mut() {
+            *f = a;
+            (a, b) = (b, a + b);
+        }
+        let lengths = build_code_lengths(&freqs, MAX_CODE_LEN);
+        assert_eq!(lengths.iter().copied().max(), Some(MAX_CODE_LEN));
+        round_trip(&freqs);
+    }
+
+    #[test]
+    fn bad_tables_and_streams_are_corrupt_not_panics() {
+        let err = |lengths: &[u32]| {
+            HuffmanDecoder::from_lengths(lengths)
+                .err()
+                .map(|e| e.to_string())
+        };
+        // Over-subscribed: three 1-bit codes.
+        assert!(err(&[1, 1, 1])
+            .unwrap()
+            .contains("overlapping huffman codes"));
+        assert!(err(&[2, 2, 2, 2, 15])
+            .unwrap()
+            .contains("overlapping huffman codes"));
+        assert!(err(&[1, 16]).unwrap().contains("code length exceeds limit"));
+        assert!(err(&[u32::MAX])
+            .unwrap()
+            .contains("code length exceeds limit"));
+        // An empty alphabet decodes nothing, and says so.
+        let none = HuffmanDecoder::from_lengths(&[0, 0]).unwrap();
+        assert!(none.read(&mut BitReader::new(&[0xff])).is_err());
+        // Under-subscribed table {0 -> "0", 1 -> "10"}: "11" is no code.
+        let dec = HuffmanDecoder::from_lengths(&[1, 2]).unwrap();
+        let e = dec.read(&mut BitReader::new(&[0b11])).unwrap_err();
+        assert!(e.to_string().contains("invalid huffman code"), "{e}");
+        // Truncated: one byte holds the first 8 one-bit symbols; the ninth
+        // read peeks zero padding and must fail on consume, not index out.
+        let one = HuffmanDecoder::from_lengths(&[0, 1]).unwrap();
+        let mut r = BitReader::new(&[0x00]);
+        for _ in 0..8 {
+            assert_eq!(one.read(&mut r).unwrap(), 1);
+        }
+        assert!(one.read(&mut r).is_err(), "bitstream exhausted");
+        let mut empty = BitReader::new(&[]);
+        assert!(dec.read(&mut empty).is_err());
     }
 
     #[test]

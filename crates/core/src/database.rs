@@ -1261,6 +1261,10 @@ mod tests {
         assert!(text.contains("ParallelHashJoin INNER"), "{text}");
         assert!(text.contains("[builds SIP]"), "{text}");
         assert!(text.contains("[SIP x1]"), "{text}");
+        assert!(
+            text.contains("[partial group-by in probe workers"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! exploit columns call [`Batch::rows`]/[`Batch::into_rows`] — the row-pivot
 //! compatibility edge — which applies the selection on the way out.
 
-use crate::vector::{RleVector, SelectionVector, TypedVector};
+use crate::vector::{RleVector, SelectionVector, TypedVector, NO_ROW};
 use std::cell::Cell;
 use vdb_encoding::NativeBlock;
 use vdb_types::{Row, Value};
@@ -152,18 +152,94 @@ impl ColumnSlice {
     /// Materialize the rows in `sel`, preserving the representation (runs
     /// stay runs with shortened lengths, typed stays typed).
     pub fn filter_sel(&self, sel: &SelectionVector) -> ColumnSlice {
+        self.take_sorted(sel.indices())
+    }
+
+    /// The rows at non-decreasing physical `indices` (repeats allowed),
+    /// representation preserved — the probe side of a join's output, where
+    /// a row repeats once per match.
+    pub fn take_sorted(&self, indices: &[u32]) -> ColumnSlice {
         match self {
-            ColumnSlice::Plain(v) => ColumnSlice::Plain(sel.iter().map(|i| v[i].clone()).collect()),
-            ColumnSlice::Rle(rv) => ColumnSlice::Rle(rv.filter(sel)),
-            ColumnSlice::Typed(tv) => ColumnSlice::Typed(tv.filter(sel)),
+            ColumnSlice::Rle(rv) => ColumnSlice::Rle(rv.take_sorted(indices)),
+            other => other.take(indices),
         }
+    }
+
+    /// The rows at `indices` in any order; [`NO_ROW`] yields NULL — the
+    /// build side of a join's output. Typed stays typed (the padding is a
+    /// validity bit); runs expand.
+    pub fn take(&self, indices: &[u32]) -> ColumnSlice {
+        let value_at = |i: u32| match i {
+            NO_ROW => Value::Null,
+            i => self.value_at(i as usize),
+        };
+        match self {
+            ColumnSlice::Typed(tv) => ColumnSlice::Typed(tv.take(indices)),
+            _ => ColumnSlice::Plain(indices.iter().map(|&i| value_at(i)).collect()),
+        }
+    }
+
+    /// Consume into plain values (moved when already plain).
+    pub fn into_values(self) -> Vec<Value> {
+        match self {
+            ColumnSlice::Plain(v) => v,
+            other => other.to_values(),
+        }
+    }
+
+    /// Append `other`'s rows. `other` is brought to a typed vector where
+    /// its values allow it (an all-NULL chunk takes the type of the chunks
+    /// around it), and the column stays typed while the chunks' types
+    /// agree; a column that mixes types falls back to plain values for
+    /// good. Never yields runs.
+    pub fn append(&mut self, other: ColumnSlice) {
+        let other = match other {
+            ColumnSlice::Typed(tv) => ColumnSlice::Typed(tv),
+            other => match TypedVector::from_owned_values(other.into_values()) {
+                Ok(tv) => ColumnSlice::Typed(tv),
+                Err(values) => ColumnSlice::Plain(values),
+            },
+        };
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let all_null = |values: &[Value]| values.iter().all(Value::is_null);
+        let nulls_like = |tv: &TypedVector, n: usize| tv.take(&vec![NO_ROW; n]);
+        let mine = std::mem::replace(self, ColumnSlice::Plain(Vec::new()));
+        *self = match (mine, other) {
+            (ColumnSlice::Typed(mut mine), ColumnSlice::Typed(other)) => {
+                match mine.try_append(other) {
+                    Ok(()) => ColumnSlice::Typed(mine),
+                    Err(other) => {
+                        let mut values = mine.to_values();
+                        values.extend(other.to_values());
+                        ColumnSlice::Plain(values)
+                    }
+                }
+            }
+            (ColumnSlice::Typed(mut mine), ColumnSlice::Plain(v)) if all_null(&v) => {
+                let nulls = nulls_like(&mine, v.len());
+                mine.try_append(nulls).expect("same type");
+                ColumnSlice::Typed(mine)
+            }
+            (ColumnSlice::Plain(v), ColumnSlice::Typed(other)) if all_null(&v) => {
+                let mut nulls = nulls_like(&other, v.len());
+                nulls.try_append(other).expect("same type");
+                ColumnSlice::Typed(nulls)
+            }
+            (mine, other) => {
+                let mut values = mine.into_values();
+                values.extend(other.into_values());
+                ColumnSlice::Plain(values)
+            }
+        };
     }
 }
 
 /// Chunk rows into batches of `chunk` rows, *moving* each chunk (no row is
-/// cloned). Shared by `ValuesOp::from_rows` and the parallel join's output
-/// batching — callers hand over ownership of what can be a fully
-/// materialized operator input.
+/// cloned): callers hand over ownership of what can be a fully materialized
+/// operator input.
 pub(crate) fn rows_into_batches(rows: Vec<Row>, chunk: usize) -> Vec<Batch> {
     let mut batches = Vec::with_capacity(rows.len().div_ceil(chunk).max(1));
     let mut it = rows.into_iter();
@@ -175,45 +251,6 @@ pub(crate) fn rows_into_batches(rows: Vec<Row>, chunk: usize) -> Vec<Batch> {
         batches.push(Batch::from_rows(piece));
     }
     batches
-}
-
-/// Assemble a hash-join output batch without pivoting a probe row:
-/// probe-side columns are gathered at the match positions (`probe_idx` —
-/// non-decreasing physical indices, duplicated per multi-match), and the
-/// matched build-side rows are transposed into output columns, with NULL
-/// padding for outer-join misses (`None` entries). Shared by the serial
-/// and morsel-parallel hash joins.
-pub(crate) fn gather_join_output(
-    probe: &Batch,
-    probe_idx: &[u32],
-    build_side: Vec<Option<Row>>,
-    right_arity: usize,
-) -> Batch {
-    debug_assert_eq!(probe_idx.len(), build_side.len());
-    let mut columns: Vec<ColumnSlice> = probe
-        .columns
-        .iter()
-        .map(|c| ColumnSlice::Plain(c.gather_values(probe_idx)))
-        .collect();
-    let mut right_cols: Vec<Vec<Value>> = (0..right_arity)
-        .map(|_| Vec::with_capacity(build_side.len()))
-        .collect();
-    for entry in build_side {
-        match entry {
-            Some(row) => {
-                for (c, v) in row.into_iter().enumerate() {
-                    right_cols[c].push(v);
-                }
-            }
-            None => {
-                for col in right_cols.iter_mut() {
-                    col.push(Value::Null);
-                }
-            }
-        }
-    }
-    columns.extend(right_cols.into_iter().map(ColumnSlice::Plain));
-    Batch::new(columns)
 }
 
 /// Build a batch from rows an operator materialized internally (group-by
@@ -459,6 +496,21 @@ impl Batch {
         }
     }
 
+    /// Append `other`'s logical rows column by column
+    /// ([`ColumnSlice::append`]); an empty batch takes `other`'s arity.
+    /// The result carries no selection.
+    pub fn append(&mut self, other: Batch) {
+        let other = other.compact();
+        if self.columns.is_empty() {
+            self.columns = vec![ColumnSlice::Plain(Vec::new()); other.arity()];
+        }
+        debug_assert!(self.selection.is_none() && self.arity() == other.arity());
+        self.physical_len += other.physical_len;
+        for (mine, theirs) in self.columns.iter_mut().zip(other.columns) {
+            mine.append(theirs);
+        }
+    }
+
     /// Approximate in-memory bytes (for memory budgeting).
     pub fn approx_bytes(&self) -> usize {
         use crate::vector::VectorData;
@@ -618,6 +670,46 @@ mod tests {
                 Value::Varchar("b".into()),
             ]
         );
+    }
+
+    #[test]
+    fn append_keeps_typed_columns_typed_and_mixed_ones_plain() {
+        let ints = |r: std::ops::Range<i64>| r.map(Value::Integer).collect::<Vec<_>>();
+        let mut all = Batch::default();
+        // A typed chunk under a selection, an RLE chunk, a plain (WOS) one.
+        let typed = Batch::new(vec![
+            ColumnSlice::Typed(TypedVector::from_values(&ints(0..4)).unwrap()),
+            ColumnSlice::Plain(ints(0..4)),
+        ])
+        .with_selection(SelectionVector::new(vec![1, 3]));
+        all.append(typed);
+        all.append(Batch::new(vec![
+            ColumnSlice::rle(vec![(Value::Integer(7), 2)]),
+            ColumnSlice::Plain(vec![Value::Varchar("x".into()), Value::Null]),
+        ]));
+        all.append(Batch::from_rows(vec![vec![Value::Null, Value::Integer(9)]]));
+        assert_eq!(all.len(), 5);
+        assert!(all.selection().is_none());
+        assert!(
+            all.columns[0].is_typed(),
+            "Integer chunks + a NULL stay typed"
+        );
+        assert_eq!(
+            all.columns[0].to_values(),
+            vec![
+                Value::Integer(1),
+                Value::Integer(3),
+                Value::Integer(7),
+                Value::Integer(7),
+                Value::Null
+            ]
+        );
+        assert!(
+            matches!(all.columns[1], ColumnSlice::Plain(_)),
+            "mixed types"
+        );
+        assert_eq!(all.row_at(2)[1], Value::Varchar("x".into()));
+        assert_eq!(all.row_at(4)[1], Value::Integer(9));
     }
 
     #[test]

@@ -20,9 +20,10 @@
 
 use crate::aggregate::{AggCall, AggFunc, AggState};
 use crate::batch::{Batch, ColumnSlice, BATCH_SIZE};
+use crate::join::IntTable;
 use crate::memory::MemoryBudget;
 use crate::operator::{BoxedOperator, Operator};
-use crate::vector::{Bitmap, SelectionVector, TypedVector, VectorData};
+use crate::vector::{Bitmap, SelectionVector, TypedVector, VectorData, NO_ROW};
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use vdb_types::codec::{Reader, Writer};
@@ -90,6 +91,22 @@ impl GroupTable {
                 e.insert(make())
             }
         }
+    }
+
+    /// Check a single-column group's states out of the table, if it has
+    /// any; [`GroupTable::put_one`] hands them back.
+    fn take_one(&mut self, key: &Value) -> Option<Vec<AggState>> {
+        let GroupTable::One(m) = self else {
+            unreachable!("single-column table")
+        };
+        m.remove(key)
+    }
+
+    fn put_one(&mut self, key: Value, states: Vec<AggState>) {
+        let GroupTable::One(m) = self else {
+            unreachable!("single-column table")
+        };
+        m.insert(key, states);
     }
 
     fn drain_entries(&mut self) -> Vec<(Vec<Value>, Vec<AggState>)> {
@@ -272,52 +289,82 @@ impl HashGroupByOp {
             // loop never constructs (or hashes) a key `Value` per row.
             if single_key {
                 match &batch.columns[key_col] {
-                    // Dictionary-coded keys aggregate per *code* into a
-                    // code-indexed local table; each distinct key's string
-                    // is materialized once per batch at merge time.
+                    // Dictionary-coded and native integer keys: each distinct
+                    // key of the batch checks its group's states out of the
+                    // table at its first row — one `Value` built and one
+                    // hash lookup per distinct key, found again per row
+                    // through a code-indexed (dictionary) or `i64`
+                    // open-addressing (integer) slot array — and the batch
+                    // hands them back at its end. Rows fold into the
+                    // checked-out states in row order, the order the plain
+                    // path adds in, so a float SUM has the same bits
+                    // whichever path ran.
                     ColumnSlice::Typed(tv) => {
-                        if let VectorData::Dict { dict, codes } = tv.data() {
-                            let mut local: Vec<Option<Vec<AggState>>> =
-                                (0..dict.len()).map(|_| None).collect();
-                            let mut null_partial: Option<Vec<AggState>> = None;
-                            for li in 0..batch.len() {
-                                let pi = batch.physical_index(li);
-                                let slot = if tv.is_valid(pi) {
-                                    &mut local[codes[pi] as usize]
-                                } else {
-                                    &mut null_partial
-                                };
-                                let states = slot.get_or_insert_with(|| {
+                        let mut groups: Vec<(Value, Vec<AggState>)> = Vec::new();
+                        let mut number = |slot: &mut u32,
+                                          groups: &mut Vec<(Value, Vec<AggState>)>,
+                                          key: &dyn Fn() -> Value|
+                         -> usize {
+                            if *slot == NO_ROW {
+                                let key = key();
+                                let states = table.take_one(&key).unwrap_or_else(|| {
+                                    approx += per_group + 16;
                                     self.aggs.iter().map(|a| AggState::new(a.func)).collect()
                                 });
-                                for (acc, s) in accessors.iter().zip(states.iter_mut()) {
-                                    acc.update(s, pi)?;
-                                }
+                                *slot = groups.len() as u32;
+                                groups.push((key, states));
                             }
-                            let merged = local
-                                .into_iter()
-                                .enumerate()
-                                .filter_map(|(code, p)| {
-                                    p.map(|p| {
-                                        (Value::Varchar(dict.get(code as u32).to_string()), p)
-                                    })
-                                })
-                                .chain(null_partial.map(|p| (Value::Null, p)));
-                            for (key, partial) in merged {
-                                let mut new_group = false;
-                                let states = table.state_for_one(key, Vec::new, &mut new_group);
-                                if new_group {
-                                    *states = partial;
-                                    approx += per_group + 16;
-                                } else {
-                                    for (e, s) in states.iter_mut().zip(partial) {
-                                        e.merge(s)?;
+                            *slot as usize
+                        };
+                        let mut null_slot = NO_ROW;
+                        let handled = match tv.data() {
+                            VectorData::Dict { dict, codes } => {
+                                let mut by_code = vec![NO_ROW; dict.len()];
+                                for li in 0..batch.len() {
+                                    let pi = batch.physical_index(li);
+                                    let g = if tv.is_valid(pi) {
+                                        let code = codes[pi];
+                                        let key = || Value::Varchar(dict.get(code).to_string());
+                                        number(&mut by_code[code as usize], &mut groups, &key)
+                                    } else {
+                                        number(&mut null_slot, &mut groups, &|| Value::Null)
+                                    };
+                                    for (acc, s) in accessors.iter().zip(&mut groups[g].1) {
+                                        acc.update(s, pi)?;
                                     }
                                 }
-                                if self.budget.exceeded_by(approx) {
-                                    self.spill_table(&mut table)?;
-                                    approx = 0;
+                                true
+                            }
+                            VectorData::Int64(xs) | VectorData::Timestamp(xs) => {
+                                let timestamp = matches!(tv.data(), VectorData::Timestamp(_));
+                                let mut slots = IntTable::for_rows(batch.len());
+                                for li in 0..batch.len() {
+                                    let pi = batch.physical_index(li);
+                                    let g = if tv.is_valid(pi) {
+                                        let x = xs[pi];
+                                        let key = || match timestamp {
+                                            true => Value::Timestamp(x),
+                                            false => Value::Integer(x),
+                                        };
+                                        number(slots.head_mut(x), &mut groups, &key)
+                                    } else {
+                                        number(&mut null_slot, &mut groups, &|| Value::Null)
+                                    };
+                                    for (acc, s) in accessors.iter().zip(&mut groups[g].1) {
+                                        acc.update(s, pi)?;
+                                    }
                                 }
+                                true
+                            }
+                            _ => false,
+                        };
+                        if handled {
+                            for (key, states) in groups {
+                                table.put_one(key, states);
+                            }
+                            if self.budget.exceeded_by(approx) {
+                                self.spill_table(&mut table)?;
+                                approx = 0;
                             }
                             continue;
                         }
@@ -1287,54 +1334,125 @@ mod tests {
         assert_eq!(out.len(), 20_000);
     }
 
-    #[test]
-    fn dict_coded_keys_match_plain_keys() {
-        // Dictionary-coded group keys (with NULLs and a selection) must
-        // produce exactly the groups the plain value path produces.
+    /// Typed group keys (with NULLs and a selection, over several batches)
+    /// must produce exactly the groups the plain value path produces —
+    /// in memory and through the spill path.
+    fn assert_typed_keys_match_plain_keys(key_of: impl Fn(usize) -> Value) {
         let n = 4000usize;
-        let keys: Vec<Value> = (0..n)
-            .map(|i| {
-                if i % 17 == 0 {
-                    Value::Null
-                } else {
-                    Value::Varchar(format!("k{}", i % 7))
-                }
-            })
-            .collect();
-        let vals: Vec<Value> = (0..n).map(|i| Value::Integer(i as i64)).collect();
         let aggs = vec![
             AggCall::new(AggFunc::CountStar, 0, "cnt"),
             AggCall::new(AggFunc::Sum, 1, "sum"),
             AggCall::new(AggFunc::Min, 1, "min"),
         ];
-        let sel = SelectionVector::new((0..n as u32).filter(|i| i % 3 != 0).collect());
-        let dict_batch = Batch::new(vec![
-            ColumnSlice::Typed(TypedVector::from_values(&keys).unwrap()),
-            ColumnSlice::Typed(TypedVector::from_values(&vals).unwrap()),
-        ])
-        .with_selection(sel.clone());
-        assert!(matches!(
-            &dict_batch.columns[0],
-            ColumnSlice::Typed(tv) if matches!(tv.data(), VectorData::Dict { .. })
-        ));
-        let plain_batch = Batch::new(vec![ColumnSlice::Plain(keys), ColumnSlice::Plain(vals)])
-            .with_selection(sel);
-        let mut fast = HashGroupByOp::new(
-            Box::new(ValuesOp::new(vec![dict_batch])),
-            vec![0],
-            aggs.clone(),
-            MemoryBudget::unlimited(),
-        );
-        let mut reference = HashGroupByOp::new(
-            Box::new(ValuesOp::new(vec![plain_batch])),
-            vec![0],
-            aggs,
-            MemoryBudget::unlimited(),
-        );
-        assert_eq!(
-            collect_rows(&mut fast).unwrap(),
-            collect_rows(&mut reference).unwrap()
-        );
+        let (mut typed, mut plain) = (Vec::new(), Vec::new());
+        for from in (0..n).step_by(1000) {
+            let keys: Vec<Value> = (from..from + 1000).map(&key_of).collect();
+            let vals: Vec<Value> = (from..from + 1000)
+                .map(|i| Value::Integer(i as i64))
+                .collect();
+            let sel = SelectionVector::new((0..1000u32).filter(|i| i % 3 != 0).collect());
+            let batch = Batch::new(vec![
+                ColumnSlice::Typed(TypedVector::from_values(&keys).unwrap()),
+                ColumnSlice::Typed(TypedVector::from_values(&vals).unwrap()),
+            ]);
+            typed.push(batch.with_selection(sel.clone()));
+            plain.push(
+                Batch::new(vec![ColumnSlice::Plain(keys), ColumnSlice::Plain(vals)])
+                    .with_selection(sel),
+            );
+        }
+        for budget in [MemoryBudget::unlimited(), MemoryBudget::new(2048)] {
+            let mut fast = HashGroupByOp::new(
+                Box::new(ValuesOp::new(typed.clone())),
+                vec![0],
+                aggs.clone(),
+                budget,
+            );
+            let mut reference = HashGroupByOp::new(
+                Box::new(ValuesOp::new(plain.clone())),
+                vec![0],
+                aggs.clone(),
+                budget,
+            );
+            assert_eq!(
+                collect_rows(&mut fast).unwrap(),
+                collect_rows(&mut reference).unwrap()
+            );
+            assert_eq!(fast.did_spill(), reference.did_spill());
+        }
+    }
+
+    #[test]
+    fn dict_coded_keys_match_plain_keys() {
+        assert_typed_keys_match_plain_keys(|i| match i % 17 {
+            0 => Value::Null,
+            _ => Value::Varchar(format!("k{}", i % 7)),
+        });
+    }
+
+    #[test]
+    fn integer_and_timestamp_keys_match_plain_keys() {
+        // Few groups, many groups (one per row: every batch's local table
+        // is all inserts), negative and extreme keys; NULLs throughout.
+        assert_typed_keys_match_plain_keys(|i| match i % 17 {
+            0 => Value::Null,
+            _ => Value::Integer(i as i64 % 7 - 3),
+        });
+        assert_typed_keys_match_plain_keys(|i| match i % 29 {
+            0 => Value::Null,
+            1 => Value::Integer(i64::MIN),
+            2 => Value::Integer(i64::MAX),
+            _ => Value::Integer(i as i64 * 1_000_003),
+        });
+        assert_typed_keys_match_plain_keys(|i| match i % 5 {
+            0 => Value::Null,
+            _ => Value::Timestamp(1_700_000_000 + (i as i64 % 11) * 3600),
+        });
+    }
+
+    /// A float SUM depends on the order its terms are added in. The typed
+    /// key paths must add in row order, like the plain path — not per-batch
+    /// partials folded into the total — or the same query answers with
+    /// different last bits depending on how its input happens to be coded.
+    #[test]
+    fn typed_keys_add_floats_in_the_plain_paths_order() {
+        let aggs = vec![
+            AggCall::new(AggFunc::Sum, 1, "sum"),
+            AggCall::new(AggFunc::Avg, 1, "avg"),
+        ];
+        let dict_key = |i: usize| Value::Varchar(format!("k{}", i % 3));
+        let int_key = |i: usize| Value::Integer(i as i64 % 3);
+        let ts_key = |i: usize| Value::Timestamp(i as i64 % 3);
+        let keys_of: [&dyn Fn(usize) -> Value; 3] = [&dict_key, &int_key, &ts_key];
+        for key_of in keys_of {
+            let (mut typed, mut plain) = (Vec::new(), Vec::new());
+            for from in (0..3000usize).step_by(500) {
+                let keys: Vec<Value> = (from..from + 500)
+                    .map(|i| if i % 19 == 0 { Value::Null } else { key_of(i) })
+                    .collect();
+                // Terms of very different magnitude: any regrouping shows.
+                let vals: Vec<Value> = (from..from + 500)
+                    .map(|i| Value::Float(0.1 * i as f64 + if i % 7 == 0 { 1e15 } else { 0.0 }))
+                    .collect();
+                typed.push(Batch::new(vec![
+                    ColumnSlice::Typed(TypedVector::from_values(&keys).unwrap()),
+                    ColumnSlice::Typed(TypedVector::from_values(&vals).unwrap()),
+                ]));
+                plain.push(Batch::new(vec![
+                    ColumnSlice::Plain(keys),
+                    ColumnSlice::Plain(vals),
+                ]));
+            }
+            let run = |batches: Vec<Batch>| {
+                let input = Box::new(ValuesOp::new(batches));
+                let mut op =
+                    HashGroupByOp::new(input, vec![0], aggs.clone(), MemoryBudget::unlimited());
+                collect_rows(&mut op).unwrap()
+            };
+            let (fast, reference) = (run(typed), run(plain));
+            assert_eq!(fast.len(), 4, "three keys and NULL");
+            assert_eq!(fast, reference, "bit for bit");
+        }
     }
 
     #[test]

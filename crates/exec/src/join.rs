@@ -4,26 +4,60 @@
 //! capable of externalizing if necessary. All flavors of INNER, LEFT OUTER,
 //! RIGHT OUTER, FULL OUTER, SEMI, and ANTI joins are supported."
 //!
+//! ## The hash-join core
+//!
+//! Both hash-join operators — [`HashJoinOp`] here and the morsel-parallel
+//! [`crate::parallel_join::ParallelHashJoinOp`] — drive one columnar core,
+//! `BuildSide`:
+//!
+//! * **Build layout.** The build (right) input is kept as its columns,
+//!   concatenated in build-scan order ([`Batch::append`]: typed where the
+//!   input is typed, dictionaries unified once, plain values only for a
+//!   column that mixes types). A build row's id is its position.
+//! * **Key table.** Key → chain of build row ids: the table holds the
+//!   first id of each distinct key and `next[id]` links the rest, in
+//!   ascending id order. A single `Integer`/`Timestamp` key column gets a
+//!   native open-addressing table keyed by `i64`; everything else (other
+//!   types, multi-column keys, columns that mix types) shares one map
+//!   keyed by `Value`s, so [`Value`]'s Integer = Timestamp = integral
+//!   Float equality holds whichever table is in use. NULL keys are never
+//!   inserted and never probed.
+//! * **Probe.** One lookup per row for native integer keys, one per
+//!   *distinct code* for dictionary-coded probe columns, one per *run* for
+//!   RLE ones. SEMI/ANTI refine the probe batch's selection. The emitting
+//!   flavors produce `(probe row, build row id)` index pairs and the output
+//!   batch is a typed `take` of the probe columns and the build columns at
+//!   those indices — no row is cloned and no `Value` is built per row.
+//!   LEFT/FULL OUTER misses carry [`NO_ROW`], which `take` turns into a
+//!   cleared validity bit; RIGHT/FULL OUTER keep a matched bitmap over
+//!   build row ids and emit the unmatched ones (NULL-keyed rows included —
+//!   they are in the columns, just not in the table) after the probe.
+//! * **Order.** Output follows probe order, and within one probe row the
+//!   build matches come in build-scan order. Ids are assigned in scan
+//!   order, which is all the parallel build has to reproduce.
+//!
 //! [`HashJoinOp`] builds on the right input. After the build it publishes
 //! the key set to an attached [`SipFilter`] so the probe-side Scan can drop
-//! non-matching rows early (§6.1 SIP). If the build side exceeds its memory
-//! budget, the operator "will perform a sort-merge join instead" — both
-//! sides are external-sorted on the keys and merged.
+//! non-matching rows early (§6.1 SIP). Its [`MemoryBudget`] counts the bytes
+//! of the build columns plus `TABLE_BYTES_PER_ROW` for the key table; if
+//! the build side exceeds it, the operator "will perform a sort-merge join
+//! instead" — both sides are external-sorted on the keys and merged.
 //!
 //! [`MergeJoinOp`] joins two inputs already sorted on the join keys (the
 //! projection-sort-order fast path the optimizer prefers for co-sorted
 //! projections).
 
 use crate::batch::{Batch, ColumnSlice, BATCH_SIZE};
+use crate::exchange::UnionOp;
 use crate::memory::MemoryBudget;
 use crate::operator::{BoxedOperator, Operator, ValuesOp};
 use crate::sip::SipFilter;
 use crate::sort::SortOp;
-use crate::vector::{TypedVector, VectorData};
-use std::collections::{HashMap, VecDeque};
+use crate::vector::{Bitmap, VectorData, NO_ROW};
+use std::collections::HashMap;
 use std::sync::Arc;
 use vdb_types::schema::SortKey;
-use vdb_types::{DbResult, Row, Value};
+use vdb_types::{DbError, DbResult, Row, Value};
 
 /// Join flavors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,98 +86,325 @@ impl JoinType {
     pub fn emits_right_columns(self) -> bool {
         !matches!(self, JoinType::Semi | JoinType::Anti)
     }
+
+    /// Do probe rows without a match appear, NULL-padded?
+    fn keeps_unmatched_probe(self) -> bool {
+        matches!(self, JoinType::LeftOuter | JoinType::FullOuter)
+    }
+
+    /// Do build rows without a match appear, NULL-padded?
+    fn keeps_unmatched_build(self) -> bool {
+        matches!(self, JoinType::RightOuter | JoinType::FullOuter)
+    }
 }
 
-/// Join key of `row` over `cols`, or `None` when any key column is NULL
-/// (SQL: NULL keys never match). Shared with the parallel hash join.
-pub(crate) fn key_of(row: &[Value], cols: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(cols.len());
-    for &c in cols {
-        let v = &row[c];
-        if v.is_null() {
-            return None; // SQL: NULL keys never match
-        }
-        key.push(v.clone());
-    }
-    Some(key)
+/// What the memory budget charges per build row for the key table, on top
+/// of the row's column bytes: its chain link plus its share of a
+/// half-loaded slot array.
+pub(crate) const TABLE_BYTES_PER_ROW: usize = 28;
+
+/// Budgeted size of one build-side batch (call on a compacted batch).
+pub(crate) fn build_bytes(batch: &Batch) -> usize {
+    batch.approx_bytes() + batch.len() * TABLE_BYTES_PER_ROW
 }
 
-/// Build-side hash table, specialized for the dominant single-column-key
-/// case so probing never allocates a `Vec<Value>` per row.
-enum BuildTable {
-    One(HashMap<Value, (Vec<Row>, bool)>),
-    Many(HashMap<Vec<Value>, (Vec<Row>, bool)>),
+/// Open-addressing table from an `i64` key to a `u32` — for the join, the
+/// head of the key's chain of build row ids (the hash group-by borrows it
+/// to number a batch's distinct integer keys): linear probing,
+/// power-of-two capacity, at most half full.
+pub(crate) struct IntTable {
+    keys: Vec<i64>,
+    /// [`NO_ROW`] marks an empty slot.
+    heads: Vec<u32>,
+    shift: u32,
 }
 
-impl BuildTable {
-    fn new(key_arity: usize) -> BuildTable {
-        if key_arity == 1 {
-            BuildTable::One(HashMap::new())
-        } else {
-            BuildTable::Many(HashMap::new())
+impl IntTable {
+    /// A table for at most `rows` distinct keys.
+    pub(crate) fn for_rows(rows: usize) -> IntTable {
+        let capacity = (rows * 2).next_power_of_two().max(2);
+        IntTable {
+            keys: vec![0; capacity],
+            heads: vec![NO_ROW; capacity],
+            shift: 64 - capacity.trailing_zeros(),
         }
     }
 
-    fn insert_row(&mut self, key: Vec<Value>, row: Row) {
-        match self {
-            BuildTable::One(m) => {
-                let [k] = <[Value; 1]>::try_from(key).expect("single key");
-                m.entry(k)
-                    .or_insert_with(|| (Vec::new(), false))
-                    .0
-                    .push(row);
-            }
-            BuildTable::Many(m) => {
-                m.entry(key)
-                    .or_insert_with(|| (Vec::new(), false))
-                    .0
-                    .push(row);
-            }
+    /// The slot holding `key`, or the empty slot where it belongs.
+    #[inline]
+    fn slot_of(&self, key: i64) -> usize {
+        let mask = self.keys.len() - 1;
+        let mut slot = ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.heads[slot] != NO_ROW && self.keys[slot] != key {
+            slot = (slot + 1) & mask;
         }
+        slot
     }
 
-    /// Probe a single-column key (caller has already rejected NULLs).
-    fn probe_one_mut(&mut self, v: &Value) -> Option<&mut (Vec<Row>, bool)> {
-        match self {
-            BuildTable::One(m) => m.get_mut(v),
-            BuildTable::Many(_) => unreachable!("single-column table"),
-        }
+    #[inline]
+    fn get(&self, key: i64) -> u32 {
+        self.heads[self.slot_of(key)]
     }
 
-    /// Probe a multi-column key (caller has already rejected NULLs).
-    fn probe_many_mut(&mut self, key: &[Value]) -> Option<&mut (Vec<Row>, bool)> {
-        match self {
-            BuildTable::Many(m) => m.get_mut(key),
-            BuildTable::One(_) => unreachable!("multi-column table"),
-        }
+    /// The entry of `key`, claiming a slot for a new key — which reads
+    /// [`NO_ROW`] until the caller stores something else.
+    pub(crate) fn head_mut(&mut self, key: i64) -> &mut u32 {
+        let slot = self.slot_of(key);
+        self.keys[slot] = key;
+        &mut self.heads[slot]
     }
 
-    fn drain_rows(&mut self) -> Vec<(Vec<Row>, bool)> {
-        match self {
-            BuildTable::One(m) => m.drain().map(|(_, v)| v).collect(),
-            BuildTable::Many(m) => m.drain().map(|(_, v)| v).collect(),
-        }
+    fn keys(&self) -> impl Iterator<Item = i64> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.heads)
+            .filter_map(|(&k, &head)| (head != NO_ROW).then_some(k))
     }
+}
 
-    fn publish_sip(&self, sip: &SipFilter) {
-        let keys = match self {
-            BuildTable::One(m) => m
-                .keys()
-                .map(|k| SipFilter::key_hash(std::slice::from_ref(&k)))
-                .collect(),
-            BuildTable::Many(m) => m
-                .keys()
-                .map(|k| {
-                    let refs: Vec<&Value> = k.iter().collect();
-                    SipFilter::key_hash(&refs)
-                })
-                .collect(),
+/// Key → first build row id of the key's chain.
+enum KeyTable {
+    /// A single key column of typed `Integer`s (or `Timestamp`s — which
+    /// decides whether a `Boolean` probe value can match).
+    Int { table: IntTable, timestamp: bool },
+    /// Any other key, by `Value` equality.
+    Generic(HashMap<Vec<Value>, u32>),
+}
+
+/// The build side of a hash join (module docs): columns in build-scan
+/// order plus the key table. Immutable once built, so probe workers share
+/// it.
+pub(crate) struct BuildSide {
+    columns: Vec<ColumnSlice>,
+    rows: usize,
+    keys: KeyTable,
+    /// `next[id]`: the next build row with `id`'s key, or [`NO_ROW`].
+    next: Vec<u32>,
+}
+
+impl BuildSide {
+    /// Index `rows` — the concatenated build input ([`Batch::append`]), or
+    /// an empty batch, in which case the columns are `arity` empty ones
+    /// (`arity` covers `key_cols`) — on `key_cols`.
+    pub(crate) fn new(mut rows: Batch, key_cols: &[usize], arity: usize) -> DbResult<BuildSide> {
+        if rows.columns.is_empty() {
+            rows = Batch::new(vec![ColumnSlice::Plain(Vec::new()); arity]);
+        }
+        let n = rows.len();
+        if n >= NO_ROW as usize {
+            return Err(DbError::Execution(format!(
+                "hash join build side of {n} rows exceeds the 32-bit row id space"
+            )));
+        }
+        let mut next = vec![NO_ROW; n];
+        // Ids are inserted in descending order and pushed on the front of
+        // their chain, so every chain reads in ascending (build-scan) order.
+        let int_key = match key_cols {
+            [c] => match &rows.columns[*c] {
+                ColumnSlice::Typed(tv) => match tv.data() {
+                    VectorData::Int64(xs) => Some((tv, xs, false)),
+                    VectorData::Timestamp(xs) => Some((tv, xs, true)),
+                    _ => None,
+                },
+                _ => None,
+            },
+            _ => None,
         };
-        sip.publish(keys);
+        let keys = if let Some((tv, xs, timestamp)) = int_key {
+            let mut table = IntTable::for_rows(n);
+            for id in (0..n).rev().filter(|&id| tv.is_valid(id)) {
+                next[id] = std::mem::replace(table.head_mut(xs[id]), id as u32);
+            }
+            KeyTable::Int { table, timestamp }
+        } else {
+            let mut map: HashMap<Vec<Value>, u32> = HashMap::new();
+            let mut key = Vec::with_capacity(key_cols.len());
+            for id in (0..n).rev() {
+                key.clear();
+                key.extend(key_cols.iter().map(|&c| rows.columns[c].value_at(id)));
+                if key.iter().any(Value::is_null) {
+                    continue; // SQL: NULL keys never match
+                }
+                match map.get_mut(key.as_slice()) {
+                    Some(head) => next[id] = std::mem::replace(head, id as u32),
+                    None => {
+                        map.insert(key.clone(), id as u32);
+                    }
+                }
+            }
+            KeyTable::Generic(map)
+        };
+        Ok(BuildSide {
+            columns: rows.columns,
+            rows: n,
+            keys,
+            next,
+        })
+    }
+
+    /// Chain head for `key`, [`NO_ROW`] when absent or when any part of
+    /// the key is NULL.
+    fn lookup(&self, key: &[Value]) -> u32 {
+        if key.iter().any(Value::is_null) {
+            return NO_ROW;
+        }
+        match (&self.keys, key) {
+            (KeyTable::Generic(map), key) => map.get(key).copied().unwrap_or(NO_ROW),
+            (KeyTable::Int { table, .. }, [Value::Integer(x) | Value::Timestamp(x)]) => {
+                table.get(*x)
+            }
+            // `Value` equality across the numeric family: a float matches
+            // the integer it is exactly equal to, a boolean matches
+            // Integer 0/1 (but no Timestamp).
+            (KeyTable::Int { table, .. }, [Value::Float(f)]) => {
+                let k = *f as i64;
+                if (k as f64).total_cmp(f).is_eq() {
+                    table.get(k)
+                } else {
+                    NO_ROW
+                }
+            }
+            (
+                KeyTable::Int {
+                    table,
+                    timestamp: false,
+                },
+                [Value::Boolean(b)],
+            ) => table.get(i64::from(*b)),
+            _ => NO_ROW,
+        }
+    }
+
+    /// Chain head per *logical* row of `batch`.
+    fn heads(&self, batch: &Batch, key_cols: &[usize]) -> Vec<u32> {
+        let rows = (0..batch.len()).map(|li| batch.physical_index(li));
+        let one = |v: &Value| self.lookup(std::slice::from_ref(v));
+        let [c] = key_cols else {
+            let mut key = Vec::with_capacity(key_cols.len());
+            return rows
+                .map(|pi| {
+                    key.clear();
+                    key.extend(key_cols.iter().map(|&c| batch.columns[c].value_at(pi)));
+                    self.lookup(&key)
+                })
+                .collect();
+        };
+        match &batch.columns[*c] {
+            ColumnSlice::Typed(tv) => match (tv.data(), &self.keys) {
+                (
+                    VectorData::Int64(xs) | VectorData::Timestamp(xs),
+                    KeyTable::Int { table, .. },
+                ) => rows
+                    .map(|pi| match tv.is_valid(pi) {
+                        true => table.get(xs[pi]),
+                        false => NO_ROW,
+                    })
+                    .collect(),
+                // One lookup per distinct string of the block.
+                (VectorData::Dict { dict, codes }, _) => {
+                    let by_code: Vec<u32> = dict
+                        .entries()
+                        .iter()
+                        .map(|s| one(&Value::Varchar(s.clone())))
+                        .collect();
+                    rows.map(|pi| match tv.is_valid(pi) {
+                        true => by_code[codes[pi] as usize],
+                        false => NO_ROW,
+                    })
+                    .collect()
+                }
+                _ => rows.map(|pi| one(&tv.value_at(pi))).collect(),
+            },
+            // One lookup per run; rows ascend, so the run pointer only
+            // moves forward.
+            ColumnSlice::Rle(rv) => {
+                let by_run: Vec<u32> = rv.runs().iter().map(|(v, _)| one(v)).collect();
+                let mut ri = 0usize;
+                rows.map(|pi| {
+                    while rv.run_start(ri + 1) <= pi {
+                        ri += 1;
+                    }
+                    by_run[ri]
+                })
+                .collect()
+            }
+            ColumnSlice::Plain(values) => rows.map(|pi| one(&values[pi])).collect(),
+        }
+    }
+
+    /// Join one probe batch. SEMI/ANTI refine its selection (zero-copy);
+    /// the other flavors emit probe ⊕ build columns taken at the matching
+    /// `(probe row, build row id)` pairs, setting `matched` (RIGHT/FULL
+    /// OUTER) for every build row that found a partner. `None` when no
+    /// row comes out.
+    pub(crate) fn probe(
+        &self,
+        batch: Batch,
+        key_cols: &[usize],
+        join_type: JoinType,
+        mut matched: Option<&mut Bitmap>,
+    ) -> Option<Batch> {
+        let heads = self.heads(&batch, key_cols);
+        if !join_type.emits_right_columns() {
+            let semi = join_type == JoinType::Semi;
+            let mask: Vec<bool> = heads.iter().map(|&h| (h != NO_ROW) == semi).collect();
+            return mask.contains(&true).then(|| batch.into_filtered(&mask));
+        }
+        let mut probe_idx: Vec<u32> = Vec::with_capacity(heads.len());
+        let mut build_idx: Vec<u32> = Vec::with_capacity(heads.len());
+        for (li, &head) in heads.iter().enumerate() {
+            let pi = batch.physical_index(li) as u32;
+            if head == NO_ROW && join_type.keeps_unmatched_probe() {
+                probe_idx.push(pi);
+                build_idx.push(NO_ROW);
+            }
+            let mut id = head;
+            while id != NO_ROW {
+                probe_idx.push(pi);
+                build_idx.push(id);
+                if let Some(m) = matched.as_deref_mut() {
+                    m.set(id as usize, true);
+                }
+                id = self.next[id as usize];
+            }
+        }
+        if probe_idx.is_empty() {
+            return None;
+        }
+        let probe_cols = batch.columns.iter().map(|c| c.take_sorted(&probe_idx));
+        let build_cols = self.columns.iter().map(|c| c.take(&build_idx));
+        Some(Batch::new(probe_cols.chain(build_cols).collect()))
+    }
+
+    /// RIGHT/FULL OUTER tail: the build rows `ids` behind `left_arity`
+    /// all-NULL probe columns.
+    fn unmatched_batch(&self, ids: &[u32], left_arity: usize) -> Batch {
+        let nulls = ColumnSlice::Plain(vec![Value::Null; ids.len()]);
+        let build_cols = self.columns.iter().map(|c| c.take(ids));
+        Batch::new(
+            std::iter::repeat_n(nulls, left_arity)
+                .chain(build_cols)
+                .collect(),
+        )
+    }
+
+    /// Publish the distinct keys' [`SipFilter::key_hash`]es.
+    pub(crate) fn publish_sip(&self, sip: &SipFilter) {
+        match &self.keys {
+            KeyTable::Int { table, .. } => sip.publish_iter(
+                table
+                    .keys()
+                    .map(|k| SipFilter::key_hash_of_one(Value::hash64_of_i64(k))),
+            ),
+            KeyTable::Generic(map) => sip.publish_iter(
+                map.keys()
+                    .map(|k| SipFilter::key_hash(&k.iter().collect::<Vec<_>>())),
+            ),
+        }
     }
 }
 
-/// Hash join: builds on the right, probes with the left.
+/// Hash join: builds on the right, probes with the left (module docs).
 pub struct HashJoinOp {
     left: Option<BoxedOperator>,
     right: Option<BoxedOperator>,
@@ -152,14 +413,18 @@ pub struct HashJoinOp {
     join_type: JoinType,
     budget: MemoryBudget,
     sip: Option<Arc<SipFilter>>,
-    /// Build table: key → (rows, matched flag).
-    table: BuildTable,
-    /// NULL-keyed build rows retained for RIGHT/FULL OUTER emission.
-    null_build_rows: Vec<Row>,
-    right_arity: usize,
+    /// Input arities — what an outer join pads a side with. They start at
+    /// the narrowest input that holds the side's key columns and only
+    /// widen: to what [`HashJoinOp::with_arities`] declares (the plan
+    /// always does) and, for an operator built without a plan, to the
+    /// batches it sees.
     left_arity: usize,
-    /// Assembled output batches awaiting emission.
-    ready: VecDeque<Batch>,
+    right_arity: usize,
+    build: Option<BuildSide>,
+    /// RIGHT/FULL OUTER: which build rows have found a partner.
+    matched: Option<Bitmap>,
+    /// RIGHT/FULL OUTER: unmatched build row ids still to emit.
+    unmatched: Vec<u32>,
     state: JoinState,
     /// Filled when the build overflowed and we switched algorithms.
     fallback: Option<BoxedOperator>,
@@ -169,7 +434,8 @@ pub struct HashJoinOp {
 enum JoinState {
     Building,
     Probing,
-    EmittingUnmatchedBuild(std::vec::IntoIter<Row>),
+    /// Emitting `unmatched` from this position on.
+    EmittingUnmatchedBuild(usize),
     Done,
 }
 
@@ -184,8 +450,10 @@ impl HashJoinOp {
         sip: Option<Arc<SipFilter>>,
     ) -> HashJoinOp {
         assert_eq!(left_keys.len(), right_keys.len());
-        let key_arity = left_keys.len();
+        let holding = |keys: &[usize]| keys.iter().max().map_or(0, |c| c + 1);
         HashJoinOp {
+            left_arity: holding(&left_keys),
+            right_arity: holding(&right_keys),
             left: Some(left),
             right: Some(right),
             left_keys,
@@ -193,15 +461,23 @@ impl HashJoinOp {
             join_type,
             budget,
             sip,
-            table: BuildTable::new(key_arity),
-            null_build_rows: Vec::new(),
-            right_arity: 0,
-            left_arity: 0,
-            ready: VecDeque::new(),
+            build: None,
+            matched: None,
+            unmatched: Vec::new(),
             state: JoinState::Building,
             fallback: None,
             switched_to_merge: false,
         }
+    }
+
+    /// Declare how many columns the left and right inputs produce. An
+    /// outer join pads a side that emitted no batch at all with that many
+    /// NULLs, so whoever knows the arities (the plan does) states them:
+    /// data cannot — an empty side has none.
+    pub fn with_arities(mut self, left: usize, right: usize) -> HashJoinOp {
+        self.left_arity = self.left_arity.max(left);
+        self.right_arity = self.right_arity.max(right);
+        self
     }
 
     /// Did the runtime switch to sort-merge (§6.1 algorithm switching)?
@@ -211,222 +487,62 @@ impl HashJoinOp {
 
     fn build(&mut self) -> DbResult<()> {
         let mut right = self.right.take().expect("build called once");
+        let mut rows = Batch::default();
         let mut bytes = 0usize;
-        let mut overflow: Vec<Row> = Vec::new();
         while let Some(batch) = right.next_batch()? {
-            self.right_arity = batch.arity();
-            bytes += batch.approx_bytes();
+            let batch = batch.compact();
+            self.right_arity = self.right_arity.max(batch.arity());
+            bytes += build_bytes(&batch);
+            rows.append(batch);
             if self.budget.exceeded_by(bytes) {
-                // Abandon hashing: collect the remainder and fall back to
-                // sort-merge on both (fully materialized) sides.
-                for (rows, _) in self.table.drain_rows() {
-                    overflow.extend(rows);
-                }
-                overflow.extend(batch.into_rows());
-                while let Some(b) = right.next_batch()? {
-                    overflow.extend(b.into_rows());
-                }
                 self.switched_to_merge = true;
-                return self.build_fallback(overflow);
-            }
-            for row in batch.into_rows() {
-                if let Some(key) = key_of(&row, &self.right_keys) {
-                    self.table.insert_row(key, row);
-                } else if matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter) {
-                    // NULL-keyed right rows still appear in right/full
-                    // outer (they can never match, but must be emitted).
-                    self.null_build_rows.push(row);
-                }
+                self.build_fallback(rows, right);
+                return Ok(());
             }
         }
+        let build = BuildSide::new(rows, &self.right_keys, self.right_arity)?;
         // Publish SIP keys now that the build side is complete.
         if let Some(sip) = &self.sip {
-            self.table.publish_sip(sip);
+            build.publish_sip(sip);
         }
+        if self.join_type.keeps_unmatched_build() {
+            self.matched = Some(Bitmap::new_filled(build.rows, false));
+        }
+        self.build = Some(build);
         self.state = JoinState::Probing;
         Ok(())
     }
 
     /// Sort-merge fallback: external-sort both sides by key columns, then
-    /// run the generic sorted-merge with identical semantics. The drained
-    /// build rows are *moved* into the fallback source (`ValuesOp` batches
-    /// them without cloning) — the build side already blew its memory
-    /// budget, so duplicating it here would double the peak.
-    fn build_fallback(&mut self, right_rows: Vec<Row>) -> DbResult<()> {
+    /// run the generic sorted-merge with identical semantics. The build
+    /// rows read so far are *moved* into the fallback's right input, ahead
+    /// of what the right operator has yet to produce — the build side
+    /// already blew its memory budget, so it is neither copied nor read
+    /// to its end here.
+    fn build_fallback(&mut self, consumed: Batch, rest: BoxedOperator) {
         let left = self.left.take().expect("fallback before probe");
-        let right_op: BoxedOperator = Box::new(ValuesOp::from_rows(right_rows));
-        let left_sorted = SortOp::new(
-            left,
-            self.left_keys.iter().map(|&c| SortKey::asc(c)).collect(),
-            self.budget,
-        );
-        let right_sorted = SortOp::new(
-            right_op,
-            self.right_keys.iter().map(|&c| SortKey::asc(c)).collect(),
-            self.budget,
-        );
-        self.fallback = Some(Box::new(MergeJoinOp::new(
-            Box::new(left_sorted),
-            Box::new(right_sorted),
+        let right: BoxedOperator = Box::new(UnionOp::new(vec![
+            Box::new(ValuesOp::new(vec![consumed])),
+            rest,
+        ]));
+        let sorted = |input: BoxedOperator, keys: &[usize]| -> BoxedOperator {
+            Box::new(SortOp::new(
+                input,
+                keys.iter().map(|&c| SortKey::asc(c)).collect(),
+                self.budget,
+            ))
+        };
+        let merge = MergeJoinOp::new(
+            sorted(left, &self.left_keys),
+            sorted(right, &self.right_keys),
             self.left_keys.clone(),
             self.right_keys.clone(),
             self.join_type,
-        )));
+        )
+        .with_arities(self.left_arity, self.right_arity);
+        self.fallback = Some(Box::new(merge));
         self.state = JoinState::Probing;
-        Ok(())
     }
-
-    /// Probe one batch columnar: keys come from column accessors (one
-    /// `Value` per row, never a pivoted row); SEMI/ANTI refine the batch
-    /// with a match selection (zero-copy, representation preserved); the
-    /// emitting flavors gather probe-side columns at the match positions
-    /// and transpose the matched build rows — no `rows()`/`from_rows`
-    /// pivot anywhere on the probe path.
-    fn probe_batch(&mut self, batch: Batch) -> DbResult<()> {
-        self.left_arity = batch.arity();
-        let n = batch.len();
-        // Dictionary-coded probe keys test the build table once per
-        // *distinct* value; the per-row loop then indexes the memoized
-        // verdict by code and never hashes a code with no build match.
-        let prep = ProbeKeys::new(&self.table, &self.left_keys, &batch);
-        if matches!(self.join_type, JoinType::Semi | JoinType::Anti) {
-            let semi = self.join_type == JoinType::Semi;
-            let mut mask = Vec::with_capacity(n);
-            let mut any = false;
-            for li in 0..n {
-                let pi = batch.physical_index(li);
-                let keep = prep
-                    .hit(&mut self.table, &self.left_keys, &batch, pi)
-                    .is_some()
-                    == semi;
-                any |= keep;
-                mask.push(keep);
-            }
-            if any {
-                self.ready.push_back(batch.into_filtered(&mask));
-            }
-            return Ok(());
-        }
-        // Emitting flavors: collect (probe physical index, build row) match
-        // pairs in probe order, then assemble columns via gather.
-        let mut probe_idx: Vec<u32> = Vec::new();
-        let mut build_side: Vec<Option<Row>> = Vec::new();
-        for li in 0..n {
-            let pi = batch.physical_index(li);
-            match (
-                self.join_type,
-                prep.hit(&mut self.table, &self.left_keys, &batch, pi),
-            ) {
-                (_, Some((matches, matched))) => {
-                    if matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter) {
-                        *matched = true;
-                    }
-                    for m in matches.iter() {
-                        probe_idx.push(pi as u32);
-                        build_side.push(Some(m.clone()));
-                    }
-                }
-                (JoinType::LeftOuter | JoinType::FullOuter, None) => {
-                    probe_idx.push(pi as u32);
-                    build_side.push(None);
-                }
-                _ => {}
-            }
-        }
-        if probe_idx.is_empty() {
-            return Ok(());
-        }
-        self.ready.push_back(crate::batch::gather_join_output(
-            &batch,
-            &probe_idx,
-            build_side,
-            self.right_arity,
-        ));
-        Ok(())
-    }
-}
-
-/// Per-batch probe-key preparation: dictionary-coded single-column keys
-/// materialize each distinct value once and remember whether the build
-/// table contains it, so the per-row probe is a code-indexed lookup (no
-/// `Value` construction, and no hash at all for non-matching codes).
-enum ProbeKeys<'a> {
-    DictOne {
-        tv: &'a TypedVector,
-        codes: &'a [u32],
-        /// Indexed by dict code; `Some` only when the build table has it.
-        keys: Vec<Option<Value>>,
-    },
-    Generic,
-}
-
-impl<'a> ProbeKeys<'a> {
-    fn new(table: &BuildTable, keys: &[usize], batch: &'a Batch) -> ProbeKeys<'a> {
-        if let ([c], BuildTable::One(m)) = (keys, table) {
-            if let ColumnSlice::Typed(tv) = &batch.columns[*c] {
-                if let VectorData::Dict { dict, codes } = tv.data() {
-                    let keys = dict
-                        .entries()
-                        .iter()
-                        .map(|s| {
-                            let v = Value::Varchar(s.clone());
-                            m.contains_key(&v).then_some(v)
-                        })
-                        .collect();
-                    return ProbeKeys::DictOne { tv, codes, keys };
-                }
-            }
-        }
-        ProbeKeys::Generic
-    }
-
-    /// Build-table hit for the probe row at physical index `pi`.
-    fn hit<'t>(
-        &self,
-        table: &'t mut BuildTable,
-        key_cols: &[usize],
-        batch: &Batch,
-        pi: usize,
-    ) -> Option<&'t mut (Vec<Row>, bool)> {
-        match self {
-            ProbeKeys::DictOne { tv, codes, keys } => {
-                if !tv.is_valid(pi) {
-                    return None; // NULL keys never match
-                }
-                match &keys[codes[pi] as usize] {
-                    Some(v) => table.probe_one_mut(v),
-                    None => None,
-                }
-            }
-            ProbeKeys::Generic => probe_hit(table, key_cols, batch, pi),
-        }
-    }
-}
-
-/// Build-table hit for the probe row at physical index `pi`, with NULL
-/// keys never matching. Key values come from column accessors — one
-/// `Value` per key column, never a pivoted row.
-fn probe_hit<'t>(
-    table: &'t mut BuildTable,
-    keys: &[usize],
-    batch: &Batch,
-    pi: usize,
-) -> Option<&'t mut (Vec<Row>, bool)> {
-    if let [c] = keys {
-        let v = batch.columns[*c].value_at(pi);
-        if v.is_null() {
-            return None;
-        }
-        return table.probe_one_mut(&v);
-    }
-    let key: Option<Vec<Value>> = keys
-        .iter()
-        .map(|&c| {
-            let v = batch.columns[c].value_at(pi);
-            (!v.is_null()).then_some(v)
-        })
-        .collect();
-    key.and_then(|k| table.probe_many_mut(&k))
 }
 
 impl Operator for HashJoinOp {
@@ -437,53 +553,43 @@ impl Operator for HashJoinOp {
         if let Some(fb) = &mut self.fallback {
             return fb.next_batch();
         }
+        let build = self.build.as_ref().expect("built unless fallen back");
         loop {
-            if let Some(batch) = self.ready.pop_front() {
-                return Ok(Some(batch));
-            }
-            match &mut self.state {
+            match self.state {
                 JoinState::Probing => {
                     let left = self.left.as_mut().expect("probe side");
-                    match left.next_batch()? {
-                        Some(batch) => self.probe_batch(batch)?,
-                        None => {
-                            // Right/full outer: emit unmatched build rows.
-                            if matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter)
-                            {
-                                let arity = self.left_arity.max(self.left_keys.len());
-                                let mut unmatched = Vec::new();
-                                for (rows, matched) in self.table.drain_rows() {
-                                    if !matched {
-                                        for r in rows {
-                                            let mut out = vec![Value::Null; arity];
-                                            out.extend(r);
-                                            unmatched.push(out);
-                                        }
-                                    }
-                                }
-                                for r in self.null_build_rows.drain(..) {
-                                    let mut out = vec![Value::Null; arity];
-                                    out.extend(r);
-                                    unmatched.push(out);
-                                }
-                                self.state =
-                                    JoinState::EmittingUnmatchedBuild(unmatched.into_iter());
-                            } else {
-                                self.state = JoinState::Done;
-                            }
+                    if let Some(batch) = left.next_batch()? {
+                        self.left_arity = self.left_arity.max(batch.arity());
+                        let out = build.probe(
+                            batch,
+                            &self.left_keys,
+                            self.join_type,
+                            self.matched.as_mut(),
+                        );
+                        if out.is_some() {
+                            return Ok(out);
                         }
+                    } else if let Some(matched) = self.matched.take() {
+                        // Right/full outer: emit unmatched build rows.
+                        self.unmatched = (0..build.rows as u32)
+                            .filter(|&id| !matched.get(id as usize))
+                            .collect();
+                        self.state = JoinState::EmittingUnmatchedBuild(0);
+                    } else {
+                        self.state = JoinState::Done;
                     }
                 }
-                JoinState::EmittingUnmatchedBuild(iter) => {
-                    let rows: Vec<Row> = iter.by_ref().take(BATCH_SIZE).collect();
-                    if rows.is_empty() {
+                JoinState::EmittingUnmatchedBuild(from) => {
+                    let ids = &self.unmatched[from..self.unmatched.len().min(from + BATCH_SIZE)];
+                    if ids.is_empty() {
                         self.state = JoinState::Done;
                     } else {
-                        return Ok(Some(crate::batch::typed_batch_from_rows(rows)));
+                        self.state = JoinState::EmittingUnmatchedBuild(from + ids.len());
+                        return Ok(Some(build.unmatched_batch(ids, self.left_arity)));
                     }
                 }
                 JoinState::Done => return Ok(None),
-                JoinState::Building => unreachable!(),
+                JoinState::Building => unreachable!("build ran above"),
             }
         }
     }
@@ -542,6 +648,14 @@ impl MergeJoinOp {
             pending: Vec::new(),
             done: false,
         }
+    }
+
+    /// Declare the input arities (see [`HashJoinOp::with_arities`]): an
+    /// outer join pads a side that never emitted a batch with them.
+    pub fn with_arities(mut self, left: usize, right: usize) -> MergeJoinOp {
+        self.left_arity = left;
+        self.right_arity = right;
+        self
     }
 
     fn fill_left(&mut self) -> DbResult<bool> {
@@ -744,6 +858,7 @@ impl Operator for MergeJoinOp {
 mod tests {
     use super::*;
     use crate::operator::collect_rows;
+    use crate::vector::TypedVector;
 
     fn left_rows() -> Vec<Row> {
         vec![
@@ -862,6 +977,154 @@ mod tests {
             r.sort();
             assert_eq!(f, r, "join type {jt:?}");
         }
+    }
+
+    /// Typed `(k, payload)` batches: integer keys, a float and a string
+    /// payload on the left; integer keys and a string payload on the right.
+    fn typed_sides() -> (Batch, Batch) {
+        let typed =
+            |values: Vec<Value>| ColumnSlice::Typed(TypedVector::from_values(&values).unwrap());
+        let left = Batch::new(vec![
+            typed((0..6).map(|i| Value::Integer(i % 4)).collect()),
+            typed((0..6).map(|i| Value::Float(i as f64)).collect()),
+            typed((0..6).map(|i| Value::Varchar(format!("l{i}"))).collect()),
+        ]);
+        let right = Batch::new(vec![
+            typed(vec![
+                Value::Integer(1),
+                Value::Integer(2),
+                Value::Integer(1),
+            ]),
+            typed(
+                ["r1", "r2", "r1b"]
+                    .map(|s| Value::Varchar(s.into()))
+                    .to_vec(),
+            ),
+        ]);
+        (left, right)
+    }
+
+    fn join_batches(jt: JoinType) -> Vec<Batch> {
+        let (left, right) = typed_sides();
+        let mut op = HashJoinOp::new(
+            Box::new(ValuesOp::new(vec![left])),
+            Box::new(ValuesOp::new(vec![right])),
+            vec![0],
+            vec![0],
+            jt,
+            MemoryBudget::unlimited(),
+            None,
+        );
+        std::iter::from_fn(|| op.next_batch().unwrap()).collect()
+    }
+
+    #[test]
+    fn inner_join_over_typed_inputs_emits_typed_columns_without_a_pivot() {
+        let before = crate::batch::row_pivot_count();
+        let out = join_batches(JoinType::Inner);
+        assert_eq!(
+            crate::batch::row_pivot_count(),
+            before,
+            "join must not pivot"
+        );
+        assert_eq!(out.len(), 1);
+        assert!(
+            out[0].columns.iter().all(ColumnSlice::is_typed),
+            "every output column stays typed: {:?}",
+            out[0].columns
+        );
+        // Probe order; a probe row's matches in build order (r1 before r1b).
+        let payload = |r: &Row| (r[2].clone(), r[4].clone());
+        let rows = out[0].rows();
+        let got: Vec<_> = rows.iter().map(payload).collect();
+        let s = |x: &str| Value::Varchar(x.into());
+        assert_eq!(
+            got,
+            vec![
+                (s("l1"), s("r1")),
+                (s("l1"), s("r1b")),
+                (s("l2"), s("r2")),
+                (s("l5"), s("r1")),
+                (s("l5"), s("r1b")),
+            ]
+        );
+    }
+
+    #[test]
+    fn left_outer_padding_is_a_validity_bit_not_a_plain_column() {
+        let out = join_batches(JoinType::LeftOuter);
+        let [batch] = out.as_slice() else {
+            panic!("one probe batch in, one batch out");
+        };
+        assert_eq!(batch.len(), 8, "5 matches + l0, l3, l4 unmatched");
+        for col in &batch.columns[3..] {
+            let ColumnSlice::Typed(tv) = col else {
+                panic!("build column must stay typed under NULL padding: {col:?}");
+            };
+            assert_eq!(tv.null_count(), 3);
+            assert!(!tv.is_valid(0), "l0 has no partner");
+        }
+        assert_eq!(batch.row_at(0)[3..], [Value::Null, Value::Null]);
+    }
+
+    /// An operator built without `with_arities` (tests, benches) meeting a
+    /// side that emits no batch: nothing is known about that side but its
+    /// key columns, so it is padded just wide enough to hold them — never
+    /// a panic, whatever the flavor.
+    #[test]
+    fn an_empty_side_without_declared_arities_is_as_wide_as_its_keys() {
+        let join = |left: Vec<Row>, right: Vec<Row>, jt| {
+            let mut op = HashJoinOp::new(
+                Box::new(ValuesOp::from_rows(left)),
+                Box::new(ValuesOp::from_rows(right)),
+                vec![0],
+                vec![0],
+                jt,
+                MemoryBudget::unlimited(),
+                None,
+            );
+            collect_rows(&mut op).unwrap()
+        };
+        let padded = |rows: Vec<Row>, pad_left: usize, pad_right: usize| -> Vec<Row> {
+            let pad = |n| std::iter::repeat_n(Value::Null, n);
+            rows.into_iter()
+                .map(|r| pad(pad_left).chain(r).chain(pad(pad_right)).collect())
+                .collect()
+        };
+        // Empty build side.
+        for jt in [JoinType::Inner, JoinType::Semi, JoinType::RightOuter] {
+            assert_eq!(join(left_rows(), vec![], jt), Vec::<Row>::new(), "{jt:?}");
+        }
+        assert_eq!(join(left_rows(), vec![], JoinType::Anti), left_rows());
+        for jt in [JoinType::LeftOuter, JoinType::FullOuter] {
+            let expected = padded(left_rows(), 0, 1);
+            assert_eq!(join(left_rows(), vec![], jt), expected, "{jt:?}");
+        }
+        // Empty probe side.
+        for jt in [
+            JoinType::Inner,
+            JoinType::LeftOuter,
+            JoinType::Semi,
+            JoinType::Anti,
+        ] {
+            assert_eq!(join(vec![], right_rows(), jt), Vec::<Row>::new(), "{jt:?}");
+        }
+        for jt in [JoinType::RightOuter, JoinType::FullOuter] {
+            let expected = padded(right_rows(), 1, 0);
+            assert_eq!(join(vec![], right_rows(), jt), expected, "{jt:?}");
+        }
+        // Declared arities win over the key columns' minimum.
+        let mut op = HashJoinOp::new(
+            Box::new(ValuesOp::from_rows(left_rows())),
+            Box::new(ValuesOp::from_rows(vec![])),
+            vec![0],
+            vec![0],
+            JoinType::LeftOuter,
+            MemoryBudget::unlimited(),
+            None,
+        )
+        .with_arities(2, 3);
+        assert_eq!(collect_rows(&mut op).unwrap(), padded(left_rows(), 0, 3));
     }
 
     #[test]

@@ -35,6 +35,15 @@
 //!   concatenated **in morsel order**, so the result equals the serial
 //!   scan row for row.
 //!
+//! The workers do not care what feeds them: a lane owns a
+//! `MorselPipeline` — morsels in, batches out — and `run_stage` runs a
+//! stage over any of them. [`ParallelScanOp`]'s pipeline is the scan
+//! itself; the parallel hash join's ([`crate::parallel_join`]) is scan →
+//! probe, so a join's partial aggregation happens in its probe workers and
+//! merges at the same barrier. When pruning leaves a single morsel there is
+//! nothing to split or merge, and the stage runs as the one serial operator
+//! it would be in a `threads = 1` plan (`serial_stage`).
+//!
 //! Worker lanes are tasks on the process-wide shared pool
 //! ([`crate::pool`]) — N concurrent queries multiplex one set of
 //! persistent workers instead of each spawning their own. Workers never
@@ -51,6 +60,7 @@ use crate::groupby::{two_phase_aggs, HashGroupByOp};
 use crate::memory::MemoryBudget;
 use crate::operator::{BoxedOperator, Operator, ValuesOp};
 use crate::scan::{ScanOperator, ScanStats, SipBinding};
+use crate::sort::SortOp;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -197,6 +207,19 @@ pub enum ParallelStage {
     Sort { keys: Vec<SortKey> },
 }
 
+impl ParallelStage {
+    /// Output arity of the stage over an input of `input` columns.
+    pub fn arity(&self, input: usize) -> usize {
+        match self {
+            ParallelStage::Collect | ParallelStage::Sort { .. } => input,
+            ParallelStage::GroupBy {
+                group_columns,
+                aggs,
+            } => group_columns.len() + aggs.len(),
+        }
+    }
+}
+
 /// Shared work queue: workers pull `(morsel index, morsel)` units until it
 /// drains, which balances skew automatically. Morsels are dispensed
 /// heaviest-first (by [`ScanMorsel::rows`], the longest-processing-time
@@ -223,66 +246,61 @@ impl MorselQueue {
     }
 }
 
-/// Pull-model operator over the shared morsel queue: drains the current
-/// morsel's scan, then pops the next. One instance per worker; the queue is
-/// the only shared state.
-pub struct MorselScanOp {
-    queue: Arc<MorselQueue>,
-    scan: ScanOperator,
+/// What one worker lane runs its morsels through: morsels go in, batches
+/// come out (the scan pipeline alone, or scan → join probe).
+pub(crate) trait MorselPipeline: Send {
+    /// Queue one more morsel behind those already queued.
+    fn feed(&mut self, morsel: ScanMorsel);
+    /// Next batch of the queued morsels; `None` once they are drained.
+    fn pull(&mut self) -> DbResult<Option<Batch>>;
 }
 
-impl MorselScanOp {
-    pub fn new(
-        queue: Arc<MorselQueue>,
-        spec: &ParallelScanSpec,
-        stats: &Arc<Mutex<ScanStats>>,
-    ) -> MorselScanOp {
-        MorselScanOp {
-            queue,
-            scan: spec.open(stats),
-        }
+impl MorselPipeline for ScanOperator {
+    fn feed(&mut self, morsel: ScanMorsel) {
+        self.push_morsel(morsel);
+    }
+
+    fn pull(&mut self) -> DbResult<Option<Batch>> {
+        self.next_batch()
     }
 }
 
-impl Operator for MorselScanOp {
+/// Makes one pipeline per worker lane.
+pub(crate) type OpenPipeline = Arc<dyn Fn() -> Box<dyn MorselPipeline> + Send + Sync>;
+
+/// Pull-model operator over the shared morsel queue: drains the current
+/// morsel through the pipeline, then pops the next. One instance per
+/// worker; the queue is the only shared state.
+struct MorselSourceOp {
+    queue: Arc<MorselQueue>,
+    pipeline: Box<dyn MorselPipeline>,
+}
+
+impl Operator for MorselSourceOp {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         loop {
-            if let Some(batch) = self.scan.next_batch()? {
+            if let Some(batch) = self.pipeline.pull()? {
                 return Ok(Some(batch));
             }
             match self.queue.pop() {
-                Some((_, morsel)) => self.scan.push_morsel(morsel),
+                Some((_, morsel)) => self.pipeline.feed(morsel),
                 None => return Ok(None),
             }
         }
     }
 
     fn name(&self) -> String {
-        "MorselScan".into()
+        "MorselSource".into()
     }
 }
 
 /// What one worker hands the barrier.
 enum WorkerOutput {
-    /// `(morsel index, its batches)` pairs for order-preserving concat.
-    Collected(Vec<(usize, Vec<Batch>)>),
-    /// Partial-aggregate rows (group columns first).
-    Partials(Vec<Row>),
+    /// `(morsel index, its batches)` pairs for order-preserving concat;
+    /// partial-aggregate batches (group columns first) under index 0.
+    Batches(Vec<(usize, Vec<Batch>)>),
     /// One sorted run.
     Run(Vec<Row>),
-}
-
-/// The resolved per-worker job (stage after aggregate decomposition).
-#[derive(Clone)]
-enum WorkerJob {
-    Collect,
-    GroupBy {
-        group_columns: Vec<usize>,
-        aggs: Vec<AggCall>,
-    },
-    Sort {
-        keys: Vec<SortKey>,
-    },
 }
 
 /// What the barrier does with the worker outputs.
@@ -307,6 +325,8 @@ enum BarrierMerge {
 pub struct ParallelScanOp {
     pending: Option<Pending>,
     output: std::vec::IntoIter<Batch>,
+    /// The stage as one serial operator, when a single morsel survived.
+    serial: Option<BoxedOperator>,
     stats: Arc<Mutex<ScanStats>>,
     threads_used: usize,
 }
@@ -339,6 +359,7 @@ impl ParallelScanOp {
                 budget,
             }),
             output: Vec::new().into_iter(),
+            serial: None,
             stats: Arc::new(Mutex::new(ScanStats::default())),
             threads_used: 0,
         }
@@ -361,41 +382,24 @@ impl ParallelScanOp {
         let morsels = p.spec.cut(&p.snapshot, &self.stats)?;
         let threads = p.threads.clamp(1, morsels.len().max(1));
         self.threads_used = threads;
-        let (job, merge) = resolve_stage(p.stage)?;
-        let queue = Arc::new(MorselQueue::new(morsels));
-        // The operator's budget covers all its workers together: each
-        // worker's group-by/sort state gets an equal slice, so N lanes
-        // spill at the same total footprint the serial plan would.
-        let worker_budget = MemoryBudget::new(p.budget.bytes / threads);
-        let outputs: Vec<WorkerOutput> = if threads <= 1 {
-            // Serial degenerate case: same pipeline, calling thread, no
-            // spawn.
-            vec![run_worker(
-                &queue,
-                &p.spec,
-                &job,
-                worker_budget,
-                &self.stats,
-            )?]
-        } else {
-            // Lanes come from the shared process-wide pool ([`crate::pool`])
-            // — no per-query thread spawning. Each job is one worker lane
-            // pulling from the shared morsel queue; errors come home
-            // through the task set's result slots, never a panic.
-            let jobs: Vec<crate::pool::Job<WorkerOutput>> = (0..threads)
-                .map(|_| {
-                    let queue = queue.clone();
-                    let spec = p.spec.clone();
-                    let job = job.clone();
-                    let stats = self.stats.clone();
-                    let budget = worker_budget;
-                    Box::new(move || run_worker(&queue, &spec, &job, budget, &stats))
-                        as crate::pool::Job<WorkerOutput>
-                })
-                .collect();
-            crate::pool::shared().run_tasks(jobs, "parallel scan worker")?
-        };
-        self.output = merge_outputs(outputs, merge, p.budget)?.into_iter();
+        if threads <= 1 {
+            // Nothing to split or merge: partial + final aggregation (or a
+            // one-run merge) would only add copies over the serial plan.
+            let scan = p.spec.scan_of(morsels, &self.stats);
+            self.serial = Some(serial_stage(Box::new(scan), p.stage, p.budget));
+            return Ok(());
+        }
+        let (spec, stats) = (p.spec, self.stats.clone());
+        let open: OpenPipeline = Arc::new(move || Box::new(spec.open(&stats)));
+        self.output = run_stage(
+            morsels,
+            threads,
+            p.stage,
+            p.budget,
+            open,
+            "parallel scan worker",
+        )?
+        .into_iter();
         Ok(())
     }
 }
@@ -405,7 +409,10 @@ impl Operator for ParallelScanOp {
         if let Some(p) = self.pending.take() {
             self.run(p)?;
         }
-        Ok(self.output.next())
+        match &mut self.serial {
+            Some(op) => op.next_batch(),
+            None => Ok(self.output.next()),
+        }
     }
 
     fn name(&self) -> String {
@@ -413,12 +420,67 @@ impl Operator for ParallelScanOp {
     }
 }
 
-/// Decompose the stage into the per-worker job and the barrier merge.
-fn resolve_stage(stage: ParallelStage) -> DbResult<(WorkerJob, BarrierMerge)> {
-    Ok(match stage {
-        ParallelStage::Collect => (WorkerJob::Collect, BarrierMerge::Concat),
+/// `stage` as one serial operator over `source`: what a `threads = 1` plan
+/// runs, and what a parallel operator delegates to when pruning leaves it
+/// a single morsel.
+pub(crate) fn serial_stage(
+    source: BoxedOperator,
+    stage: ParallelStage,
+    budget: MemoryBudget,
+) -> BoxedOperator {
+    match stage {
+        ParallelStage::Collect => source,
+        ParallelStage::GroupBy {
+            group_columns,
+            aggs,
+        } => Box::new(HashGroupByOp::new(source, group_columns, aggs, budget)),
+        ParallelStage::Sort { keys } => Box::new(SortOp::new(source, keys, budget)),
+    }
+}
+
+/// Run `stage` over `morsels` on `threads` worker lanes — each with its
+/// own pipeline from `open`, pulling from one shared queue — and merge the
+/// lanes' states at the barrier.
+///
+/// Lanes come from the shared process-wide pool ([`crate::pool`]) — no
+/// per-query thread spawning; errors come home through the task set's
+/// result slots, never a panic. One lane runs inline on the calling
+/// thread. `budget` covers all lanes together: each lane's group-by/sort
+/// state gets an equal slice, so N lanes spill at the same total footprint
+/// the serial plan would.
+pub(crate) fn run_stage(
+    morsels: Vec<ScanMorsel>,
+    threads: usize,
+    stage: ParallelStage,
+    budget: MemoryBudget,
+    open: OpenPipeline,
+    what: &str,
+) -> DbResult<Vec<Batch>> {
+    let (job, merge) = resolve_stage(stage);
+    let queue = Arc::new(MorselQueue::new(morsels));
+    let worker_budget = MemoryBudget::new(budget.bytes / threads.max(1));
+    let outputs: Vec<WorkerOutput> = if threads <= 1 {
+        vec![run_worker(queue, open(), job, worker_budget)?]
+    } else {
+        let jobs: Vec<crate::pool::Job<WorkerOutput>> = (0..threads)
+            .map(|_| {
+                let (queue, open, job) = (queue.clone(), open.clone(), job.clone());
+                Box::new(move || run_worker(queue, open(), job, worker_budget))
+                    as crate::pool::Job<WorkerOutput>
+            })
+            .collect();
+        crate::pool::shared().run_tasks(jobs, what)?
+    };
+    merge_outputs(outputs, merge, budget)
+}
+
+/// Decompose the stage into the per-worker job (itself a stage, over the
+/// worker's share of the morsels) and the barrier merge.
+fn resolve_stage(stage: ParallelStage) -> (ParallelStage, BarrierMerge) {
+    match stage {
+        ParallelStage::Collect => (ParallelStage::Collect, BarrierMerge::Concat),
         ParallelStage::Sort { keys } => (
-            WorkerJob::Sort { keys: keys.clone() },
+            ParallelStage::Sort { keys: keys.clone() },
             BarrierMerge::KWayMerge { keys },
         ),
         ParallelStage::GroupBy {
@@ -426,7 +488,7 @@ fn resolve_stage(stage: ParallelStage) -> DbResult<(WorkerJob, BarrierMerge)> {
             aggs,
         } => match two_phase_aggs(group_columns.len(), &aggs) {
             Some((partial, final_aggs, project)) => (
-                WorkerJob::GroupBy {
+                ParallelStage::GroupBy {
                     group_columns: group_columns.clone(),
                     aggs: partial,
                 },
@@ -436,10 +498,10 @@ fn resolve_stage(stage: ParallelStage) -> DbResult<(WorkerJob, BarrierMerge)> {
                     project: Some(project),
                 },
             ),
-            // Non-decomposable (COUNT DISTINCT): parallelize the scan only
-            // and aggregate once at the barrier.
+            // Non-decomposable (COUNT DISTINCT): parallelize the pipeline
+            // only and aggregate once at the barrier.
             None => (
-                WorkerJob::Collect,
+                ParallelStage::Collect,
                 BarrierMerge::GroupBy {
                     keys: group_columns,
                     aggs,
@@ -447,55 +509,39 @@ fn resolve_stage(stage: ParallelStage) -> DbResult<(WorkerJob, BarrierMerge)> {
                 },
             ),
         },
-    })
+    }
 }
 
 /// One worker: pull morsels until the queue drains, applying the job.
 /// Plain `DbResult` all the way down — no `unwrap`/`expect`.
 fn run_worker(
-    queue: &Arc<MorselQueue>,
-    spec: &ParallelScanSpec,
-    job: &WorkerJob,
+    queue: Arc<MorselQueue>,
+    mut pipeline: Box<dyn MorselPipeline>,
+    job: ParallelStage,
     budget: MemoryBudget,
-    stats: &Arc<Mutex<ScanStats>>,
 ) -> DbResult<WorkerOutput> {
-    match job {
-        WorkerJob::Collect => {
-            let mut out = Vec::new();
-            let mut scan = spec.open(stats);
-            while let Some((idx, morsel)) = queue.pop() {
-                scan.push_morsel(morsel);
-                let mut batches = Vec::new();
-                while let Some(b) = scan.next_batch()? {
-                    batches.push(b);
-                }
-                out.push((idx, batches));
+    if matches!(job, ParallelStage::Collect) {
+        let mut out = Vec::new();
+        while let Some((idx, morsel)) = queue.pop() {
+            pipeline.feed(morsel);
+            let mut batches = Vec::new();
+            while let Some(b) = pipeline.pull()? {
+                batches.push(b);
             }
-            Ok(WorkerOutput::Collected(out))
+            out.push((idx, batches));
         }
-        WorkerJob::GroupBy {
-            group_columns,
-            aggs,
-        } => {
-            // One hash table per worker across all its morsels ("partial
-            // aggregation per worker", not per morsel).
-            let source = MorselScanOp::new(queue.clone(), spec, stats);
-            let mut gb = HashGroupByOp::new(
-                Box::new(source),
-                group_columns.clone(),
-                aggs.clone(),
-                budget,
-            );
-            Ok(WorkerOutput::Partials(crate::operator::collect_rows(
-                &mut gb,
-            )?))
-        }
-        WorkerJob::Sort { keys } => {
-            let source = MorselScanOp::new(queue.clone(), spec, stats);
-            let mut sort = crate::sort::SortOp::new(Box::new(source), keys.clone(), budget);
-            Ok(WorkerOutput::Run(crate::operator::collect_rows(&mut sort)?))
-        }
+        return Ok(WorkerOutput::Batches(out));
     }
+    // One hash table (or sort buffer) per worker across all its morsels
+    // ("partial aggregation per worker", not per morsel).
+    let sorts = matches!(job, ParallelStage::Sort { .. });
+    let source = Box::new(MorselSourceOp { queue, pipeline });
+    let mut op = serial_stage(source, job, budget);
+    Ok(if sorts {
+        WorkerOutput::Run(crate::operator::collect_rows(op.as_mut())?)
+    } else {
+        WorkerOutput::Batches(vec![(0, drain(op.as_mut())?)])
+    })
 }
 
 /// The single barrier: merge per-worker states into the final batch stream.
@@ -504,62 +550,32 @@ fn merge_outputs(
     merge: BarrierMerge,
     budget: MemoryBudget,
 ) -> DbResult<Vec<Batch>> {
-    match merge {
-        BarrierMerge::Concat => {
-            let mut tagged: Vec<(usize, Vec<Batch>)> = Vec::new();
-            for out in outputs {
-                if let WorkerOutput::Collected(pairs) = out {
-                    tagged.extend(pairs);
-                }
-            }
-            // Morsel order == serial container order (+ WOS tail last).
-            tagged.sort_by_key(|&(idx, _)| idx);
-            Ok(tagged.into_iter().flat_map(|(_, b)| b).collect())
+    let mut tagged: Vec<(usize, Vec<Batch>)> = Vec::new();
+    let mut runs: Vec<Vec<Row>> = Vec::new();
+    for out in outputs {
+        match out {
+            WorkerOutput::Batches(pairs) => tagged.extend(pairs),
+            WorkerOutput::Run(run) => runs.push(run),
         }
+    }
+    // Morsel order == serial container order (+ WOS tail last).
+    tagged.sort_by_key(|&(idx, _)| idx);
+    let batches: Vec<Batch> = tagged.into_iter().flat_map(|(_, b)| b).collect();
+    match merge {
+        BarrierMerge::Concat => Ok(batches),
         BarrierMerge::GroupBy {
             keys,
             aggs,
             project,
         } => {
-            let source: BoxedOperator = {
-                let mut batches: Vec<Batch> = Vec::new();
-                let mut rows: Vec<Row> = Vec::new();
-                for out in outputs {
-                    match out {
-                        WorkerOutput::Partials(r) => rows.extend(r),
-                        WorkerOutput::Collected(pairs) => {
-                            batches.extend(pairs.into_iter().flat_map(|(_, b)| b))
-                        }
-                        WorkerOutput::Run(r) => rows.extend(r),
-                    }
-                }
-                if batches.is_empty() {
-                    Box::new(ValuesOp::from_rows(rows))
-                } else {
-                    batches.extend(
-                        rows.chunks(BATCH_SIZE)
-                            .map(|c| Batch::from_rows(c.to_vec())),
-                    );
-                    Box::new(ValuesOp::new(batches))
-                }
-            };
-            let gb = HashGroupByOp::new(source, keys, aggs, budget);
+            let gb = HashGroupByOp::new(Box::new(ValuesOp::new(batches)), keys, aggs, budget);
             let mut op: BoxedOperator = match project {
                 Some(exprs) => Box::new(ProjectOp::new(Box::new(gb), exprs)),
                 None => Box::new(gb),
             };
             drain(op.as_mut())
         }
-        BarrierMerge::KWayMerge { keys } => {
-            let runs: Vec<Vec<Row>> = outputs
-                .into_iter()
-                .map(|out| match out {
-                    WorkerOutput::Run(r) => r,
-                    _ => Vec::new(),
-                })
-                .collect();
-            Ok(kway_merge(runs, &keys))
-        }
+        BarrierMerge::KWayMerge { keys } => Ok(kway_merge(runs, &keys)),
     }
 }
 

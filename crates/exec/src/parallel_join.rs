@@ -1,73 +1,80 @@
 //! Morsel-parallel hash join over ROS containers (§5 + §6.1).
 //!
-//! The paper's join performance comes from parallel partitioned hash joins
-//! tightly coupled with sideways information passing into the scan. This
-//! module extends the PR 3 morsel framework ([`crate::parallel`]) to joins.
-//! Both sides are pruned on their position indexes and cut into
-//! (container, block range) morsels before either is read, so a side
-//! stored as one large container still feeds every worker:
+//! The paper's join performance comes from parallel hash joins tightly
+//! coupled with sideways information passing into the scan. This module
+//! runs the columnar join core of [`crate::join`] (`BuildSide`) on the
+//! morsel framework of [`crate::parallel`]. Both sides are pruned on their
+//! position indexes and cut into (container, block range) morsels before
+//! either is read, so a side stored as one large container still feeds
+//! every worker:
 //!
 //! ```text
 //!   build side (right)                      probe side (left)
 //!   ┌──── morsel queue ────┐                ┌──── morsel queue ────┐
 //!   │ r1[0..16) │ … │ WOS  │                │ r1[0..16) │ … │ WOS  │
 //!   └──┬──────┬───────┬────┘                └──┬──────┬───────┬────┘
-//!   worker 0..B: scan → hash-partition      worker 0..P: scan → SIP →
-//!   rows into B per-worker buckets          predicate → typed probe of the
-//!      └──────┴───────┘                     merged partition tables
-//!     build barrier: merge buckets             └──────┴───────┘
-//!     per partition (seq-sorted), then      probe waves: one morsel per
-//!     publish the SIP filter                worker, output in morsel order
+//!   worker 0..B: scan → per-morsel          worker 0..P: scan → SIP →
+//!   column chunks                           predicate → probe → [stage]
+//!      └──────┴───────┘                        └──────┴───────┘
+//!     build barrier: concatenate chunks     Collect: waves of one morsel
+//!     in morsel order, index the keys,      per worker, in morsel order;
+//!     publish the SIP filter                GroupBy: one merge barrier
 //! ```
 //!
-//! * **Partitioned build, no locks.** Each build worker pulls morsels and
-//!   hash-partitions rows by the combined key hash ([`SipFilter::key_hash`]
-//!   over [`Value::hash64`], i.e. the `Value::hash64_of_*` family) into its
-//!   own `B` buckets — workers never share a hash table. The barrier merges
-//!   bucket `p` from every worker into partition table `p`; entries are
-//!   sorted by their build-scan sequence number first, so per-key row lists
-//!   match the serial [`HashJoinOp`]'s insertion order exactly.
-//! * **SIP publication at the barrier.** Once the partition tables exist,
-//!   the distinct key hashes (already computed for partitioning) are
-//!   published to the attached [`SipFilter`] — probe-side workers have not
-//!   started yet, so every probe scan sees a ready filter, exactly like the
+//! * **Build: parallel scan, one index.** Build workers scan (decode,
+//!   visibility, predicate) their morsels into compacted column batches —
+//!   a [`ParallelStage::Collect`] run, so the barrier receives them in
+//!   morsel order. It concatenates them ([`crate::batch::Batch::append`])
+//!   and indexes the key column once (`BuildSide::new`). A build row's id
+//!   is its position in build-scan order — the order the serial
+//!   [`HashJoinOp`] sees — and chains list ids ascending, so the parallel
+//!   join's output is row-for-row the serial operator's with nothing to
+//!   sort or renumber.
+//! * **SIP publication at the barrier.** The distinct keys' hashes are
+//!   published to the attached [`SipFilter`] before any probe worker
+//!   starts, so every probe scan sees a ready filter, exactly like the
 //!   serial pull model.
-//! * **Typed vectorized probe, in waves.** The probe side runs one wave
-//!   of morsels at a time — one morsel per worker — and each wave's joined
-//!   output streams downstream before the next wave starts, so the
-//!   operator holds the output of `threads` morsels, never of the whole
-//!   probe side. Probe workers scan their morsel and probe
-//!   [`crate::vector::TypedVector`] key columns natively: i64/f64 keys hash
-//!   via `Value::hash64_of_*` without constructing a `Value` per row,
-//!   dictionary-coded keys probe once per distinct code, RLE keys once per
-//!   run. SEMI/ANTI matches become a [`crate::vector::SelectionVector`]
-//!   refinement of the batch (zero-copy); the emitting flavors gather
-//!   probe-side columns at the match positions and transpose the matched
-//!   build rows — no row pivot anywhere on the probe path.
-//! * **Memory.** The operator's budget covers the whole build side. If the
-//!   build exceeds it, the operator falls back to the serial [`HashJoinOp`]
-//!   over the same morsels, which externalizes to sort-merge (§6.1
-//!   algorithm switching).
+//! * **Probe: index pairs, typed output.** A probe worker's pipeline is
+//!   scan → `BuildSide::probe`; the build side is shared immutably.
+//!   Output columns are typed `take`s of both sides at the matching
+//!   indices, so whatever consumes them keeps its typed paths.
+//! * **Where the stage runs.** With [`ParallelStage::Collect`] the probe
+//!   runs in **waves** of one morsel per worker and each wave's output
+//!   streams downstream before the next starts: the operator holds the
+//!   output of `threads` morsels, never of the whole probe side. A
+//!   [`ParallelStage::GroupBy`] stage runs *inside* the probe workers —
+//!   each feeds its joined batches straight into its own partial
+//!   aggregation, and only the partials meet at the merge barrier
+//!   (`run_stage`, the very code a parallel scan uses). No planner rule
+//!   puts a `Sort` stage on a join, and the operator rejects one.
+//! * **Memory.** The budget covers the whole build side: the bytes of its
+//!   columns plus the key table (`build_bytes`, metered by
+//!   the build workers as they scan). If the build exceeds it, the
+//!   operator falls back to the serial [`HashJoinOp`] over the same
+//!   morsels, which externalizes to sort-merge (§6.1 algorithm switching).
+//! * **One morsel per side** means nothing to parallelize: the operator
+//!   delegates to the serial [`HashJoinOp`] (under the serial form of its
+//!   stage), streaming.
 //! * **Failures.** Worker lanes are tasks on the shared process-wide pool
 //!   ([`crate::pool`]; no per-query thread spawning) and return `DbResult`
-//!   through the task set's result slots — no `unwrap` on worker lanes;
-//!   `threads = 1` runs inline.
+//!   through the task set's result slots — no `unwrap` on worker lanes.
 
 use crate::batch::Batch;
-use crate::join::{key_of, HashJoinOp, JoinType};
+use crate::join::{build_bytes, BuildSide, HashJoinOp, JoinType};
 use crate::memory::MemoryBudget;
 use crate::operator::{BoxedOperator, Operator};
-use crate::parallel::{MorselQueue, ParallelScanSpec};
-use crate::scan::ScanStats;
+use crate::parallel::{
+    run_stage, serial_stage, MorselPipeline, OpenPipeline, ParallelScanSpec, ParallelStage,
+};
+use crate::scan::{ScanOperator, ScanStats};
 use crate::sip::SipFilter;
-use crate::vector::VectorData;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use vdb_storage::store::{ScanMorsel, SnapshotScan};
-use vdb_types::{DbError, DbResult, Row, Value};
+use vdb_types::{DbError, DbResult};
 
 /// Everything the operator needs to run both sides of the join.
 pub struct ParallelJoinSpec {
@@ -81,7 +88,7 @@ pub struct ParallelJoinSpec {
     /// Build (right) side scan parameters.
     pub build: ParallelScanSpec,
     pub build_snapshot: SnapshotScan,
-    /// Build-side degree of parallelism; also the partition fan-out.
+    /// Build-side degree of parallelism (clamped likewise).
     pub build_threads: usize,
     /// Key columns over the probe scan's output.
     pub left_keys: Vec<usize>,
@@ -92,73 +99,12 @@ pub struct ParallelJoinSpec {
     pub sip: Option<Arc<SipFilter>>,
 }
 
-/// One build-side entry awaiting the merge barrier: `(sequence, combined
-/// key hash, key, row)`. The sequence encodes `(morsel index, row within
-/// morsel)` so the barrier can restore serial build-insertion order.
-type BuildEntry = (u64, u64, Vec<Value>, Row);
-
-/// Merged build side: one table per partition, specialized like the serial
-/// [`HashJoinOp`] for the dominant single-column-key case.
-enum BuildTables {
-    One(Vec<HashMap<Value, Vec<Row>>>),
-    Many(Vec<HashMap<Vec<Value>, Vec<Row>>>),
-}
-
-impl BuildTables {
-    fn partitions(&self) -> usize {
-        match self {
-            BuildTables::One(p) => p.len(),
-            BuildTables::Many(p) => p.len(),
-        }
-    }
-
-    /// Partition index for a combined key hash.
-    #[inline]
-    fn part_of(&self, kh: u64) -> usize {
-        (kh % self.partitions() as u64) as usize
-    }
-
-    /// Single-key lookup with a precomputed [`Value::hash64`] — the typed
-    /// probe path's entry point (no `Value` is constructed for the hash).
-    #[inline]
-    fn lookup_hashed(&self, value_hash: u64, key: &Value) -> Option<&Vec<Row>> {
-        let kh = SipFilter::key_hash_of_one(value_hash);
-        match self {
-            BuildTables::One(parts) => parts[self.part_of(kh)].get(key),
-            BuildTables::Many(_) => None,
-        }
-    }
-
-    /// Single-key lookup from a borrowed `Value` (plain/RLE columns).
-    fn lookup_one(&self, key: &Value) -> Option<&Vec<Row>> {
-        if key.is_null() {
-            return None;
-        }
-        self.lookup_hashed(key.hash64(), key)
-    }
-
-    /// Multi-column lookup (cold path).
-    fn lookup_many(&self, key: &[Value]) -> Option<&Vec<Row>> {
-        let refs: Vec<&Value> = key.iter().collect();
-        let kh = SipFilter::key_hash(&refs);
-        match self {
-            BuildTables::Many(parts) => parts[self.part_of(kh)].get(key),
-            BuildTables::One(_) => None,
-        }
-    }
-}
-
-/// Combined key hash matching [`SipFilter::key_hash`], from an owned key.
-fn combined_hash(key: &[Value]) -> u64 {
-    let refs: Vec<&Value> = key.iter().collect();
-    SipFilter::key_hash(&refs)
-}
-
-/// The morsel-parallel partitioned hash join. Blocking on its build side
-/// (the build barrier makes it a plan zone boundary); probe output then
-/// streams wave by wave. Supports the join flavors that emit only during the
-/// probe — INNER, LEFT OUTER, SEMI, ANTI; the planner keeps
-/// RIGHT/FULL OUTER (which need build-side matched flags) on the serial
+/// The morsel-parallel hash join. Blocking on its build side (the build
+/// barrier makes it a plan zone boundary); probe output then streams wave
+/// by wave, or — with a stage — arrives from the stage's merge barrier.
+/// Supports the join flavors that emit only during the probe — INNER,
+/// LEFT OUTER, SEMI, ANTI; the planner keeps RIGHT/FULL OUTER (whose
+/// matched flags are one mutable bitmap over the build side) on the serial
 /// operator.
 ///
 /// The operator counts as stateful for the §6.1 memory split: its
@@ -167,13 +113,16 @@ fn combined_hash(key: &[Value]) -> u64 {
 /// batch).
 pub struct ParallelHashJoinOp {
     join_type: JoinType,
+    stage: ParallelStage,
     pending: Option<(ParallelJoinSpec, MemoryBudget)>,
-    /// The current probe wave's joined output, streaming out.
+    /// The current probe wave's joined output (or the stage's), streaming
+    /// out.
     output: std::vec::IntoIter<Batch>,
     /// The probe side's remaining morsels, once the build barrier is past.
     probe: Option<ProbePhase>,
-    /// Serial fallback when the parallel build exceeds its budget.
-    fallback: Option<BoxedOperator>,
+    /// The serial join (under the serial stage): one morsel per side, or
+    /// a build that exceeded its budget.
+    serial: Option<BoxedOperator>,
     probe_stats: Arc<Mutex<ScanStats>>,
     build_stats: Arc<Mutex<ScanStats>>,
     build_threads_used: usize,
@@ -187,10 +136,11 @@ impl ParallelHashJoinOp {
     pub fn new(spec: ParallelJoinSpec, budget: MemoryBudget) -> ParallelHashJoinOp {
         ParallelHashJoinOp {
             join_type: spec.join_type,
+            stage: ParallelStage::Collect,
             pending: Some((spec, budget)),
             output: Vec::new().into_iter(),
             probe: None,
-            fallback: None,
+            serial: None,
             probe_stats: Arc::new(Mutex::new(ScanStats::default())),
             build_stats: Arc::new(Mutex::new(ScanStats::default())),
             build_threads_used: 0,
@@ -199,6 +149,14 @@ impl ParallelHashJoinOp {
             build_ms: 0.0,
             probe_ms: 0.0,
         }
+    }
+
+    /// Run `stage` — `Collect` or `GroupBy` — over the joined rows inside
+    /// the probe workers (module docs); the operator then emits the stage's
+    /// output, not the join's.
+    pub fn with_stage(mut self, stage: ParallelStage) -> ParallelHashJoinOp {
+        self.stage = stage;
+        self
     }
 
     /// Probe-side scan stats handle (inspect after draining).
@@ -217,8 +175,9 @@ impl ParallelHashJoinOp {
         (self.build_threads_used, self.probe_threads_used)
     }
 
-    /// Wall-clock spent in the build (scan + partition + merge + SIP) and
-    /// probe phases, in milliseconds.
+    /// Wall-clock spent in the build (scan + concatenate + index + SIP)
+    /// and probe (scan + probe + stage) phases, in milliseconds. A serial
+    /// delegate's time is not split and counts as build.
     pub fn phase_ms(&self) -> (f64, f64) {
         (self.build_ms, self.probe_ms)
     }
@@ -233,6 +192,11 @@ impl ParallelHashJoinOp {
                 spec.join_type.name()
             )));
         }
+        if matches!(self.stage, ParallelStage::Sort { .. }) {
+            return Err(DbError::Plan(
+                "parallel hash join does not support a sort stage".into(),
+            ));
+        }
         // Prune and cut both sides before reading either (pruning needs
         // the predicates only, not the SIP filter the build will publish).
         let build_morsels = spec.build.cut(&spec.build_snapshot, &self.build_stats)?;
@@ -241,80 +205,28 @@ impl ParallelHashJoinOp {
         let probe_threads = spec.probe_threads.clamp(1, probe_morsels.len().max(1));
         self.build_threads_used = build_threads;
         self.probe_threads_used = probe_threads;
-
-        // Degenerate DoP 1 on both sides: hash-partitioning, the merge
-        // barrier, and materialized probe output buy nothing without
-        // parallelism — they only add copies over the serial operator.
-        // Delegate to the serial hash join over the same morsels (identical
-        // output order, streaming probe, same SIP publication point). This
-        // is a plan-shape decision, not an overflow, so `switched_to_serial`
-        // stays false.
-        if build_threads <= 1 && probe_threads <= 1 {
-            let t = Instant::now();
-            let left = spec.probe.scan_of(probe_morsels, &self.probe_stats);
-            let right = spec.build.scan_of(build_morsels, &self.build_stats);
-            self.fallback = Some(Box::new(HashJoinOp::new(
-                Box::new(left),
-                Box::new(right),
-                spec.left_keys,
-                spec.right_keys,
-                spec.join_type,
-                budget,
-                spec.sip,
-            )));
-            self.build_ms = t.elapsed().as_secs_f64() * 1000.0;
-            return Ok(());
-        }
-
-        // ---- Phase 1: partitioned parallel build --------------------------
+        let stage = std::mem::replace(&mut self.stage, ParallelStage::Collect);
         let t = Instant::now();
-        let queue = Arc::new(MorselQueue::new(build_morsels.clone()));
-        let overflow = Arc::new(AtomicBool::new(false));
-        let used_bytes = Arc::new(AtomicUsize::new(0));
-        let bucket_sets: Vec<Vec<Vec<BuildEntry>>> = if build_threads <= 1 {
-            vec![run_build_worker(
-                &queue,
-                &spec.build,
-                &spec.right_keys,
-                build_threads,
-                budget,
-                &used_bytes,
-                &overflow,
-                &self.build_stats,
-            )?]
+
+        // ---- Phase 1: parallel build scan ---------------------------------
+        // Skipped at DoP 1 on both sides, where a barrier and materialized
+        // probe output buy nothing: that is the serial join's plan shape
+        // (identical output order, streaming probe, same SIP publication
+        // point), not an overflow, so `switched_to_serial` stays false.
+        let chunks = if build_threads <= 1 && probe_threads <= 1 {
+            None
         } else {
-            let jobs: Vec<crate::pool::Job<Vec<Vec<BuildEntry>>>> = (0..build_threads)
-                .map(|_| {
-                    let queue = queue.clone();
-                    let bspec = spec.build.clone();
-                    let keys = spec.right_keys.clone();
-                    let used = used_bytes.clone();
-                    let overflow = overflow.clone();
-                    let stats = self.build_stats.clone();
-                    Box::new(move || {
-                        run_build_worker(
-                            &queue,
-                            &bspec,
-                            &keys,
-                            build_threads,
-                            budget,
-                            &used,
-                            &overflow,
-                            &stats,
-                        )
-                    }) as crate::pool::Job<Vec<Vec<BuildEntry>>>
-                })
-                .collect();
-            crate::pool::shared().run_tasks(jobs, "parallel join build worker")?
-        };
-        if overflow.load(Ordering::Relaxed) {
+            let chunks =
+                self.scan_build(&spec.build, build_morsels.clone(), build_threads, budget)?;
             // Budget exceeded: hand both sides to the serial hash join,
             // which re-detects the overflow and externalizes to sort-merge.
-            self.switched_to_serial = true;
-            self.build_ms = t.elapsed().as_secs_f64() * 1000.0;
+            self.switched_to_serial = chunks.is_none();
+            chunks
+        };
+        let Some(chunks) = chunks else {
             let left = spec.probe.scan_of(probe_morsels, &self.probe_stats);
             let right = spec.build.scan_of(build_morsels, &self.build_stats);
-            self.fallback = Some(Box::new(HashJoinOp::new(
+            let join = HashJoinOp::new(
                 Box::new(left),
                 Box::new(right),
                 spec.left_keys,
@@ -322,143 +234,191 @@ impl ParallelHashJoinOp {
                 spec.join_type,
                 budget,
                 spec.sip,
-            )));
+            )
+            .with_arities(
+                spec.probe.output_columns.len(),
+                spec.build.output_columns.len(),
+            );
+            self.serial = Some(serial_stage(Box::new(join), stage, budget));
+            self.build_ms = t.elapsed().as_secs_f64() * 1000.0;
             return Ok(());
-        }
+        };
 
-        // ---- Build barrier: merge partitions, publish SIP -----------------
-        let single_key = spec.right_keys.len() == 1;
-        let mut parts: Vec<Vec<BuildEntry>> = (0..build_threads).map(|_| Vec::new()).collect();
-        for buckets in bucket_sets {
-            for (p, bucket) in buckets.into_iter().enumerate() {
-                parts[p].extend(bucket);
-            }
+        // ---- Build barrier: concatenate, index, publish SIP ---------------
+        let mut rows = Batch::default();
+        for chunk in chunks {
+            rows.append(chunk);
         }
-        let merged: Vec<(PartitionTable, Vec<u64>)> = if build_threads <= 1 {
-            parts
-                .into_iter()
-                .map(|p| merge_partition(p, single_key))
-                .collect()
-        } else {
-            let jobs: Vec<crate::pool::Job<(PartitionTable, Vec<u64>)>> = parts
-                .into_iter()
-                .map(|p| {
-                    Box::new(move || Ok(merge_partition(p, single_key)))
-                        as crate::pool::Job<(PartitionTable, Vec<u64>)>
-                })
-                .collect();
-            crate::pool::shared().run_tasks(jobs, "parallel join merge worker")?
-        };
+        let build = BuildSide::new(rows, &spec.right_keys, spec.build.output_columns.len())?;
         if let Some(sip) = &spec.sip {
-            sip.publish_iter(merged.iter().flat_map(|(_, hashes)| hashes.iter().copied()));
+            build.publish_sip(sip);
         }
-        let tables = if single_key {
-            BuildTables::One(
-                merged
-                    .into_iter()
-                    .map(|(t, _)| match t {
-                        PartitionTable::One(m) => m,
-                        PartitionTable::Many(_) => HashMap::new(),
-                    })
-                    .collect(),
-            )
-        } else {
-            BuildTables::Many(
-                merged
-                    .into_iter()
-                    .map(|(t, _)| match t {
-                        PartitionTable::Many(m) => m,
-                        PartitionTable::One(_) => HashMap::new(),
-                    })
-                    .collect(),
-            )
-        };
         self.build_ms = t.elapsed().as_secs_f64() * 1000.0;
 
-        // ---- Phase 2: parallel typed probe, a wave at a time --------------
-        self.probe = Some(ProbePhase {
+        // ---- Phase 2: parallel probe --------------------------------------
+        let prober = Arc::new(Prober {
+            spec: spec.probe,
+            build,
+            left_keys: spec.left_keys,
+            join_type: spec.join_type,
+            stats: self.probe_stats.clone(),
+        });
+        let mut probe = ProbePhase {
             morsels: probe_morsels.into(),
             threads: probe_threads,
-            prober: Arc::new(Prober {
-                right_arity: spec.build.output_columns.len(),
-                spec: spec.probe,
-                tables,
-                left_keys: spec.left_keys,
-                join_type: spec.join_type,
-                stats: self.probe_stats.clone(),
-            }),
-        });
+            prober,
+            budget,
+        };
+        if matches!(stage, ParallelStage::Collect) {
+            self.probe = Some(probe); // waves, pulled by `next_batch`
+        } else {
+            let t = Instant::now();
+            self.output = probe.run(usize::MAX, stage)?.into_iter();
+            self.probe_ms = t.elapsed().as_secs_f64() * 1000.0;
+        }
         Ok(())
     }
 }
 
-/// The probe side after the build barrier. It runs in **waves** of one
-/// morsel per worker, each wave's joined output handed downstream before
-/// the next wave starts, so the operator holds what `threads` morsels
-/// produce — not the whole joined probe side, which for a fact table
-/// dwarfs anything else the query allocates.
+impl ParallelHashJoinOp {
+    /// Scan the build side on `threads` workers into compacted batches, in
+    /// morsel order; `None` when they cross `budget`.
+    fn scan_build(
+        &self,
+        build: &ParallelScanSpec,
+        morsels: Vec<ScanMorsel>,
+        threads: usize,
+        budget: MemoryBudget,
+    ) -> DbResult<Option<Vec<Batch>>> {
+        let meter = Arc::new(BuildMeter {
+            budget,
+            used: AtomicUsize::new(0),
+            overflow: AtomicBool::new(false),
+        });
+        let (build, stats, shared) = (build.clone(), self.build_stats.clone(), meter.clone());
+        let open: OpenPipeline = Arc::new(move || {
+            Box::new(MeteredScan {
+                scan: build.open(&stats),
+                meter: shared.clone(),
+            })
+        });
+        let stage = ParallelStage::Collect;
+        let what = "parallel join build worker";
+        let chunks = run_stage(morsels, threads, stage, budget, open, what)?;
+        Ok((!meter.overflow.load(Ordering::Relaxed)).then_some(chunks))
+    }
+}
+
+/// Budget metering shared by the build workers.
+struct BuildMeter {
+    budget: MemoryBudget,
+    /// Budgeted bytes of the build batches scanned so far, all workers.
+    used: AtomicUsize,
+    /// Set by the worker that crosses the budget; the others stop at
+    /// their next batch. Publishes nothing but itself.
+    overflow: AtomicBool,
+}
+
+/// A build worker's pipeline: the scan, compacted and metered against the
+/// join's budget. Once the budget is crossed it produces nothing more —
+/// the operator discards the partial build and rescans serially.
+struct MeteredScan {
+    scan: ScanOperator,
+    meter: Arc<BuildMeter>,
+}
+
+impl MorselPipeline for MeteredScan {
+    fn feed(&mut self, morsel: ScanMorsel) {
+        self.scan.push_morsel(morsel);
+    }
+
+    fn pull(&mut self) -> DbResult<Option<Batch>> {
+        if self.meter.overflow.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
+        let Some(batch) = self.scan.next_batch()? else {
+            return Ok(None);
+        };
+        let batch = batch.compact();
+        let bytes = build_bytes(&batch);
+        let total = self.meter.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        if self.meter.budget.exceeded_by(total) {
+            self.meter.overflow.store(true, Ordering::Relaxed);
+            return Ok(None);
+        }
+        Ok(Some(batch))
+    }
+}
+
+/// The probe side after the build barrier.
 struct ProbePhase {
     /// Probe morsels not yet run, in snapshot order.
-    morsels: std::collections::VecDeque<ScanMorsel>,
+    morsels: VecDeque<ScanMorsel>,
     threads: usize,
     prober: Arc<Prober>,
+    budget: MemoryBudget,
 }
 
 /// What every probe worker needs, shared.
 struct Prober {
     spec: ParallelScanSpec,
-    tables: BuildTables,
+    build: BuildSide,
     left_keys: Vec<usize>,
     join_type: JoinType,
-    right_arity: usize,
     stats: Arc<Mutex<ScanStats>>,
 }
 
 impl ProbePhase {
-    /// Probe the next `threads` morsels, one per worker, and return their
-    /// joined output in morsel order — which is the serial probe's order.
-    fn next_wave(&mut self) -> DbResult<Vec<Batch>> {
-        let n = self.threads.min(self.morsels.len());
-        if n == 1 {
-            // A lone morsel runs inline on the calling thread.
-            return self
-                .morsels
-                .pop_front()
-                .map_or(Ok(Vec::new()), |m| self.prober.probe(m));
-        }
-        let jobs: Vec<crate::pool::Job<Vec<Batch>>> = self
-            .morsels
-            .drain(..n)
-            .map(|morsel| {
-                let prober = self.prober.clone();
-                Box::new(move || prober.probe(morsel)) as crate::pool::Job<Vec<Batch>>
+    /// Run `stage` over the next `limit` probe morsels (all that remain,
+    /// if fewer), each worker's pipeline being scan → probe.
+    ///
+    /// A `Collect` stage is called a **wave** at a time — `threads`
+    /// morsels, one per worker, a lone one inline — and returns the joined
+    /// output in morsel order, which is the serial probe's order; handing
+    /// each wave downstream before the next starts keeps the operator from
+    /// holding the whole joined probe side, which for a fact table dwarfs
+    /// anything else the query allocates.
+    fn run(&mut self, limit: usize, stage: ParallelStage) -> DbResult<Vec<Batch>> {
+        let n = limit.min(self.morsels.len());
+        let prober = self.prober.clone();
+        let open: OpenPipeline = Arc::new(move || {
+            Box::new(ProbePipeline {
+                scan: prober.spec.open(&prober.stats),
+                prober: prober.clone(),
             })
-            .collect();
-        let outputs = crate::pool::shared().run_tasks(jobs, "parallel join probe worker")?;
-        Ok(outputs.into_iter().flatten().collect())
+        });
+        run_stage(
+            self.morsels.drain(..n).collect(),
+            self.threads.min(n),
+            stage,
+            self.budget,
+            open,
+            "parallel join probe worker",
+        )
     }
 }
 
-impl Prober {
-    /// Probe one morsel: run the scan pipeline (visibility, SIP, predicate)
-    /// over it and join each surviving batch against the partition tables.
-    fn probe(&self, morsel: ScanMorsel) -> DbResult<Vec<Batch>> {
-        let mut scan = self.spec.scan_of(vec![morsel], &self.stats);
-        let mut out: Vec<Batch> = Vec::new();
-        while let Some(batch) = scan.next_batch()? {
-            if batch.is_empty() {
-                continue;
+/// A probe worker's pipeline: the scan pipeline (visibility, SIP,
+/// predicate) with each surviving batch joined against the build side.
+struct ProbePipeline {
+    scan: ScanOperator,
+    prober: Arc<Prober>,
+}
+
+impl MorselPipeline for ProbePipeline {
+    fn feed(&mut self, morsel: ScanMorsel) {
+        self.scan.push_morsel(morsel);
+    }
+
+    fn pull(&mut self) -> DbResult<Option<Batch>> {
+        let p = &self.prober;
+        while let Some(batch) = self.scan.next_batch()? {
+            let joined = p.build.probe(batch, &p.left_keys, p.join_type, None);
+            if joined.is_some() {
+                return Ok(joined);
             }
-            probe_batch(
-                batch,
-                &self.tables,
-                &self.left_keys,
-                self.join_type,
-                self.right_arity,
-                &mut out,
-            );
         }
-        Ok(out)
+        Ok(None)
     }
 }
 
@@ -467,8 +427,8 @@ impl Operator for ParallelHashJoinOp {
         if let Some((spec, budget)) = self.pending.take() {
             self.run(spec, budget)?;
         }
-        if let Some(fb) = &mut self.fallback {
-            return fb.next_batch();
+        if let Some(op) = &mut self.serial {
+            return op.next_batch();
         }
         loop {
             if let Some(batch) = self.output.next() {
@@ -478,7 +438,9 @@ impl Operator for ParallelHashJoinOp {
                 return Ok(None);
             };
             let t = Instant::now();
-            self.output = probe.next_wave()?.into_iter();
+            self.output = probe
+                .run(probe.threads, ParallelStage::Collect)?
+                .into_iter();
             self.probe_ms += t.elapsed().as_secs_f64() * 1000.0;
         }
     }
@@ -488,269 +450,14 @@ impl Operator for ParallelHashJoinOp {
     }
 }
 
-/// One build worker: pull morsels, scan, hash-partition keyed rows into
-/// this worker's private buckets. NULL-keyed rows are dropped (they can
-/// never match, and the supported flavors never emit build-side rows).
-#[allow(clippy::too_many_arguments)]
-fn run_build_worker(
-    queue: &Arc<MorselQueue>,
-    spec: &ParallelScanSpec,
-    right_keys: &[usize],
-    nparts: usize,
-    budget: MemoryBudget,
-    used_bytes: &AtomicUsize,
-    overflow: &AtomicBool,
-    stats: &Arc<Mutex<ScanStats>>,
-) -> DbResult<Vec<Vec<BuildEntry>>> {
-    let mut buckets: Vec<Vec<BuildEntry>> = (0..nparts).map(|_| Vec::new()).collect();
-    let mut scan = spec.open(stats);
-    while let Some((idx, morsel)) = queue.pop() {
-        if overflow.load(Ordering::Relaxed) {
-            break; // another worker tripped the budget; fallback rescans
-        }
-        scan.push_morsel(morsel);
-        let mut row_no: u64 = 0;
-        while let Some(batch) = scan.next_batch()? {
-            let bytes = batch.approx_bytes();
-            let total = used_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-            if budget.exceeded_by(total) {
-                overflow.store(true, Ordering::Relaxed);
-                return Ok(buckets);
-            }
-            for row in batch.into_rows() {
-                let seq = ((idx as u64) << 32) | row_no;
-                row_no += 1;
-                if let Some(key) = key_of(&row, right_keys) {
-                    let kh = combined_hash(&key);
-                    buckets[(kh % nparts as u64) as usize].push((seq, kh, key, row));
-                }
-            }
-        }
-    }
-    Ok(buckets)
-}
-
-/// One merged partition plus the distinct key hashes it contributes to the
-/// SIP filter.
-enum PartitionTable {
-    One(HashMap<Value, Vec<Row>>),
-    Many(HashMap<Vec<Value>, Vec<Row>>),
-}
-
-/// Merge one partition's entries (from every build worker) into its final
-/// table. Sorting by the build-scan sequence number first makes each key's
-/// row list identical to the serial operator's insertion order, so the
-/// parallel join's output is row-for-row equal to [`HashJoinOp`]'s.
-fn merge_partition(mut entries: Vec<BuildEntry>, single_key: bool) -> (PartitionTable, Vec<u64>) {
-    entries.sort_unstable_by_key(|e| e.0);
-    let mut hashes = Vec::new();
-    if single_key {
-        let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
-        for (_, kh, mut key, row) in entries {
-            let Some(k) = key.pop() else { continue };
-            match map.entry(k) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    hashes.push(kh);
-                    e.insert(vec![row]);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(row),
-            }
-        }
-        (PartitionTable::One(map), hashes)
-    } else {
-        let mut map: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
-        for (_, kh, key, row) in entries {
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    hashes.push(kh);
-                    e.insert(vec![row]);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(row),
-            }
-        }
-        (PartitionTable::Many(map), hashes)
-    }
-}
-
-/// Per-logical-row lookup results for one batch: the typed vectorized
-/// probe path. Native i64/f64 key hashing, one probe per distinct
-/// dictionary code, one probe per RLE run; `Value`-per-row construction
-/// only on the plain / multi-column cold paths.
-fn probe_hits<'t>(
-    batch: &Batch,
-    tables: &'t BuildTables,
-    left_keys: &[usize],
-) -> Vec<Option<&'t Vec<Row>>> {
-    let cands: Vec<u32> = match batch.selection() {
-        Some(sel) => sel.indices().to_vec(),
-        None => (0..batch.physical_len() as u32).collect(),
-    };
-    if let (BuildTables::One(_), [only]) = (tables, left_keys) {
-        return match &batch.columns[*only] {
-            crate::batch::ColumnSlice::Typed(tv) => match tv.data() {
-                VectorData::Int64(xs) | VectorData::Timestamp(xs) => cands
-                    .into_iter()
-                    .map(|i| {
-                        let i = i as usize;
-                        tv.is_valid(i).then(|| {
-                            tables
-                                .lookup_hashed(Value::hash64_of_i64(xs[i]), &Value::Integer(xs[i]))
-                        })?
-                    })
-                    .collect(),
-                VectorData::Float64(xs) => cands
-                    .into_iter()
-                    .map(|i| {
-                        let i = i as usize;
-                        tv.is_valid(i).then(|| {
-                            tables.lookup_hashed(Value::hash64_of_f64(xs[i]), &Value::Float(xs[i]))
-                        })?
-                    })
-                    .collect(),
-                VectorData::Bool(bits) => cands
-                    .into_iter()
-                    .map(|i| {
-                        let i = i as usize;
-                        tv.is_valid(i)
-                            .then(|| tables.lookup_one(&Value::Boolean(bits.get(i))))?
-                    })
-                    .collect(),
-                VectorData::Dict { dict, codes } => {
-                    // One table probe per *distinct* string in the block.
-                    let code_hits: Vec<Option<&Vec<Row>>> = dict
-                        .entries()
-                        .iter()
-                        .map(|s| {
-                            tables
-                                .lookup_hashed(Value::hash64_of_str(s), &Value::Varchar(s.clone()))
-                        })
-                        .collect();
-                    cands
-                        .into_iter()
-                        .map(|i| {
-                            let i = i as usize;
-                            tv.is_valid(i).then(|| code_hits[codes[i] as usize])?
-                        })
-                        .collect()
-                }
-            },
-            crate::batch::ColumnSlice::Rle(rv) => {
-                // One probe per run; candidates are sorted, so a single
-                // forward run pointer suffices.
-                let decisions: Vec<Option<&Vec<Row>>> = rv
-                    .runs()
-                    .iter()
-                    .map(|(v, _)| tables.lookup_one(v))
-                    .collect();
-                let mut ri = 0usize;
-                cands
-                    .into_iter()
-                    .map(|i| {
-                        while rv.run_start(ri + 1) <= i as usize {
-                            ri += 1;
-                        }
-                        decisions[ri]
-                    })
-                    .collect()
-            }
-            crate::batch::ColumnSlice::Plain(values) => cands
-                .into_iter()
-                .map(|i| tables.lookup_one(&values[i as usize]))
-                .collect(),
-        };
-    }
-    // Multi-column keys: gather per candidate (cold path).
-    cands
-        .into_iter()
-        .map(|i| {
-            let key: Vec<Value> = left_keys
-                .iter()
-                .map(|&c| batch.columns[c].value_at(i as usize))
-                .collect();
-            if key.iter().any(Value::is_null) {
-                None
-            } else {
-                tables.lookup_many(&key)
-            }
-        })
-        .collect()
-}
-
-/// Probe one batch and append the joined output batches. SEMI/ANTI refine
-/// the batch with a match selection (zero-copy via
-/// [`Batch::into_filtered`], column representations preserved); INNER and
-/// LEFT OUTER gather probe-side columns at the match positions and
-/// transpose the matched build rows into output columns — the probe path
-/// performs no row pivot.
-fn probe_batch(
-    batch: Batch,
-    tables: &BuildTables,
-    left_keys: &[usize],
-    join_type: JoinType,
-    right_arity: usize,
-    out: &mut Vec<Batch>,
-) {
-    let hits = probe_hits(&batch, tables, left_keys);
-    debug_assert_eq!(hits.len(), batch.len());
-    match join_type {
-        JoinType::Semi => {
-            let mask: Vec<bool> = hits.iter().map(Option::is_some).collect();
-            if mask.iter().any(|&b| b) {
-                out.push(batch.into_filtered(&mask));
-            }
-        }
-        JoinType::Anti => {
-            let mask: Vec<bool> = hits.iter().map(Option::is_none).collect();
-            if mask.iter().any(|&b| b) {
-                out.push(batch.into_filtered(&mask));
-            }
-        }
-        // INNER and LEFT OUTER (the only other flavors the operator
-        // accepts) emit probe⊕build columns.
-        _ => {
-            let left_outer = join_type == JoinType::LeftOuter;
-            let phys: Vec<u32> = match batch.selection() {
-                Some(sel) => sel.indices().to_vec(),
-                None => (0..batch.physical_len() as u32).collect(),
-            };
-            let mut probe_idx: Vec<u32> = Vec::new();
-            let mut build_side: Vec<Option<Row>> = Vec::new();
-            for (&pi, hit) in phys.iter().zip(hits) {
-                match hit {
-                    Some(matches) => {
-                        for m in matches {
-                            probe_idx.push(pi);
-                            build_side.push(Some(m.clone()));
-                        }
-                    }
-                    None if left_outer => {
-                        probe_idx.push(pi);
-                        build_side.push(None);
-                    }
-                    None => {}
-                }
-            }
-            if probe_idx.is_empty() {
-                return;
-            }
-            out.push(crate::batch::gather_join_output(
-                &batch,
-                &probe_idx,
-                build_side,
-                right_arity,
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::collect_rows;
+    use crate::operator::{collect_rows, ValuesOp};
     use crate::scan::{ScanOperator, SipBinding};
     use vdb_storage::projection::ProjectionDef;
     use vdb_storage::{MemBackend, ProjectionStore};
-    use vdb_types::{BinOp, ColumnDef, DataType, Epoch, Expr, TableSchema};
+    use vdb_types::{BinOp, ColumnDef, DataType, Epoch, Expr, Row, TableSchema, Value};
 
     /// `(k, v)` rows over `chunks` containers plus a WOS row; `k = v %
     /// modulo`, with NULL keys sprinkled in when `with_nulls`.
@@ -883,6 +590,48 @@ mod tests {
     }
 
     #[test]
+    fn probe_workers_emit_typed_columns_and_can_run_the_stage() {
+        use crate::aggregate::{AggCall, AggFunc};
+        use crate::groupby::HashGroupByOp;
+        let probe = make_store("probe", 6000, 5, 97, true);
+        let build = make_store("build", 400, 3, 61, true);
+        let mut op = parallel_join_op(&probe, &build, JoinType::Inner, 2, None);
+        let batches: Vec<Batch> = std::iter::from_fn(|| op.next_batch().unwrap()).collect();
+        // Every ROS morsel's output is typed on both sides; only the WOS
+        // morsel (plain values in, the last morsel out) may stay plain.
+        let typed = |b: &Batch| b.columns.iter().all(crate::batch::ColumnSlice::is_typed);
+        assert!(batches.len() > 2);
+        assert!(batches[..batches.len() - 1].iter().all(typed));
+        let (build_ms, probe_ms) = op.phase_ms();
+        assert!(build_ms > 0.0 && probe_ms > 0.0, "phases timed apart");
+
+        // The same join with the group-by inside the probe workers.
+        let aggs = vec![
+            AggCall::new(AggFunc::CountStar, 0, "cnt"),
+            AggCall::new(AggFunc::Sum, 1, "sum"),
+            AggCall::new(AggFunc::Avg, 3, "avg"),
+        ];
+        let stage = ParallelStage::GroupBy {
+            group_columns: vec![2],
+            aggs: aggs.clone(),
+        };
+        let joined = ValuesOp::new(batches);
+        let mut above =
+            HashGroupByOp::new(Box::new(joined), vec![2], aggs, MemoryBudget::unlimited());
+        let expected = collect_rows(&mut above).unwrap();
+        assert_eq!(expected.len(), 61, "one group per build key");
+        for threads in [1, 2, 7] {
+            let mut op = parallel_join_op(&probe, &build, JoinType::Inner, threads, None)
+                .with_stage(stage.clone());
+            assert_eq!(
+                collect_rows(&mut op).unwrap(),
+                expected,
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
     fn sip_published_before_probe_and_filters_probe_rows() {
         let probe = make_store("probe", 3000, 4, 1000, false);
         let build = make_store("build", 30, 2, 10, false);
@@ -998,6 +747,16 @@ mod tests {
                 "DoP-1 delegation is a plan shape, not a budget overflow"
             );
         }
+    }
+
+    #[test]
+    fn sort_stage_is_rejected() {
+        let probe = make_store("probe", 10, 1, 3, false);
+        let build = make_store("build", 10, 1, 3, false);
+        let keys = vec![vdb_types::schema::SortKey::asc(1)];
+        let mut op = parallel_join_op(&probe, &build, JoinType::Inner, 2, None)
+            .with_stage(ParallelStage::Sort { keys });
+        assert!(matches!(op.next_batch(), Err(DbError::Plan(_))));
     }
 
     #[test]

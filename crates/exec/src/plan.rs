@@ -88,13 +88,14 @@ pub enum PhysicalPlan {
         right_keys: Vec<usize>,
         join_type: JoinType,
     },
-    /// Morsel-parallel partitioned hash join over two projection scans:
-    /// `build_threads` workers hash-partition the build (right) side from
-    /// its morsel queue, the barrier merges partitions and publishes the
-    /// SIP filter, then `probe_threads` workers probe typed key columns
-    /// directly from the probe (left) side's morsel queue. Both children
-    /// must be [`PhysicalPlan::Scan`] nodes; `threads = 1` shapes stay on
-    /// the serial [`PhysicalPlan::HashJoin`].
+    /// Morsel-parallel hash join over two projection scans:
+    /// `build_threads` workers scan the build (right) side from its morsel
+    /// queue, the barrier concatenates their column chunks in morsel
+    /// order, indexes the keys and publishes the SIP filter, then
+    /// `probe_threads` workers probe typed key columns directly from the
+    /// probe (left) side's morsel queue and run `stage` over what they
+    /// join. Both children must be [`PhysicalPlan::Scan`] nodes;
+    /// `threads = 1` shapes stay on the serial [`PhysicalPlan::HashJoin`].
     ParallelHashJoin {
         /// Probe side (must be a `Scan`).
         left: Box<PhysicalPlan>,
@@ -107,6 +108,11 @@ pub enum PhysicalPlan {
         sip: Option<SipId>,
         probe_threads: usize,
         build_threads: usize,
+        /// What the probe workers do with the joined rows: `Collect`
+        /// emits them (in serial order); `GroupBy` aggregates them per
+        /// worker and merges the partials at one barrier, so the node
+        /// outputs groups, not joined rows.
+        stage: ParallelStage,
     },
     HashGroupBy {
         input: Box<PhysicalPlan>,
@@ -152,6 +158,75 @@ pub enum PhysicalPlan {
     Union { inputs: Vec<PhysicalPlan> },
 }
 
+impl PhysicalPlan {
+    /// Number of columns the node outputs — known from the plan alone, so
+    /// an outer join can pad a side that turns out to hold no rows.
+    pub fn arity(&self) -> usize {
+        let grouped = |group_columns: &[usize], aggs: &[AggCall]| group_columns.len() + aggs.len();
+        match self {
+            PhysicalPlan::Scan { output_columns, .. } => output_columns.len(),
+            PhysicalPlan::ParallelScan {
+                output_columns,
+                stage,
+                ..
+            } => stage.arity(output_columns.len()),
+            PhysicalPlan::Values { arity, .. } => *arity,
+            PhysicalPlan::Project { exprs, .. } => exprs.len(),
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                join_type,
+                ..
+            }
+            | PhysicalPlan::MergeJoin {
+                left,
+                right,
+                join_type,
+                ..
+            } => join_arity(left, right, *join_type),
+            PhysicalPlan::ParallelHashJoin {
+                left,
+                right,
+                join_type,
+                stage,
+                ..
+            } => stage.arity(join_arity(left, right, *join_type)),
+            PhysicalPlan::HashGroupBy {
+                group_columns,
+                aggs,
+                ..
+            }
+            | PhysicalPlan::PipelinedGroupBy {
+                group_columns,
+                aggs,
+                ..
+            }
+            | PhysicalPlan::TwoPhaseGroupBy {
+                group_columns,
+                aggs,
+                ..
+            }
+            | PhysicalPlan::ParallelGroupBy {
+                group_columns,
+                aggs,
+                ..
+            } => grouped(group_columns, aggs),
+            PhysicalPlan::Analytic { input, funcs, .. } => input.arity() + funcs.len(),
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Limit { input, .. } => input.arity(),
+            PhysicalPlan::Union { inputs } => inputs.first().map_or(0, PhysicalPlan::arity),
+        }
+    }
+}
+
+fn join_arity(left: &PhysicalPlan, right: &PhysicalPlan, join_type: JoinType) -> usize {
+    match join_type.emits_right_columns() {
+        true => left.arity() + right.arity(),
+        false => left.arity(),
+    }
+}
+
 /// Everything needed to instantiate a plan on one node.
 pub struct ExecContext {
     pub backend: Arc<dyn StorageBackend>,
@@ -188,10 +263,14 @@ fn stateful_count(plan: &PhysicalPlan) -> usize {
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::Limit { input, .. } => stateful_count(input),
         PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::MergeJoin { left, right, .. }
-        | PhysicalPlan::ParallelHashJoin { left, right, .. } => {
+        | PhysicalPlan::MergeJoin { left, right, .. } => {
             1 + stateful_count(left) + stateful_count(right)
         }
+        // The build side, plus the probe workers' group-by/sort state.
+        PhysicalPlan::ParallelHashJoin { stage, .. } => match stage {
+            ParallelStage::Collect => 1,
+            _ => 2,
+        },
         PhysicalPlan::HashGroupBy { input, .. }
         | PhysicalPlan::PipelinedGroupBy { input, .. }
         | PhysicalPlan::TwoPhaseGroupBy { input, .. }
@@ -260,15 +339,18 @@ fn build_inner(
             // id registered is required).
             let right_op = build_inner(right, ctx, budget)?;
             let left_op = build_inner(left, ctx, budget)?;
-            Box::new(HashJoinOp::new(
-                left_op,
-                right_op,
-                left_keys.clone(),
-                right_keys.clone(),
-                *join_type,
-                budget,
-                sip_filter,
-            ))
+            Box::new(
+                HashJoinOp::new(
+                    left_op,
+                    right_op,
+                    left_keys.clone(),
+                    right_keys.clone(),
+                    *join_type,
+                    budget,
+                    sip_filter,
+                )
+                .with_arities(left.arity(), right.arity()),
+            )
         }
         PhysicalPlan::MergeJoin {
             left,
@@ -276,13 +358,16 @@ fn build_inner(
             left_keys,
             right_keys,
             join_type,
-        } => Box::new(MergeJoinOp::new(
-            build_inner(left, ctx, budget)?,
-            build_inner(right, ctx, budget)?,
-            left_keys.clone(),
-            right_keys.clone(),
-            *join_type,
-        )),
+        } => Box::new(
+            MergeJoinOp::new(
+                build_inner(left, ctx, budget)?,
+                build_inner(right, ctx, budget)?,
+                left_keys.clone(),
+                right_keys.clone(),
+                *join_type,
+            )
+            .with_arities(left.arity(), right.arity()),
+        ),
         PhysicalPlan::ParallelHashJoin {
             left,
             right,
@@ -292,25 +377,29 @@ fn build_inner(
             sip,
             probe_threads,
             build_threads,
+            stage,
         } => {
             let sip_filter = sip.map(|id| ctx.sip(id));
             let (build, build_snapshot) = parallel_scan_parts(right, ctx)?;
             let (probe, probe_snapshot) = parallel_scan_parts(left, ctx)?;
-            Box::new(ParallelHashJoinOp::new(
-                ParallelJoinSpec {
-                    probe,
-                    probe_snapshot,
-                    probe_threads: *probe_threads,
-                    build,
-                    build_snapshot,
-                    build_threads: *build_threads,
-                    left_keys: left_keys.clone(),
-                    right_keys: right_keys.clone(),
-                    join_type: *join_type,
-                    sip: sip_filter,
-                },
-                budget,
-            ))
+            Box::new(
+                ParallelHashJoinOp::new(
+                    ParallelJoinSpec {
+                        probe,
+                        probe_snapshot,
+                        probe_threads: *probe_threads,
+                        build,
+                        build_snapshot,
+                        build_threads: *build_threads,
+                        left_keys: left_keys.clone(),
+                        right_keys: right_keys.clone(),
+                        join_type: *join_type,
+                        sip: sip_filter,
+                    },
+                    budget,
+                )
+                .with_stage(stage.clone()),
+            )
         }
         PhysicalPlan::HashGroupBy {
             input,
@@ -586,13 +675,20 @@ fn render(plan: &PhysicalPlan, depth: usize, out: &mut String) {
             sip,
             probe_threads,
             build_threads,
+            stage,
             ..
         } => format!(
             "ParallelHashJoin {} on {left_keys:?}={right_keys:?} \
-             [build: {build_threads} workers/{build_threads} partitions, \
-             probe: {probe_threads} workers]{}",
+             [build: {build_threads} workers, probe: {probe_threads} workers]{}{}",
             join_type.name(),
-            if sip.is_some() { " [builds SIP]" } else { "" }
+            if sip.is_some() { " [builds SIP]" } else { "" },
+            match stage {
+                ParallelStage::Collect => String::new(),
+                ParallelStage::GroupBy { group_columns, .. } => format!(
+                    " [partial group-by in probe workers keys={group_columns:?}, merge barrier]"
+                ),
+                ParallelStage::Sort { .. } => " [sort stage: not supported]".into(),
+            }
         ),
         PhysicalPlan::HashGroupBy {
             group_columns,
@@ -925,6 +1021,7 @@ mod tests {
             sip: Some(0),
             probe_threads: 4,
             build_threads: 2,
+            stage: ParallelStage::Collect,
         };
         let expected = execute_collect(&serial, &mut join_ctx(4000, 4)).unwrap();
         let got = execute_collect(&parallel, &mut join_ctx(4000, 4)).unwrap();
@@ -934,6 +1031,75 @@ mod tests {
         assert!(text.contains("[builds SIP]"), "{text}");
         assert!(text.contains("probe: 4 workers"), "{text}");
         assert!(text.contains("[SIP x1]"), "{text}");
+    }
+
+    #[test]
+    fn scan_join_groupby_performs_zero_row_pivots() {
+        // The join is not a pivot edge: build and probe stay columnar, the
+        // output is typed, and the group-by above it keeps its typed paths
+        // — serially, and with the group-by staged in the probe workers
+        // (run inline here: the pivot counter is per thread).
+        let scan = |pred| PhysicalPlan::Scan {
+            projection: "t_super".into(),
+            output_columns: vec![0, 1],
+            predicate: pred,
+            partition_predicate: None,
+            sip: vec![],
+        };
+        let build_pred = Expr::binary(BinOp::Lt, Expr::col(1, "b"), Expr::int(40));
+        let aggs = vec![
+            AggCall::new(AggFunc::CountStar, 0, "cnt"),
+            AggCall::new(AggFunc::Sum, 1, "sum"),
+        ];
+        let serial = PhysicalPlan::HashGroupBy {
+            input: Box::new(PhysicalPlan::HashJoin {
+                left: Box::new(scan(None)),
+                right: Box::new(scan(Some(build_pred.clone()))),
+                left_keys: vec![0],
+                right_keys: vec![0],
+                join_type: JoinType::Inner,
+                sip: None,
+            }),
+            group_columns: vec![2],
+            aggs: aggs.clone(),
+        };
+        let staged = PhysicalPlan::ParallelHashJoin {
+            left: Box::new(scan(None)),
+            right: Box::new(scan(Some(build_pred))),
+            left_keys: vec![0],
+            right_keys: vec![0],
+            join_type: JoinType::Inner,
+            sip: None,
+            probe_threads: 1,
+            build_threads: 1,
+            stage: ParallelStage::GroupBy {
+                group_columns: vec![2],
+                aggs,
+            },
+        };
+        assert_eq!(serial.arity(), 3);
+        assert_eq!(staged.arity(), 3);
+        let mut answers = Vec::new();
+        for plan in [&serial, &staged] {
+            let mut op = build_operator(plan, &mut join_ctx(4000, 4)).unwrap();
+            let before = crate::batch::row_pivot_count();
+            let batches: Vec<Batch> = std::iter::from_fn(|| op.next_batch().unwrap()).collect();
+            assert_eq!(
+                crate::batch::row_pivot_count(),
+                before,
+                "scan → join → group-by must not pivot rows"
+            );
+            answers.push(
+                batches
+                    .into_iter()
+                    .flat_map(Batch::into_rows)
+                    .collect::<Vec<Row>>(),
+            );
+        }
+        // a = i % 50 joins the 40 build rows with b < 40: 40 groups of 80.
+        assert_eq!(answers[0].len(), 40);
+        assert!(answers[0].iter().all(|r| r[1] == Value::Integer(80)));
+        assert_eq!(answers[0], answers[1]);
     }
 
     #[test]
@@ -950,6 +1116,7 @@ mod tests {
             sip: None,
             probe_threads: 2,
             build_threads: 2,
+            stage: ParallelStage::Collect,
         };
         let err = execute_collect(&plan, &mut join_ctx(100, 1));
         assert!(matches!(err, Err(DbError::Plan(_))), "{err:?}");

@@ -11,8 +11,10 @@
 //!
 //! The `Value`-per-cell representation remains the compatibility edge:
 //! [`TypedVector::to_values`] / [`TypedVector::from_values`] convert at the
-//! boundary where row-pivoting operators (join, sort, exchange, analytic)
-//! take over.
+//! boundary where row-pivoting operators (sort, exchange, analytic) take
+//! over. The hash join is not one of them: its build side is typed vectors
+//! concatenated with [`TypedVector::try_append`], and its output is a
+//! [`TypedVector::take`] of both sides at the matching row indices.
 
 use std::sync::Arc;
 use vdb_types::{DataType, StringDictionary, Value};
@@ -31,10 +33,12 @@ pub struct Bitmap {
 impl Bitmap {
     pub fn new_filled(len: usize, value: bool) -> Bitmap {
         let word = if value { u64::MAX } else { 0 };
-        Bitmap {
-            words: vec![word; len.div_ceil(64)],
-            len,
+        let mut words = vec![word; len.div_ceil(64)];
+        // Bits past `len` stay zero: `push` only ever sets a bit.
+        if let (Some(last), false) = (words.last_mut(), len.is_multiple_of(64)) {
+            *last &= (1u64 << (len % 64)) - 1;
         }
+        Bitmap { words, len }
     }
 
     pub fn from_bools(bits: impl IntoIterator<Item = bool>) -> Bitmap {
@@ -98,6 +102,13 @@ impl Bitmap {
     /// Gather the bits at `indices` into a new bitmap.
     pub fn gather(&self, indices: &[u32]) -> Bitmap {
         Bitmap::from_bools(indices.iter().map(|&i| self.get(i as usize)))
+    }
+
+    /// Append all of `other`'s bits.
+    pub fn extend(&mut self, other: &Bitmap) {
+        for i in 0..other.len() {
+            self.push(other.get(i));
+        }
     }
 }
 
@@ -182,6 +193,11 @@ impl SelectionVector {
 // ---------------------------------------------------------------------------
 // TypedVector
 // ---------------------------------------------------------------------------
+
+/// The "no such row" index: [`TypedVector::take`] turns it into a NULL. The
+/// hash join pads the build side of an outer join's unmatched probe rows
+/// with it.
+pub const NO_ROW: u32 = u32::MAX;
 
 /// Native payload of a typed vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,25 +317,96 @@ impl TypedVector {
         indices.iter().map(|&i| self.value_at(i as usize)).collect()
     }
 
-    /// Gather rows at `indices` into a new vector of the same type.
+    /// Gather rows at `sel` into a new vector of the same type.
     pub fn filter(&self, sel: &SelectionVector) -> TypedVector {
-        let idx = sel.indices();
+        self.take(sel.indices())
+    }
+
+    /// Gather the rows at `indices` — any order, repeats allowed — into a
+    /// new vector of the same type; a [`NO_ROW`] index yields NULL. Native
+    /// buffers copy natively, a dictionary is shared, no `Value` is built.
+    pub fn take(&self, indices: &[u32]) -> TypedVector {
+        fn gather<T: Copy + Default>(v: &[T], indices: &[u32]) -> Vec<T> {
+            indices
+                .iter()
+                .map(|&i| v.get(i as usize).copied().unwrap_or_default())
+                .collect()
+        }
+        debug_assert!(indices
+            .iter()
+            .all(|&i| i == NO_ROW || (i as usize) < self.len()));
         let data = match &self.data {
-            VectorData::Int64(v) => VectorData::Int64(idx.iter().map(|&i| v[i as usize]).collect()),
-            VectorData::Timestamp(v) => {
-                VectorData::Timestamp(idx.iter().map(|&i| v[i as usize]).collect())
-            }
-            VectorData::Float64(v) => {
-                VectorData::Float64(idx.iter().map(|&i| v[i as usize]).collect())
-            }
-            VectorData::Bool(b) => VectorData::Bool(b.gather(idx)),
+            VectorData::Int64(v) => VectorData::Int64(gather(v, indices)),
+            VectorData::Timestamp(v) => VectorData::Timestamp(gather(v, indices)),
+            VectorData::Float64(v) => VectorData::Float64(gather(v, indices)),
+            VectorData::Bool(b) => VectorData::Bool(Bitmap::from_bools(
+                indices.iter().map(|&i| i != NO_ROW && b.get(i as usize)),
+            )),
             VectorData::Dict { dict, codes } => VectorData::Dict {
                 dict: dict.clone(),
-                codes: idx.iter().map(|&i| codes[i as usize]).collect(),
+                codes: gather(codes, indices),
             },
         };
-        let validity = self.validity.as_ref().map(|v| v.gather(idx));
+        let padded = indices.contains(&NO_ROW);
+        let validity = (padded || self.validity.is_some()).then(|| {
+            Bitmap::from_bools(
+                indices
+                    .iter()
+                    .map(|&i| i != NO_ROW && self.is_valid(i as usize)),
+            )
+        });
         TypedVector { data, validity }
+    }
+
+    /// Append `other`'s rows when it holds the same native type, unifying
+    /// dictionaries (the appended codes are re-interned into this vector's
+    /// dictionary, once per distinct string). A vector of another type
+    /// comes back untouched.
+    pub fn try_append(&mut self, other: TypedVector) -> Result<(), TypedVector> {
+        let (len, other_len) = (self.len(), other.len());
+        match (&mut self.data, &other.data) {
+            (VectorData::Int64(a), VectorData::Int64(b))
+            | (VectorData::Timestamp(a), VectorData::Timestamp(b)) => a.extend_from_slice(b),
+            (VectorData::Float64(a), VectorData::Float64(b)) => a.extend_from_slice(b),
+            (VectorData::Bool(a), VectorData::Bool(b)) => a.extend(b),
+            (
+                VectorData::Dict { dict, codes },
+                VectorData::Dict {
+                    dict: other_dict,
+                    codes: other_codes,
+                },
+            ) => {
+                if Arc::ptr_eq(dict, other_dict) {
+                    codes.extend_from_slice(other_codes);
+                } else {
+                    let dict = Arc::make_mut(dict);
+                    let remap: Vec<u32> = other_dict
+                        .entries()
+                        .iter()
+                        .map(|s| dict.intern(s))
+                        .collect();
+                    // An all-NULL chunk has padding codes and no entries.
+                    codes.extend(
+                        other_codes
+                            .iter()
+                            .map(|&c| remap.get(c as usize).copied().unwrap_or_default()),
+                    );
+                }
+            }
+            _ => return Err(other),
+        }
+        if self.validity.is_some() || other.validity.is_some() {
+            let mut validity = self
+                .validity
+                .take()
+                .unwrap_or_else(|| Bitmap::new_filled(len, true));
+            match &other.validity {
+                Some(v) => validity.extend(v),
+                None => validity.extend(&Bitmap::new_filled(other_len, true)),
+            }
+            self.validity = Some(validity);
+        }
+        Ok(())
     }
 
     /// Build a typed vector from homogeneous values (NULLs allowed), taking
@@ -488,11 +575,18 @@ impl RleVector {
     /// New RLE vector holding only the rows in `sel` — runs survive with
     /// shortened lengths (never expanded), empty runs are dropped.
     pub fn filter(&self, sel: &SelectionVector) -> RleVector {
+        self.take_sorted(sel.indices())
+    }
+
+    /// The rows at non-decreasing `indices` (repeats allowed) as runs: a
+    /// run survives with as many rows as `indices` lists from it.
+    pub fn take_sorted(&self, indices: &[u32]) -> RleVector {
+        debug_assert!(indices.windows(2).all(|w| w[0] <= w[1]));
         let mut out: Vec<(Value, u32)> = Vec::new();
         let mut ri = 0usize;
         let mut last_ri = usize::MAX;
-        for i in sel.iter() {
-            let i = i as u64;
+        for &i in indices {
+            let i = u64::from(i);
             while self.offsets[ri + 1] <= i {
                 ri += 1;
             }
@@ -536,8 +630,12 @@ mod tests {
         assert_eq!(b.count_ones(), 2);
         b.set(1, true);
         assert_eq!(b.count_ones(), 3);
-        let big = Bitmap::new_filled(130, true);
+        let mut big = Bitmap::new_filled(130, true);
         assert_eq!(big.count_ones(), 130);
+        // Growing a filled bitmap: the new bits are what was pushed.
+        big.extend(&Bitmap::from_bools([false, true, false]));
+        assert_eq!((big.len(), big.count_ones()), (133, 131));
+        assert!(!big.get(130) && big.get(131) && !big.get(132));
     }
 
     #[test]
@@ -595,6 +693,65 @@ mod tests {
         assert_eq!(
             f.to_values(),
             vec![Value::Integer(20), Value::Null, Value::Integer(40)]
+        );
+    }
+
+    #[test]
+    fn take_repeats_reorders_and_pads() {
+        let ints = TypedVector::from_values(&[Value::Integer(10), Value::Null, Value::Integer(30)])
+            .unwrap();
+        let taken = ints.take(&[2, 2, NO_ROW, 0, 1]);
+        assert_eq!(
+            taken.to_values(),
+            vec![
+                Value::Integer(30),
+                Value::Integer(30),
+                Value::Null,
+                Value::Integer(10),
+                Value::Null
+            ]
+        );
+        // No NULL in, no padding asked: no validity bitmap out.
+        let dense = TypedVector::from_values(&[Value::Float(1.5), Value::Float(2.5)]).unwrap();
+        assert!(dense.take(&[1, 0, 1]).validity().is_none());
+        // Padding an empty vector (an outer join against an empty side).
+        let strs = TypedVector::from_values(&[Value::Varchar("a".into())]).unwrap();
+        let none = strs.take(&[]);
+        assert_eq!(
+            none.take(&[NO_ROW, NO_ROW]).to_values(),
+            vec![Value::Null; 2]
+        );
+    }
+
+    #[test]
+    fn try_append_concatenates_same_types_and_unifies_dictionaries() {
+        let s = |x: &str| Value::Varchar(x.into());
+        let mut a = TypedVector::from_values(&[s("x"), s("y")]).unwrap();
+        let b = TypedVector::from_values(&[s("y"), Value::Null, s("z")]).unwrap();
+        a.try_append(b).unwrap();
+        assert_eq!(
+            a.to_values(),
+            vec![s("x"), s("y"), s("y"), Value::Null, s("z")]
+        );
+        let VectorData::Dict { dict, .. } = a.data() else {
+            panic!("still dictionary-coded");
+        };
+        assert_eq!(dict.len(), 3, "y interned once");
+        // Validity appears with the first NULL-bearing chunk, either side.
+        let mut ints = TypedVector::from_values(&[Value::Null, Value::Integer(1)]).unwrap();
+        ints.try_append(TypedVector::from_values(&[Value::Integer(2)]).unwrap())
+            .unwrap();
+        assert_eq!(
+            ints.to_values(),
+            vec![Value::Null, Value::Integer(1), Value::Integer(2)]
+        );
+        // Another type comes back untouched.
+        let floats = TypedVector::from_values(&[Value::Float(1.0)]).unwrap();
+        assert_eq!(ints.try_append(floats.clone()), Err(floats));
+        let ts = TypedVector::from_values(&[Value::Timestamp(1)]).unwrap();
+        assert!(
+            ints.try_append(ts).is_err(),
+            "Integer and Timestamp stay apart"
         );
     }
 

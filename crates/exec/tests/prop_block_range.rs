@@ -647,6 +647,7 @@ fn check_join(fx: &Fixture, pred: &Pred, snapshot: u64, join_type: JoinType) {
             sip: Some(0),
             probe_threads: threads,
             build_threads: threads.min(2),
+            stage: ParallelStage::Collect,
         };
         assert_rows_eq(
             &execute_collect(&parallel, &mut fx.ctx(snapshot)).unwrap(),

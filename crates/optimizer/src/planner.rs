@@ -245,7 +245,9 @@ impl<'a> Planner<'a> {
     /// Rewrite serial scan shapes into morsel-parallel ones where the DoP
     /// is > 1. Conservative by design: only single-table shapes whose
     /// barrier semantics exactly reproduce the serial result are touched —
-    /// a hash GroupBy directly over a scan becomes per-worker partial
+    /// a hash GroupBy directly over a scan — or over a join that went
+    /// parallel (`Planner::parallelize_join`), whose probe workers then
+    /// aggregate what they join — becomes per-worker partial
     /// aggregation + merge barrier, and a bare scan (under
     /// Project/Filter) becomes a parallel collect whose morsel-ordered
     /// concat equals the serial scan row for row. Sort barriers (and the
@@ -290,10 +292,42 @@ impl<'a> Planner<'a> {
                         threads,
                     }
                 }
-                other => PhysicalPlan::HashGroupBy {
-                    input: Box::new(self.parallelize(other)),
-                    group_columns,
-                    aggs,
+                other => match self.parallelize(other) {
+                    // Aggregate where the rows are joined: the probe
+                    // workers each keep a partial table and only the
+                    // partials meet at the barrier, instead of one serial
+                    // group-by pulling every joined row through it.
+                    PhysicalPlan::ParallelHashJoin {
+                        left,
+                        right,
+                        left_keys,
+                        right_keys,
+                        join_type,
+                        sip,
+                        probe_threads,
+                        build_threads,
+                        stage: ParallelStage::Collect,
+                    } if two_phase_aggs(group_columns.len(), &aggs).is_some() => {
+                        PhysicalPlan::ParallelHashJoin {
+                            left,
+                            right,
+                            left_keys,
+                            right_keys,
+                            join_type,
+                            sip,
+                            probe_threads,
+                            build_threads,
+                            stage: ParallelStage::GroupBy {
+                                group_columns,
+                                aggs,
+                            },
+                        }
+                    }
+                    input => PhysicalPlan::HashGroupBy {
+                        input: Box::new(input),
+                        group_columns,
+                        aggs,
+                    },
                 },
             },
             PhysicalPlan::Scan {
@@ -410,6 +444,7 @@ impl<'a> Planner<'a> {
                     right_keys,
                     join_type,
                     sip,
+                    stage: ParallelStage::Collect,
                 };
             }
         }
@@ -1869,6 +1904,32 @@ mod tests {
         // The probe-side fact scan still consumes the SIP filter.
         assert!(text.contains("Scan fact_super"), "{text}");
         assert!(text.contains("[SIP x1]"), "{text}");
+        // The group-by above the join runs in the join's probe workers:
+        // the stage sits on the join line and no serial GroupByHash pulls
+        // the joined rows through one thread.
+        assert!(
+            text.contains("[partial group-by in probe workers"),
+            "{text}"
+        );
+        assert!(!text.contains("GroupByHash"), "{text}");
+    }
+
+    #[test]
+    fn count_distinct_over_a_parallel_join_is_not_staged() {
+        // A non-decomposable aggregate ships raw rows to the initiator
+        // (no local group-by), so the join keeps emitting joined rows.
+        let mut cat = catalog();
+        cat.tables.get_mut("fact").unwrap().projections[0].scan_morsels = 8;
+        let mut q = join_query();
+        q.aggregates[0] = AggItem {
+            func: AggFunc::CountDistinct,
+            input: Some(Expr::col(2, "amount")),
+            output_name: "d".into(),
+        };
+        let planned = plan(&cat, &q, None, &ExecOptions::with_threads(4)).unwrap();
+        let text = vdb_exec::plan::explain(&planned.local);
+        assert!(text.contains("ParallelHashJoin INNER"), "{text}");
+        assert!(!text.contains("in probe workers"), "{text}");
     }
 
     #[test]

@@ -221,3 +221,208 @@ fn error_paths_are_clean() {
         .execute("INSERT INTO sales VALUES (NULL, 'x', 1.0, 0)")
         .is_err());
 }
+
+/// `a(k, x)` with two rows (one container + a WOS row, so `threads(2)`
+/// sees two probe morsels) and `b(k, z, w)` with `b_rows`.
+fn outer_join_db(builder: vdb_core::EngineBuilder, segmented: bool, b_rows: &str) -> Engine {
+    let db = builder.open().unwrap();
+    let seg = if segmented {
+        "SEGMENTED BY HASH(k) ALL NODES"
+    } else {
+        "UNSEGMENTED ALL NODES"
+    };
+    db.execute("CREATE TABLE a (k INT, x INT)").unwrap();
+    db.execute(&format!(
+        "CREATE PROJECTION a_super AS SELECT k, x FROM a ORDER BY k {seg}"
+    ))
+    .unwrap();
+    db.execute("CREATE TABLE b (k INT, z INT, w VARCHAR)")
+        .unwrap();
+    db.execute(&format!(
+        "CREATE PROJECTION b_super AS SELECT k, z, w FROM b ORDER BY k {seg}"
+    ))
+    .unwrap();
+    db.load("a", &[vec![Value::Integer(1), Value::Integer(10)]])
+        .unwrap();
+    db.tuple_mover_tick().unwrap();
+    db.execute("INSERT INTO a VALUES (2, 20)").unwrap();
+    if !b_rows.is_empty() {
+        db.execute(&format!("INSERT INTO b VALUES {b_rows}"))
+            .unwrap();
+    }
+    db
+}
+
+/// Regression: an outer join pads the side that has no rows with as many
+/// NULLs as the *plan* says that side has columns. The operator used to
+/// learn each side's arity from the first batch it emitted — none, for an
+/// empty side — and the projection above the join then failed with
+/// `column z (index 3) out of bounds for batch of arity 2`.
+#[test]
+fn outer_joins_against_an_empty_side() {
+    let null = Value::Null;
+    let padded: Vec<Row> = vec![
+        vec![
+            Value::Integer(1),
+            Value::Integer(10),
+            null.clone(),
+            null.clone(),
+        ],
+        vec![
+            Value::Integer(2),
+            Value::Integer(20),
+            null.clone(),
+            null.clone(),
+        ],
+    ];
+    const SELECT: &str = "SELECT a.k, a.x, b.z, b.w FROM";
+    const ORDER: &str = "ORDER BY a.k";
+    for threads in [1, 2] {
+        let engine = |b_rows| outer_join_db(Engine::builder().threads(threads), false, b_rows);
+        // `b` empty: as the build side …
+        let db = engine("");
+        for from in [
+            "a LEFT JOIN b ON a.k = b.k",
+            "a FULL OUTER JOIN b ON a.k = b.k",
+            "b RIGHT JOIN a ON a.k = b.k",
+            "b FULL OUTER JOIN a ON a.k = b.k",
+        ] {
+            let got = db.query(&format!("{SELECT} {from} {ORDER}"));
+            assert_eq!(got.unwrap(), padded, "threads {threads}: {from}");
+        }
+        // … and as the probe side, where only FULL OUTER has rows to pad.
+        for from in ["b LEFT JOIN a ON a.k = b.k", "a RIGHT JOIN b ON a.k = b.k"] {
+            let got = db.query(&format!("{SELECT} {from} {ORDER}"));
+            assert_eq!(got.unwrap(), Vec::<Row>::new(), "threads {threads}: {from}");
+        }
+        // `b` has rows, but the filter pushed into its scan keeps none.
+        // RIGHT: `b` is the preserved side and the build side. LEFT: the
+        // null-rejecting filter makes the join INNER (empty build), or
+        // empties the probe when `b` is on the left.
+        let db = engine("(1, 100, 'one'), (3, 300, 'three')");
+        for from in [
+            "a RIGHT JOIN b ON a.k = b.k",
+            "a LEFT JOIN b ON a.k = b.k",
+            "b LEFT JOIN a ON a.k = b.k",
+        ] {
+            let got = db.query(&format!("{SELECT} {from} WHERE b.z > 1000 {ORDER}"));
+            assert_eq!(
+                got.unwrap(),
+                Vec::<Row>::new(),
+                "threads {threads}: filtered {from}"
+            );
+        }
+        // FULL OUTER evaluates a one-table WHERE below the join in this
+        // engine, so the emptied build leaves `a`'s rows, padded.
+        let got = db.query(&format!(
+            "{SELECT} a FULL OUTER JOIN b ON a.k = b.k WHERE b.z > 1000 {ORDER}"
+        ));
+        assert_eq!(
+            got.unwrap(),
+            padded,
+            "threads {threads}: filtered FULL OUTER"
+        );
+        // A filter that keeps one unmatched build row: the probe side has
+        // rows, none of them its partner, and is padded from the plan too.
+        let got = db.query(&format!(
+            "{SELECT} a RIGHT JOIN b ON a.k = b.k WHERE b.z > 200 {ORDER}"
+        ));
+        let three = [Value::Integer(300), Value::Varchar("three".into())];
+        assert_eq!(
+            got.unwrap(),
+            vec![[&[null.clone(), null.clone()][..], &three[..]].concat()],
+            "threads {threads}: RIGHT JOIN keeps the unmatched build row"
+        );
+        // Sanity: with the filter gone the same joins do match.
+        let got = db
+            .query(&format!("{SELECT} a LEFT JOIN b ON a.k = b.k {ORDER}"))
+            .unwrap();
+        assert_eq!(
+            got[0][2..],
+            [Value::Integer(100), Value::Varchar("one".into())]
+        );
+        assert_eq!(got[1][2..], [null.clone(), null.clone()]);
+    }
+}
+
+/// The same on a 2-node cluster whose `b` is segmented so that one node's
+/// segment holds every `b` row and the other's none: that node runs the
+/// outer join against an empty build side.
+#[test]
+fn outer_joins_with_one_node_holding_no_build_rows() {
+    for threads in [1, 2] {
+        let builder = Engine::builder().nodes(2).k_safety(0).threads(threads);
+        let db = outer_join_db(builder, true, "(1, 100, 'one')");
+        let counts: Vec<u64> = (0..2)
+            .map(|node| {
+                let engine = db.cluster().node_engine(node);
+                let stores = engine.projections_of("b").into_iter();
+                stores
+                    .map(|p| engine.projection(&p).unwrap().read().row_count_estimate())
+                    .sum()
+            })
+            .collect();
+        assert!(
+            counts.contains(&0) && counts.iter().sum::<u64>() == 1,
+            "one node must hold no b rows: {counts:?}"
+        );
+        for from in [
+            "a LEFT JOIN b ON a.k = b.k",
+            "a FULL OUTER JOIN b ON a.k = b.k",
+            "b RIGHT JOIN a ON a.k = b.k",
+        ] {
+            let got = db
+                .query(&format!(
+                    "SELECT a.k, a.x, b.z, b.w FROM {from} ORDER BY a.k"
+                ))
+                .unwrap();
+            assert_eq!(
+                got,
+                vec![
+                    vec![
+                        Value::Integer(1),
+                        Value::Integer(10),
+                        Value::Integer(100),
+                        Value::Varchar("one".into())
+                    ],
+                    vec![
+                        Value::Integer(2),
+                        Value::Integer(20),
+                        Value::Null,
+                        Value::Null
+                    ],
+                ],
+                "threads {threads}: {from}"
+            );
+        }
+    }
+}
+
+/// At `threads(2)` a group-by over a join whose probe side has two morsels
+/// runs inside the join's probe workers; EXPLAIN says so on the join line,
+/// and the answer is the serial plan's.
+#[test]
+fn explain_shows_the_group_by_stage_on_the_parallel_join() {
+    let sql = "SELECT b.z, COUNT(*), SUM(a.x) FROM a JOIN b ON a.k = b.k GROUP BY b.z ORDER BY b.z";
+    let b_rows = "(1, 100, 'one')"; // smaller than `a`, so `a` is the probe side
+    let mut answers = Vec::new();
+    for threads in [1, 2] {
+        let db = outer_join_db(Engine::builder().threads(threads), false, b_rows);
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let text: String = plan.rows.iter().map(|r| format!("{}\n", r[0])).collect();
+        let staged = text.contains("ParallelHashJoin INNER")
+            && text.contains("[partial group-by in probe workers");
+        assert_eq!(staged, threads == 2, "threads {threads}:\n{text}");
+        assert_eq!(text.contains("GroupByHash"), threads == 1, "{text}");
+        answers.push(db.query(sql).unwrap());
+    }
+    assert_eq!(
+        answers[0],
+        vec![vec![
+            Value::Integer(100),
+            Value::Integer(1),
+            Value::Integer(10)
+        ]]
+    );
+    assert_eq!(answers[0], answers[1]);
+}
