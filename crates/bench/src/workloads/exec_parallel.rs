@@ -82,6 +82,7 @@ pub fn run_parallel(store: &ProjectionStore, lanes: usize) -> DbResult<(Vec<Row>
         ParallelStage::GroupBy {
             group_columns: vec![0],
             aggs: aggs(),
+            sorted: false,
         },
         snap,
         lanes,

@@ -137,6 +137,51 @@ pub fn run_row_baseline(batches: Vec<Batch>, pred: Expr) -> DbResult<usize> {
     Ok(table.len())
 }
 
+/// Twenty long key runs as RLE (cut at batch boundaries) beside a typed
+/// float column: the shape the streaming group-by strategy exists for.
+pub fn sorted_float_batches(rows: usize) -> Vec<Batch> {
+    let run_len = rows.div_ceil(20).max(1);
+    (0..rows)
+        .step_by(BATCH)
+        .map(|from| {
+            let to = (from + BATCH).min(rows);
+            let mut runs: Vec<(Value, u32)> = Vec::new();
+            for i in from..to {
+                let key = Value::Integer((i / run_len) as i64);
+                match runs.last_mut() {
+                    Some((last, n)) if *last == key => *n += 1,
+                    _ => runs.push((key, 1)),
+                }
+            }
+            let value: Vec<f64> = (from..to).map(|i| (i % 4001) as f64 * 0.25).collect();
+            Batch::new(vec![
+                ColumnSlice::rle(runs),
+                ColumnSlice::Typed(TypedVector::new(VectorData::Float64(value), None)),
+            ])
+        })
+        .collect()
+}
+
+/// `SUM`/`AVG` of the float column grouped on the sorted run-length key,
+/// by the streaming strategy or the hash one. Returns the groups.
+pub fn run_sorted_groupby(batches: Vec<Batch>, streaming: bool) -> DbResult<Vec<Row>> {
+    let input = Box::new(ValuesOp::new(batches));
+    let aggs = vec![
+        AggCall::new(AggFunc::Sum, 1, "sum"),
+        AggCall::new(AggFunc::Avg, 1, "avg"),
+    ];
+    let mut gb: Box<dyn Operator> = match streaming {
+        true => Box::new(PipelinedGroupByOp::new(input, vec![0], aggs)),
+        false => Box::new(HashGroupByOp::new(
+            input,
+            vec![0],
+            aggs,
+            MemoryBudget::unlimited(),
+        )),
+    };
+    collect_rows(gb.as_mut())
+}
+
 /// Pipelined (one-pass) aggregation over the sorted RLE group column:
 /// whole runs fold with one multiply. Returns `(groups, run_aggregated)`.
 pub fn run_pipelined(batches: Vec<Batch>) -> DbResult<(usize, u64)> {
@@ -165,6 +210,14 @@ mod tests {
         assert_eq!(t, GROUPS as usize);
         assert_eq!(t, p);
         assert_eq!(t, b);
+    }
+
+    #[test]
+    fn sorted_groupby_strategies_agree() {
+        let streamed = run_sorted_groupby(sorted_float_batches(50_000), true).unwrap();
+        let hashed = run_sorted_groupby(sorted_float_batches(50_000), false).unwrap();
+        assert_eq!(streamed.len(), 20);
+        assert_eq!(streamed, hashed);
     }
 
     #[test]

@@ -106,25 +106,68 @@ fn put_packed(buf: &mut [u8], idx: usize, width: u32, v: u64) {
     }
 }
 
-/// Read the fixed-stride slot `idx` of `width` bits from `buf`; the caller
-/// has validated `buf` holds `(idx + 1) * width` bits.
-fn get_packed(buf: &[u8], idx: usize, width: u32) -> u64 {
-    if width == 0 {
-        return 0;
+/// Fixed-stride slot reader over a validated payload, one word per value:
+/// a slot of up to 64 bits starting at bit `shift` of byte `byte` lies
+/// within the 9 bytes from `byte`, so it is one unaligned little-endian
+/// `u64` plus, for the widths that can straddle it, a spill byte. Reads
+/// that would run past the payload come from a zero-padded copy of its
+/// last bytes instead. `width` and `mask` are fixed per block.
+struct Packed<'a> {
+    buf: &'a [u8],
+    width: usize,
+    mask: u64,
+    /// `buf[tail_start..]` followed by zeros.
+    tail: [u8; 32],
+    tail_start: usize,
+}
+
+impl<'a> Packed<'a> {
+    fn new(buf: &'a [u8], width: u32) -> Packed<'a> {
+        let tail_start = buf.len().saturating_sub(16);
+        let mut tail = [0u8; 32];
+        tail[..buf.len() - tail_start].copy_from_slice(&buf[tail_start..]);
+        Packed {
+            buf,
+            width: width as usize,
+            mask: mask(width),
+            tail,
+            tail_start,
+        }
     }
-    let bit = idx * width as usize;
-    let byte = bit / 8;
-    let shift = bit % 8;
-    let span = (shift + width as usize).div_ceil(8);
-    let mut window = 0u128;
-    for (k, &b) in buf[byte..byte + span].iter().enumerate() {
-        window |= u128::from(b) << (8 * k);
+
+    /// Slot `idx`; the caller has validated that `buf` holds
+    /// `(idx + 1) * width` bits. `SPILL` says whether a slot of this width
+    /// can reach into a ninth byte (`width > 56`).
+    #[inline]
+    fn get<const SPILL: bool>(&self, idx: usize) -> u64 {
+        let bit = idx * self.width;
+        let (byte, shift) = (bit / 8, (bit % 8) as u32);
+        let src: &[u8] = match self.buf.get(byte..byte + 9) {
+            Some(src) => src,
+            // Within 16 bytes of the end (or `width` is 0 and nothing is read).
+            None => &self.tail[byte.saturating_sub(self.tail_start).min(16)..][..9],
+        };
+        let word = u64::from_le_bytes(src[..8].try_into().expect("8 bytes"));
+        let spill = match shift {
+            _ if !SPILL => 0,
+            0 => 0,
+            _ => u64::from(src[8]) << (64 - shift),
+        };
+        ((word >> shift) | spill) & self.mask
     }
-    ((window >> shift) as u64) & mask(width)
+
+    /// `f(slot)` with the reader specialised for this block's width.
+    #[inline]
+    fn for_each_of(&self, slots: impl Iterator<Item = usize>, mut f: impl FnMut(usize, u64)) {
+        match self.width > 56 {
+            true => slots.for_each(|i| f(i, self.get::<true>(i))),
+            false => slots.for_each(|i| f(i, self.get::<false>(i))),
+        }
+    }
 }
 
 /// Header + validated payload slice for `count` packed slots.
-fn read_header<'a>(r: &mut Reader<'a>, count: usize) -> DbResult<(u8, i64, u32, &'a [u8])> {
+fn read_header<'a>(r: &mut Reader<'a>, count: usize) -> DbResult<(u8, i64, Packed<'a>)> {
     let tag = r.get_u8()?;
     if tag > 2 {
         return Err(DbError::Corrupt(format!("bad for-bitpack tag {tag}")));
@@ -135,20 +178,18 @@ fn read_header<'a>(r: &mut Reader<'a>, count: usize) -> DbResult<(u8, i64, u32, 
         return Err(DbError::Corrupt(format!("bad for-bitpack width {width}")));
     }
     let packed = r.get_bytes()?;
-    if packed.len() * 8 < count * width as usize {
+    if (packed.len() as u128) * 8 < (count as u128) * u128::from(width) {
         return Err(DbError::Corrupt("for-bitpack payload truncated".into()));
     }
-    Ok((tag, min, width, packed))
+    Ok((tag, min, Packed::new(packed, width)))
 }
 
 /// Decode straight into a native `i64` buffer; the returned tag is
 /// 0=Integer, 1=Timestamp, 2=Boolean.
 pub fn decode_native(r: &mut Reader<'_>, count: usize) -> DbResult<(u8, Vec<i64>)> {
-    let (tag, min, width, packed) = read_header(r, count)?;
+    let (tag, min, packed) = read_header(r, count)?;
     let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        out.push(min.wrapping_add(get_packed(packed, i, width) as i64));
-    }
+    packed.for_each_of(0..count, |_, v| out.push(min.wrapping_add(v as i64)));
     Ok((tag, out))
 }
 
@@ -161,15 +202,14 @@ pub fn decode_native_selected(
     count: usize,
     sel: &[u32],
 ) -> DbResult<(u8, Vec<i64>)> {
-    let (tag, min, width, packed) = read_header(r, count)?;
-    let mut out = vec![min; count];
-    for &p in sel {
-        let p = p as usize;
-        if p >= count {
-            return Err(DbError::Corrupt("selection past block end".into()));
-        }
-        out[p] = min.wrapping_add(get_packed(packed, p, width) as i64);
+    let (tag, min, packed) = read_header(r, count)?;
+    if sel.iter().any(|&p| p as usize >= count) {
+        return Err(DbError::Corrupt("selection past block end".into()));
     }
+    let mut out = vec![min; count];
+    packed.for_each_of(sel.iter().map(|&p| p as usize), |p, v| {
+        out[p] = min.wrapping_add(v as i64)
+    });
     Ok((tag, out))
 }
 
@@ -214,6 +254,121 @@ mod tests {
         round_trip(&(0..50).map(|_| Value::Integer(7)).collect::<Vec<_>>());
         round_trip(&[Value::Timestamp(1_000_000), Value::Timestamp(999_983)]);
         round_trip(&[Value::Boolean(true), Value::Boolean(false)]);
+    }
+
+    /// SplitMix64.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `len` values whose offsets from `min` need exactly `width` bits:
+    /// the all-ones and the lowest `width`-bit offsets are always present.
+    fn values_of_width(width: u32, len: usize, min: i64, rng: &mut u64) -> Vec<i64> {
+        let top = mask(width);
+        (0..len)
+            .map(|i| {
+                let offset = match i {
+                    0 => top,
+                    1 => 0,
+                    2 if width > 0 => 1u64 << (width - 1),
+                    _ => next(rng) & top,
+                };
+                min.wrapping_add(offset as i64)
+            })
+            .collect()
+    }
+
+    /// Every width the format can hold, at lengths around the word and
+    /// block sizes, from frames at both ends of `i64`: the word-at-a-time
+    /// reader returns what the byte-wise packer stored, in full and under
+    /// random selections.
+    #[test]
+    fn every_width_round_trips_in_full_and_selected() {
+        let mut rng = 7u64;
+        for width in 0..=64u32 {
+            for len in [1usize, 7, 8, 9, 1023, 1024] {
+                for min in [0i64, -3, i64::MIN, i64::MAX - 5] {
+                    let ints = values_of_width(width, len, min, &mut rng);
+                    let vals: Vec<Value> = ints.iter().map(|&v| Value::Integer(v)).collect();
+                    let mut w = Writer::new();
+                    encode(&vals, &mut w).unwrap();
+                    let bytes = w.into_bytes();
+                    let what = format!("width {width} len {len} min {min}");
+                    let (tag, full) = decode_native(&mut Reader::new(&bytes), len).unwrap();
+                    assert_eq!((tag, &full), (0, &ints), "{what}");
+                    let sel: Vec<u32> = (0..len as u32)
+                        .filter(|_| next(&mut rng).is_multiple_of(3))
+                        .collect();
+                    let (_, picked) =
+                        decode_native_selected(&mut Reader::new(&bytes), len, &sel).unwrap();
+                    assert_eq!(picked.len(), len, "{what}");
+                    for &p in &sel {
+                        assert_eq!(picked[p as usize], ints[p as usize], "{what} slot {p}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A payload shorter than its header promises, an impossible width and
+    /// a selection past the block are `Corrupt` — never a panic, never a
+    /// read outside the payload.
+    #[test]
+    fn malformed_blocks_are_corrupt_not_panics() {
+        let is_corrupt = |r: DbResult<(u8, Vec<i64>)>| matches!(r, Err(DbError::Corrupt(_)));
+        for width in [1u8, 7, 8, 18, 33, 57, 63, 64] {
+            let count = 100usize;
+            let need = (count * width as usize).div_ceil(8);
+            for have in [0, 1, need.saturating_sub(9), need - 1] {
+                let mut w = Writer::new();
+                w.put_u8(0);
+                w.put_ivarint(-5);
+                w.put_u8(width);
+                w.put_bytes(&vec![0xFF; have]);
+                let bytes = w.into_bytes();
+                assert!(
+                    is_corrupt(decode_native(&mut Reader::new(&bytes), count)),
+                    "width {width}: {have} of {need} bytes"
+                );
+                assert!(is_corrupt(decode_native_selected(
+                    &mut Reader::new(&bytes),
+                    count,
+                    &[0, 99]
+                )));
+            }
+            // Exactly enough bytes decodes, up to the last slot...
+            let mut w = Writer::new();
+            w.put_u8(1);
+            w.put_ivarint(0);
+            w.put_u8(width);
+            w.put_bytes(&vec![0xFF; need]);
+            let bytes = w.into_bytes();
+            let (tag, full) = decode_native(&mut Reader::new(&bytes), count).unwrap();
+            assert_eq!(tag, 1);
+            assert!(full.iter().all(|&v| v as u64 == mask(u32::from(width))));
+            // ... and a selection past the end is refused.
+            assert!(is_corrupt(decode_native_selected(
+                &mut Reader::new(&bytes),
+                count,
+                &[5, count as u32]
+            )));
+        }
+        let mut w = Writer::new();
+        w.put_u8(0);
+        w.put_ivarint(0);
+        w.put_u8(65);
+        w.put_bytes(&[0u8; 1024]);
+        let bytes = w.into_bytes();
+        assert!(is_corrupt(decode_native(&mut Reader::new(&bytes), 8)));
+        assert!(is_corrupt(decode_native_selected(
+            &mut Reader::new(&bytes),
+            8,
+            &[1]
+        )));
     }
 
     #[test]

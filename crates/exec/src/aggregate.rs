@@ -1,11 +1,30 @@
-//! Aggregate functions with decomposable partial states.
+//! Aggregate functions with decomposable partial states, and the one
+//! kernel that feeds them: the **span fold**.
 //!
 //! Partial states make three §6.1 techniques possible: the L1-sized
 //! *prepass* GroupBy (partials merged by the final GroupBy), parallel
 //! GroupBys under a ParallelUnion, and distributed aggregation where
 //! per-node partials are merged after a Send/Recv.
+//!
+//! Every group-by strategy ([`crate::groupby`]) cuts a batch into segments
+//! of rows that share a group and hands each segment to
+//! [`AggState::fold`] as a [`Span`] of physical rows — a contiguous range,
+//! or a slice of the batch's selection vector. The fold runs a monomorphic
+//! loop over `&[i64]` / `&[f64]` (validity honoured) for typed vectors,
+//! one [`AggState::update_n`] per run for RLE vectors, and falls back to
+//! the per-row [`AggState::update`] only for representations without a
+//! native payload to loop over (`Plain`, dictionary, boolean). Floats are
+//! always added in row order, so a SUM has the same bits whichever
+//! representation or strategy carried it.
+//!
+//! An integer SUM is checked: a total that leaves `i64` is a structured
+//! `integer overflow in SUM` error, never a wrapped number. AVG (and its
+//! two-phase partial, [`AggFunc::SumFloat`]) accumulates in `f64`, so it
+//! cannot overflow.
 
-use vdb_types::{DataType, DbError, DbResult, Value};
+use crate::batch::ColumnSlice;
+use crate::vector::{Bitmap, RleVector, VectorData};
+use vdb_types::{DbError, DbResult, Value};
 
 /// Aggregate function kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -14,6 +33,11 @@ pub enum AggFunc {
     Count,
     CountDistinct,
     Sum,
+    /// SUM accumulated in `f64` whatever the input type: AVG's partial in
+    /// a two-phase plan (see [`crate::groupby::two_phase_aggs`]), the
+    /// accumulator the single-phase [`AggState::Avg`] already is. Not
+    /// reachable from SQL.
+    SumFloat,
     Min,
     Max,
     Avg,
@@ -26,14 +50,14 @@ impl AggFunc {
             AggFunc::Count => "COUNT",
             AggFunc::CountDistinct => "COUNT DISTINCT",
             AggFunc::Sum => "SUM",
+            AggFunc::SumFloat => "SUM(float)",
             AggFunc::Min => "MIN",
             AggFunc::Max => "MAX",
             AggFunc::Avg => "AVG",
         }
     }
 
-    /// Can partial states be merged? (COUNT DISTINCT partials must carry
-    /// the distinct set, which `AggState::merge` does — so yes for all.)
+    /// The aggregate a SQL call names, if it is one.
     pub fn parse(name: &str, distinct: bool) -> Option<AggFunc> {
         Some(match (name.to_ascii_uppercase().as_str(), distinct) {
             ("COUNT", false) => AggFunc::Count,
@@ -66,6 +90,68 @@ impl AggCall {
     }
 }
 
+/// Physical rows of a batch's columns, in row order: what one
+/// [`AggState::fold`] call consumes.
+#[derive(Debug, Clone, Copy)]
+pub enum Span<'a> {
+    /// The contiguous rows `start..end`.
+    Range { start: usize, end: usize },
+    /// The listed rows — a slice of a selection vector's sorted indices.
+    Rows(&'a [u32]),
+}
+
+impl Span<'_> {
+    pub fn len(&self) -> usize {
+        match self {
+            Span::Range { start, end } => end - start,
+            Span::Rows(rows) => rows.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(usize)) {
+        match self {
+            Span::Range { start, end } => (start..end).for_each(f),
+            Span::Rows(rows) => rows.iter().for_each(|&i| f(i as usize)),
+        }
+    }
+
+    fn try_for_each(self, mut f: impl FnMut(usize) -> DbResult<()>) -> DbResult<()> {
+        match self {
+            Span::Range { start, end } => (start..end).try_for_each(f),
+            Span::Rows(rows) => rows.iter().try_for_each(|&i| f(i as usize)),
+        }
+    }
+
+    /// Visit the span's non-NULL rows.
+    #[inline]
+    fn for_each_valid(self, validity: Option<&Bitmap>, mut f: impl FnMut(usize)) {
+        match validity {
+            None => self.for_each(f),
+            Some(valid) => self.for_each(|i| {
+                if valid.get(i) {
+                    f(i)
+                }
+            }),
+        }
+    }
+
+    fn count_valid(self, validity: Option<&Bitmap>) -> u64 {
+        match validity {
+            None => self.len() as u64,
+            Some(_) => {
+                let mut n = 0;
+                self.for_each_valid(validity, |_| n += 1);
+                n
+            }
+        }
+    }
+}
+
 /// Running state of one aggregate within one group.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggState {
@@ -82,12 +168,24 @@ pub enum AggState {
     Avg(f64, u64),
 }
 
+fn sum_overflow() -> DbError {
+    DbError::Execution("integer overflow in SUM".into())
+}
+
+fn not_numeric(what: &str, found: &Value) -> DbError {
+    DbError::TypeMismatch {
+        expected: format!("numeric for {what}"),
+        found: found.to_string(),
+    }
+}
+
 impl AggState {
     pub fn new(func: AggFunc) -> AggState {
         match func {
             AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
             AggFunc::CountDistinct => AggState::CountDistinct(Default::default()),
             AggFunc::Sum => AggState::SumInt(0, false),
+            AggFunc::SumFloat => AggState::SumFloat(0.0, false),
             AggFunc::Min => AggState::Min(None),
             AggFunc::Max => AggState::Max(None),
             AggFunc::Avg => AggState::Avg(0.0, 0),
@@ -121,27 +219,20 @@ impl AggState {
             AggState::SumInt(acc, seen) => match v {
                 Value::Null => {}
                 Value::Integer(i) => {
-                    *acc = acc.wrapping_add(i.wrapping_mul(n as i64));
+                    let total = i128::from(*acc) + i128::from(*i) * i128::from(n);
+                    *acc = i64::try_from(total).map_err(|_| sum_overflow())?;
                     *seen = true;
                 }
                 Value::Float(f) => {
                     let new = *acc as f64 + f * n as f64;
                     *self = AggState::SumFloat(new, true);
                 }
-                other => {
-                    return Err(DbError::TypeMismatch {
-                        expected: "numeric for SUM".into(),
-                        found: other.to_string(),
-                    })
-                }
+                other => return Err(not_numeric("SUM", other)),
             },
             AggState::SumFloat(acc, seen) => match v {
                 Value::Null => {}
                 other => {
-                    let f = other.as_f64().ok_or_else(|| DbError::TypeMismatch {
-                        expected: "numeric for SUM".into(),
-                        found: other.to_string(),
-                    })?;
+                    let f = other.as_f64().ok_or_else(|| not_numeric("SUM", other))?;
                     *acc += f * n as f64;
                     *seen = true;
                 }
@@ -158,10 +249,7 @@ impl AggState {
             }
             AggState::Avg(sum, count) => {
                 if !v.is_null() {
-                    let f = v.as_f64().ok_or_else(|| DbError::TypeMismatch {
-                        expected: "numeric for AVG".into(),
-                        found: v.to_string(),
-                    })?;
+                    let f = v.as_f64().ok_or_else(|| not_numeric("AVG", v))?;
                     *sum += f * n as f64;
                     *count += n;
                 }
@@ -170,86 +258,186 @@ impl AggState {
         Ok(())
     }
 
-    /// Fold one non-NULL native `i64` (the typed-vector fast path; no
-    /// `Value` is constructed except where a state must *store* one). `ty`
-    /// distinguishes `Integer`/`Timestamp`/`Boolean` payloads so stored
-    /// values and type errors match the row path exactly.
-    pub fn update_i64(&mut self, func: AggFunc, v: i64, ty: DataType) -> DbResult<()> {
-        // SUM of non-Integer integral types errors in the row path; take it
-        // for identical diagnostics.
-        if ty != DataType::Integer && matches!(self, AggState::SumInt(..) | AggState::SumFloat(..))
-        {
-            return self.update(func, &make_integral(ty, v));
+    /// The span fold: fold the rows `span` of `col` into this state, in
+    /// row order. Typed `Integer`/`Timestamp`/`Float` vectors run a native
+    /// loop and build no `Value` except where the state must *store* one
+    /// (MIN/MAX once per span, COUNT DISTINCT per row); RLE vectors fold
+    /// one [`AggState::update_n`] per run the span touches; `Plain`,
+    /// dictionary and boolean columns fold [`AggState::update`] per row.
+    /// Results and type errors are those of the per-row path.
+    pub fn fold(&mut self, func: AggFunc, col: &ColumnSlice, span: Span<'_>) -> DbResult<()> {
+        if func == AggFunc::CountStar {
+            return self.update_n(func, &Value::Null, span.len() as u64);
         }
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::CountDistinct(set) => {
-                set.insert(make_integral(ty, v));
+        match col {
+            ColumnSlice::Plain(values) => span.try_for_each(|i| self.update(func, &values[i])),
+            ColumnSlice::Rle(rv) => self.fold_runs(func, rv, span),
+            ColumnSlice::Typed(tv) => match tv.data() {
+                VectorData::Int64(xs) => self.fold_i64(xs, tv.validity(), false, span),
+                VectorData::Timestamp(xs) if func != AggFunc::Sum => {
+                    self.fold_i64(xs, tv.validity(), true, span)
+                }
+                VectorData::Float64(xs) => {
+                    self.fold_f64(xs, tv.validity(), span);
+                    Ok(())
+                }
+                // No native payload to loop over — or SUM over timestamps,
+                // a type error the row path reports.
+                _ => span.try_for_each(|i| self.update(func, &tv.value_at(i))),
+            },
+        }
+    }
+
+    /// Does [`AggState::fold`] run `func` over `col` without building a
+    /// `Value` per row?
+    pub(crate) fn folds_natively(func: AggFunc, col: Option<&ColumnSlice>) -> bool {
+        match (func, col) {
+            (AggFunc::CountStar, _) => true,
+            (AggFunc::CountDistinct, _) | (_, None | Some(ColumnSlice::Plain(_))) => false,
+            (_, Some(ColumnSlice::Rle(_))) => true,
+            (_, Some(ColumnSlice::Typed(tv))) => {
+                !matches!(tv.data(), VectorData::Bool(_) | VectorData::Dict { .. })
             }
-            AggState::SumInt(acc, seen) => {
-                *acc = acc.wrapping_add(v);
-                *seen = true;
-            }
-            AggState::SumFloat(acc, seen) => {
-                *acc += v as f64;
-                *seen = true;
-            }
-            AggState::Min(m) => {
-                let val = make_integral(ty, v);
-                if m.as_ref().is_none_or(|cur| &val < cur) {
-                    *m = Some(val);
+        }
+    }
+
+    /// One `update_n` per run of `rv` that `span` touches.
+    fn fold_runs(&mut self, func: AggFunc, rv: &RleVector, span: Span<'_>) -> DbResult<()> {
+        match span {
+            Span::Range { start, end } => {
+                let mut at = start;
+                let mut ri = if start < end {
+                    rv.run_index_at(start)
+                } else {
+                    0
+                };
+                while at < end {
+                    let run_end = rv.run_start(ri + 1).min(end);
+                    self.update_n(func, &rv.runs()[ri].0, (run_end - at) as u64)?;
+                    at = run_end;
+                    ri += 1;
                 }
             }
-            AggState::Max(m) => {
-                let val = make_integral(ty, v);
-                if m.as_ref().is_none_or(|cur| &val > cur) {
-                    *m = Some(val);
+            Span::Rows(rows) => {
+                let (mut ri, mut k) = (0usize, 0usize);
+                while k < rows.len() {
+                    while rv.run_start(ri + 1) <= rows[k] as usize {
+                        ri += 1;
+                    }
+                    let run_end = rv.run_start(ri + 1);
+                    let n = rows[k..].partition_point(|&i| (i as usize) < run_end);
+                    self.update_n(func, &rv.runs()[ri].0, n as u64)?;
+                    k += n;
                 }
-            }
-            AggState::Avg(sum, count) => {
-                if ty == DataType::Boolean {
-                    // Row path: as_f64 on Boolean is None → type error.
-                    return self.update(func, &Value::Boolean(v != 0));
-                }
-                *sum += v as f64;
-                *count += 1;
             }
         }
         Ok(())
     }
 
-    /// Fold one non-NULL native `f64` (typed-vector fast path).
-    pub fn update_f64(&mut self, _func: AggFunc, v: f64) -> DbResult<()> {
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::CountDistinct(set) => {
-                set.insert(Value::Float(v));
-            }
-            AggState::SumInt(acc, _) => {
-                *self = AggState::SumFloat(*acc as f64 + v, true);
-            }
-            AggState::SumFloat(acc, seen) => {
-                *acc += v;
+    /// Native fold of non-NULL `Integer` (or `Timestamp`) payloads.
+    fn fold_i64(
+        &mut self,
+        xs: &[i64],
+        validity: Option<&Bitmap>,
+        timestamp: bool,
+        span: Span<'_>,
+    ) -> DbResult<()> {
+        if let AggState::SumInt(acc, seen) = self {
+            // A span of i64s cannot leave i128; the running total is
+            // checked once per span.
+            let mut wide = i128::from(*acc);
+            span.for_each_valid(validity, |i| {
+                wide += i128::from(xs[i]);
                 *seen = true;
+            });
+            *acc = i64::try_from(wide).map_err(|_| sum_overflow())?;
+            return Ok(());
+        }
+        let value = |x: i64| match timestamp {
+            true => Value::Timestamp(x),
+            false => Value::Integer(x),
+        };
+        self.fold_native(xs, validity, span, |x| x as f64, value, i64::cmp);
+        Ok(())
+    }
+
+    /// Native fold of non-NULL `Float` payloads, added in row order.
+    fn fold_f64(&mut self, xs: &[f64], validity: Option<&Bitmap>, span: Span<'_>) {
+        if let AggState::SumInt(acc, seen) = *self {
+            // The first float turns an integer SUM into a float one.
+            if span.count_valid(validity) == 0 {
+                return;
             }
-            AggState::Min(m) => {
-                let val = Value::Float(v);
-                if m.as_ref().is_none_or(|cur| &val < cur) {
-                    *m = Some(val);
-                }
+            *self = AggState::SumFloat(acc as f64, seen);
+        }
+        self.fold_native(xs, validity, span, |x| x, Value::Float, f64::total_cmp);
+    }
+
+    /// What the native folds share: every state but the integer SUM (its
+    /// callers' business) over a payload that converts to `f64`, to a
+    /// `Value`, and orders like one.
+    fn fold_native<T: Copy>(
+        &mut self,
+        xs: &[T],
+        validity: Option<&Bitmap>,
+        span: Span<'_>,
+        as_f64: impl Fn(T) -> f64,
+        value: impl Fn(T) -> Value,
+        cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
+    ) {
+        let min = matches!(self, AggState::Min(_));
+        match self {
+            AggState::Count(c) => *c += span.count_valid(validity),
+            AggState::CountDistinct(set) => span.for_each_valid(validity, |i| {
+                set.insert(value(xs[i]));
+            }),
+            AggState::SumInt(..) => unreachable!("the callers fold an integer SUM"),
+            AggState::SumFloat(acc, seen) => {
+                let mut sum = *acc;
+                span.for_each_valid(validity, |i| {
+                    sum += as_f64(xs[i]);
+                    *seen = true;
+                });
+                *acc = sum;
             }
-            AggState::Max(m) => {
-                let val = Value::Float(v);
-                if m.as_ref().is_none_or(|cur| &val > cur) {
-                    *m = Some(val);
+            AggState::Min(m) | AggState::Max(m) => {
+                let wanted = match min {
+                    true => std::cmp::Ordering::Less,
+                    false => std::cmp::Ordering::Greater,
+                };
+                let mut best: Option<T> = None;
+                span.for_each_valid(validity, |i| {
+                    if best.is_none_or(|b| cmp(&xs[i], &b) == wanted) {
+                        best = Some(xs[i]);
+                    }
+                });
+                if let Some(best) = best {
+                    Self::keep_extreme(m, value(best), min);
                 }
             }
             AggState::Avg(sum, count) => {
-                *sum += v;
-                *count += 1;
+                let (mut s, mut n) = (*sum, 0u64);
+                span.for_each_valid(validity, |i| {
+                    s += as_f64(xs[i]);
+                    n += 1;
+                });
+                (*sum, *count) = (s, *count + n);
             }
         }
-        Ok(())
+    }
+
+    /// Store `candidate` in a MIN (or MAX) slot if it beats what is there.
+    fn keep_extreme(slot: &mut Option<Value>, candidate: Value, min: bool) {
+        let beats = |cur: &Value| {
+            if min {
+                &candidate < cur
+            } else {
+                &candidate > cur
+            }
+        };
+        if slot.as_ref().is_none_or(beats) {
+            *slot = Some(candidate);
+        }
     }
 
     /// Merge another partial state (prepass → final, node → coordinator).
@@ -258,7 +446,7 @@ impl AggState {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
             (AggState::CountDistinct(a), AggState::CountDistinct(b)) => a.extend(b),
             (AggState::SumInt(a, sa), AggState::SumInt(b, sb)) => {
-                *a = a.wrapping_add(b);
+                *a = a.checked_add(b).ok_or_else(sum_overflow)?;
                 *sa |= sb;
             }
             (AggState::SumInt(a, sa), AggState::SumFloat(b, sb)) => {
@@ -274,16 +462,12 @@ impl AggState {
             }
             (AggState::Min(a), AggState::Min(b)) => {
                 if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| &bv < av) {
-                        *a = Some(bv);
-                    }
+                    Self::keep_extreme(a, bv, true);
                 }
             }
             (AggState::Max(a), AggState::Max(b)) => {
                 if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| &bv > av) {
-                        *a = Some(bv);
-                    }
+                    Self::keep_extreme(a, bv, false);
                 }
             }
             (AggState::Avg(s, c), AggState::Avg(s2, c2)) => {
@@ -343,59 +527,155 @@ impl AggState {
     }
 }
 
-/// Construct the `Value` for a native integral payload.
-fn make_integral(ty: DataType, v: i64) -> Value {
-    match ty {
-        DataType::Timestamp => Value::Timestamp(v),
-        DataType::Boolean => Value::Boolean(v != 0),
-        _ => Value::Integer(v),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const ALL_FUNCS: [AggFunc; 8] = [
+        AggFunc::CountStar,
+        AggFunc::Count,
+        AggFunc::CountDistinct,
+        AggFunc::Sum,
+        AggFunc::SumFloat,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+
+    /// Every representation the fold specialises on (and those it does
+    /// not), NULLs included, over a range span and a selection span: the
+    /// result — value or type error — is the per-row path's.
     #[test]
-    fn typed_updates_match_value_updates() {
-        for func in [
-            AggFunc::Count,
-            AggFunc::CountDistinct,
-            AggFunc::Sum,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Avg,
-        ] {
-            let mut typed = AggState::new(func);
-            let mut row = AggState::new(func);
-            for v in [5i64, -3, 5, 9] {
-                typed.update_i64(func, v, DataType::Integer).unwrap();
-                row.update(func, &Value::Integer(v)).unwrap();
+    fn span_fold_matches_per_row_updates() {
+        use crate::vector::TypedVector;
+        let n = 40usize;
+        let nullable = |i: usize, v: Value| if i % 7 == 3 { Value::Null } else { v };
+        let ints: Vec<Value> = (0..n)
+            .map(|i| nullable(i, Value::Integer((i as i64 * 37) % 11 - 5)))
+            .collect();
+        let stamps: Vec<Value> = (0..n).map(|i| Value::Timestamp(1_000 + i as i64)).collect();
+        let floats: Vec<Value> = (0..n)
+            .map(|i| {
+                nullable(
+                    i,
+                    Value::Float(0.1 * i as f64 + if i % 5 == 0 { 1e15 } else { 0.0 }),
+                )
+            })
+            .collect();
+        let strings: Vec<Value> = (0..n)
+            .map(|i| nullable(i, Value::Varchar(format!("s{}", i % 3))))
+            .collect();
+        let bools: Vec<Value> = (0..n).map(|i| Value::Boolean(i % 2 == 0)).collect();
+        let typed = |v: &[Value]| ColumnSlice::Typed(TypedVector::from_values(v).unwrap());
+        let columns = [
+            typed(&ints),
+            typed(&stamps),
+            typed(&floats),
+            typed(&strings),
+            typed(&bools),
+            ColumnSlice::Plain(floats.clone()),
+            ColumnSlice::Plain(vec![Value::Null; n]),
+            ColumnSlice::rle(vec![
+                (Value::Integer(4), 9),
+                (Value::Null, 5),
+                (Value::Integer(-2), 20),
+                (Value::Float(0.5), 6),
+            ]),
+        ];
+        let rows: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
+        let spans = [
+            Span::Range { start: 0, end: n },
+            Span::Range { start: 7, end: 31 },
+            Span::Range { start: 5, end: 5 },
+            Span::Rows(&rows),
+            Span::Rows(&rows[4..9]),
+        ];
+        for (ci, col) in columns.iter().enumerate() {
+            for func in ALL_FUNCS {
+                for span in spans {
+                    let mut folded = AggState::new(func);
+                    let got = folded.fold(func, col, span).map(|()| folded.finish());
+                    let mut state = AggState::new(func);
+                    let mut want = Ok(());
+                    span.for_each(|i| {
+                        if want.is_ok() {
+                            want = state.update(func, &col.value_at(i));
+                        }
+                    });
+                    let want = want.map(|()| state.finish());
+                    assert_eq!(
+                        got.as_ref().ok(),
+                        want.as_ref().ok(),
+                        "column {ci} {func:?} {span:?}"
+                    );
+                    assert_eq!(got.is_err(), want.is_err(), "column {ci} {func:?} {span:?}");
+                }
             }
-            assert_eq!(typed.clone().finish(), row.clone().finish(), "{func:?} i64");
-            let mut typed = AggState::new(func);
-            let mut row = AggState::new(func);
-            for v in [1.5f64, -0.25, 1.5] {
-                typed.update_f64(func, v).unwrap();
-                row.update(func, &Value::Float(v)).unwrap();
-            }
-            assert_eq!(typed.finish(), row.finish(), "{func:?} f64");
         }
     }
 
     #[test]
-    fn typed_sum_of_timestamp_errors_like_row_path() {
-        let mut s = AggState::new(AggFunc::Sum);
-        assert!(s
-            .update_i64(AggFunc::Sum, 100, DataType::Timestamp)
+    fn sum_of_timestamps_errors_and_avg_does_not() {
+        use crate::vector::TypedVector;
+        let col = ColumnSlice::Typed(
+            TypedVector::from_values(&[Value::Timestamp(100), Value::Timestamp(200)]).unwrap(),
+        );
+        let all = Span::Range { start: 0, end: 2 };
+        assert!(AggState::new(AggFunc::Sum)
+            .fold(AggFunc::Sum, &col, all)
             .is_err());
-        // And AVG over timestamps works in both paths.
-        let mut a = AggState::new(AggFunc::Avg);
-        a.update_i64(AggFunc::Avg, 100, DataType::Timestamp)
+        // AVG — single-phase and through its float partial — works.
+        for func in [AggFunc::Avg, AggFunc::SumFloat] {
+            let mut a = AggState::new(func);
+            a.fold(func, &col, all).unwrap();
+            let want = if func == AggFunc::Avg { 150.0 } else { 300.0 };
+            assert_eq!(a.finish(), Value::Float(want));
+        }
+    }
+
+    /// An integer SUM that leaves `i64` is an error on every path a value
+    /// can take into the state; AVG and its float partial never overflow.
+    #[test]
+    fn integer_sum_overflow_is_an_error_never_a_wrap() {
+        use crate::vector::TypedVector;
+        let huge = Value::Integer(i64::MAX);
+        let is_overflow = |r: DbResult<()>| matches!(r, Err(DbError::Execution(m)) if m == "integer overflow in SUM");
+        let mut s = AggState::new(AggFunc::Sum);
+        s.update(AggFunc::Sum, &huge).unwrap();
+        assert!(is_overflow(s.update(AggFunc::Sum, &huge)));
+        assert!(is_overflow(AggState::new(AggFunc::Sum).update_n(
+            AggFunc::Sum,
+            &huge,
+            2
+        )));
+        let col =
+            ColumnSlice::Typed(TypedVector::from_values(&[huge.clone(), huge.clone()]).unwrap());
+        let all = Span::Range { start: 0, end: 2 };
+        assert!(is_overflow(AggState::new(AggFunc::Sum).fold(
+            AggFunc::Sum,
+            &col,
+            all
+        )));
+        let mut a = AggState::SumInt(i64::MAX, true);
+        assert!(is_overflow(a.merge(AggState::SumInt(1, true))));
+        // A span whose running total dips out and back in is still exact.
+        let back = ColumnSlice::Typed(
+            TypedVector::from_values(&[huge.clone(), huge.clone(), Value::Integer(-i64::MAX)])
+                .unwrap(),
+        );
+        let mut s = AggState::new(AggFunc::Sum);
+        s.fold(AggFunc::Sum, &back, Span::Range { start: 0, end: 3 })
             .unwrap();
-        a.update_i64(AggFunc::Avg, 200, DataType::Timestamp)
-            .unwrap();
-        assert_eq!(a.finish(), Value::Float(150.0));
+        assert_eq!(s.finish(), Value::Integer(i64::MAX));
+        for func in [AggFunc::Avg, AggFunc::SumFloat] {
+            let mut a = AggState::new(func);
+            a.fold(func, &col, all).unwrap();
+            let Value::Float(f) = a.finish() else {
+                panic!("float result")
+            };
+            let want = if func == AggFunc::Avg { 1.0 } else { 2.0 } * i64::MAX as f64;
+            assert!((f - want).abs() / want < 1e-12, "{func:?}: {f}");
+        }
     }
 
     #[test]

@@ -270,7 +270,13 @@ pub(crate) fn typed_batch_from_rows(rows: Vec<Row>) -> Batch {
             cols[c].push(v);
         }
     }
-    let columns = cols
+    typed_batch_from_columns(cols)
+}
+
+/// [`typed_batch_from_rows`] for an operator that gathered its output by
+/// column: each homogeneous column becomes a [`TypedVector`].
+pub(crate) fn typed_batch_from_columns(columns: Vec<Vec<Value>>) -> Batch {
+    let columns = columns
         .into_iter()
         .map(|values| match TypedVector::from_owned_values(values) {
             Ok(tv) => ColumnSlice::Typed(tv),

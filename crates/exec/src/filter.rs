@@ -154,6 +154,42 @@ fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<Conjunct<'a>>) -> bool {
     }
 }
 
+/// One `column ⟨cmp⟩ literal` test split off a scan predicate.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ColumnCmp {
+    pub(crate) column: usize,
+    pub(crate) op: BinOp,
+    pub(crate) lit: Value,
+}
+
+/// Split `pred` into the top-level conjuncts that are `column ⟨cmp⟩
+/// literal` tests on a column below `arity` (either operand order;
+/// `BETWEEN` is two of them) — which [`filter_cmp`] evaluates exactly on any
+/// column representation — and the conjunction of everything else.
+pub(crate) fn split_column_cmps(pred: &Expr, arity: usize) -> (Vec<ColumnCmp>, Option<Expr>) {
+    let (mut cmps, mut rest) = (Vec::new(), Vec::new());
+    for conjunct in pred.clone().split_conjuncts() {
+        let mut parts = Vec::new();
+        let all_cmps = collect_conjuncts(&conjunct, &mut parts)
+            && parts
+                .iter()
+                .all(|c| matches!(c, Conjunct::Cmp { col, .. } if *col < arity));
+        if all_cmps {
+            cmps.extend(parts.iter().map(|c| match c {
+                Conjunct::Cmp { col, op, lit } => ColumnCmp {
+                    column: *col,
+                    op: *op,
+                    lit: (*lit).clone(),
+                },
+                _ => unreachable!("checked above"),
+            }));
+        } else {
+            rest.push(conjunct);
+        }
+    }
+    (cmps, Expr::conjunction(rest))
+}
+
 /// Flatten the top-level `OR` tree into its disjunct groups.
 fn split_disjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     match e {
@@ -213,7 +249,7 @@ fn eval_disjunct_groups(batch: &Batch, groups: &[&Expr], cands: &[u32]) -> Optio
                     filter_is_null(&batch.columns[*col], *negated, group_cands)
                 }
                 Conjunct::Cmp { col, op, lit } => {
-                    filter_cmp(&batch.columns[*col], *op, lit, group_cands)?
+                    filter_cmp(&batch.columns[*col], *op, lit, group_cands)
                 }
                 Conjunct::In { col, list, negated } => {
                     filter_in(&batch.columns[*col], list, *negated, group_cands)?
@@ -304,70 +340,47 @@ pub(crate) fn retain_by_run(
         .collect()
 }
 
-pub(crate) fn filter_cmp(
-    col: &ColumnSlice,
-    op: BinOp,
-    lit: &Value,
-    cands: Vec<u32>,
-) -> Option<Vec<u32>> {
+/// Retain the candidates where `col ⟨op⟩ lit` holds (a NULL on either side
+/// never does). Typed vectors compare natively where payload and literal
+/// pair up, RLE once per run, dictionaries once per distinct value; any
+/// other pairing compares `Value`s — the row path's total order.
+pub(crate) fn filter_cmp(col: &ColumnSlice, op: BinOp, lit: &Value, cands: Vec<u32>) -> Vec<u32> {
     if lit.is_null() {
         // `x ⟨cmp⟩ NULL` is NULL — never true.
-        return Some(Vec::new());
+        return Vec::new();
+    }
+    fn retain(cands: Vec<u32>, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+        cands.into_iter().filter(|&i| keep(i as usize)).collect()
     }
     match col {
-        ColumnSlice::Plain(values) => Some(
-            cands
-                .into_iter()
-                .filter(|&i| value_matches(op, &values[i as usize], lit))
-                .collect(),
-        ),
-        ColumnSlice::Rle(rv) => Some(retain_by_run(rv, cands, |v| value_matches(op, v, lit))),
+        ColumnSlice::Plain(values) => retain(cands, |i| value_matches(op, &values[i], lit)),
+        ColumnSlice::Rle(rv) => retain_by_run(rv, cands, |v| value_matches(op, v, lit)),
         ColumnSlice::Typed(tv) => {
-            let valid = |i: u32| tv.is_valid(i as usize);
+            let valid = |i: usize| tv.is_valid(i);
             match (tv.data(), lit) {
-                (VectorData::Int64(xs), Value::Integer(k) | Value::Timestamp(k))
-                | (VectorData::Timestamp(xs), Value::Integer(k) | Value::Timestamp(k)) => Some(
-                    cands
-                        .into_iter()
-                        .filter(|&i| valid(i) && ord_matches(op, xs[i as usize].cmp(k)))
-                        .collect(),
-                ),
+                (
+                    VectorData::Int64(xs) | VectorData::Timestamp(xs),
+                    Value::Integer(k) | Value::Timestamp(k),
+                ) => retain(cands, |i| valid(i) && ord_matches(op, xs[i].cmp(k))),
                 (VectorData::Int64(xs), Value::Boolean(b)) => {
                     let k = i64::from(*b);
-                    Some(
-                        cands
-                            .into_iter()
-                            .filter(|&i| valid(i) && ord_matches(op, xs[i as usize].cmp(&k)))
-                            .collect(),
-                    )
+                    retain(cands, |i| valid(i) && ord_matches(op, xs[i].cmp(&k)))
                 }
-                (VectorData::Int64(xs) | VectorData::Timestamp(xs), Value::Float(f)) => Some(
-                    cands
-                        .into_iter()
-                        .filter(|&i| {
-                            valid(i) && ord_matches(op, (xs[i as usize] as f64).total_cmp(f))
-                        })
-                        .collect(),
-                ),
-                (VectorData::Float64(xs), lit) => {
-                    let k = match lit {
-                        Value::Float(f) => *f,
-                        Value::Integer(v) | Value::Timestamp(v) => *v as f64,
-                        _ => return None,
-                    };
-                    Some(
-                        cands
-                            .into_iter()
-                            .filter(|&i| valid(i) && ord_matches(op, xs[i as usize].total_cmp(&k)))
-                            .collect(),
-                    )
+                (VectorData::Int64(xs) | VectorData::Timestamp(xs), Value::Float(f)) => {
+                    retain(cands, |i| {
+                        valid(i) && ord_matches(op, (xs[i] as f64).total_cmp(f))
+                    })
                 }
-                (VectorData::Bool(bits), Value::Boolean(k)) => Some(
-                    cands
-                        .into_iter()
-                        .filter(|&i| valid(i) && ord_matches(op, bits.get(i as usize).cmp(k)))
-                        .collect(),
-                ),
+                (
+                    VectorData::Float64(xs),
+                    Value::Float(_) | Value::Integer(_) | Value::Timestamp(_),
+                ) => {
+                    let k = lit.as_f64().expect("numeric literal");
+                    retain(cands, |i| valid(i) && ord_matches(op, xs[i].total_cmp(&k)))
+                }
+                (VectorData::Bool(bits), Value::Boolean(k)) => {
+                    retain(cands, |i| valid(i) && ord_matches(op, bits.get(i).cmp(k)))
+                }
                 (VectorData::Dict { dict, codes }, Value::Varchar(s)) => {
                     // One comparison per *distinct* value, then a code test
                     // per row.
@@ -376,14 +389,9 @@ pub(crate) fn filter_cmp(
                         .iter()
                         .map(|e| ord_matches(op, e.as_str().cmp(s.as_str())))
                         .collect();
-                    Some(
-                        cands
-                            .into_iter()
-                            .filter(|&i| valid(i) && keep[codes[i as usize] as usize])
-                            .collect(),
-                    )
+                    retain(cands, |i| valid(i) && keep[codes[i] as usize])
                 }
-                _ => None,
+                _ => retain(cands, |i| value_matches(op, &tv.value_at(i), lit)),
             }
         }
     }

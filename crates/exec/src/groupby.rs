@@ -8,26 +8,151 @@
 //!
 //! * [`HashGroupByOp`] — hash aggregation with spill-to-disk partitioning
 //!   when the memory budget is exceeded.
-//! * [`PipelinedGroupByOp`] — one-pass aggregation over input sorted by the
-//!   group columns; consumes RLE runs without expansion (encoded execution).
+//! * [`PipelinedGroupByOp`] — the streaming strategy: one-pass aggregation
+//!   over input sorted by the group columns, memory O(1) groups. Its state
+//!   machine, `SortedFold`, is also what a morsel worker runs per morsel
+//!   and what the morsel barrier runs over the partials
+//!   ([`crate::parallel`]).
 //! * [`PrepassGroupByOp`] — the §6.1 "prepass" operator: an L1-cache-sized
 //!   hash table that aggregates immediately after the scan, emits partial
 //!   results whenever it fills, and turns itself off at runtime if it is
 //!   not actually reducing the row count.
 //!
+//! Both strategies aggregate **a key run at a time**: `key_segments` cuts
+//! a batch's selected rows where the group key changes — run ends for an
+//! RLE key, native adjacent compares for typed and dictionary-coded keys,
+//! the union of the columns' boundaries for a multi-column key — and each
+//! segment costs one group lookup (a table probe, or a comparison with the
+//! group in flight) and one span fold per aggregate
+//! ([`AggState::fold`](crate::aggregate::AggState::fold)). No `Value` is
+//! built per row unless a column has no native payload to loop over.
+//!
 //! Two-phase (prepass → final) plans are assembled via [`two_phase_aggs`],
 //! which is also how distributed aggregation merges per-node partials.
 
-use crate::aggregate::{AggCall, AggFunc, AggState};
+use crate::aggregate::{AggCall, AggFunc, AggState, Span};
 use crate::batch::{Batch, ColumnSlice, BATCH_SIZE};
 use crate::join::IntTable;
 use crate::memory::MemoryBudget;
 use crate::operator::{BoxedOperator, Operator};
-use crate::vector::{Bitmap, SelectionVector, TypedVector, VectorData, NO_ROW};
+use crate::vector::{SelectionVector, VectorData, NO_ROW};
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use vdb_types::codec::{Reader, Writer};
-use vdb_types::{DataType, DbError, DbResult, Expr, Row, Value};
+use vdb_types::{DbError, DbResult, Expr, Row, Value};
+
+// ---------------------------------------------------------------------------
+// Key runs: what both strategies aggregate at a time
+// ---------------------------------------------------------------------------
+
+/// Exclusive logical end of every maximal stretch of adjacent logical rows
+/// of `batch` (its selection honoured) that agree on all `group_columns`,
+/// in order; the last is `batch.len()`. Equality is `Value` equality, NULL
+/// equal to NULL.
+fn key_segments(batch: &Batch, group_columns: &[usize]) -> Vec<u32> {
+    let n = batch.len();
+    let sel = batch.selection().map(SelectionVector::indices);
+    let mut change = vec![false; n];
+    for &c in group_columns {
+        mark_key_changes(&batch.columns[c], sel, &mut change);
+    }
+    let inner = (1..n).filter(|&li| change[li]);
+    inner.chain(std::iter::once(n)).map(|e| e as u32).collect()
+}
+
+/// Set `change[li]` where logical row `li` differs from `li - 1` in `col`.
+fn mark_key_changes(col: &ColumnSlice, sel: Option<&[u32]>, change: &mut [bool]) {
+    fn mark<K: PartialEq>(
+        change: &mut [bool],
+        sel: Option<&[u32]>,
+        mut key: impl FnMut(usize) -> K,
+    ) {
+        let phys = |li: usize| sel.map_or(li, |s| s[li] as usize);
+        if change.is_empty() {
+            return;
+        }
+        let mut prev = key(phys(0));
+        for (li, changed) in change.iter_mut().enumerate().skip(1) {
+            let k = key(phys(li));
+            *changed |= k != prev;
+            prev = k;
+        }
+    }
+    match col {
+        ColumnSlice::Plain(values) => mark(change, sel, |i| &values[i]),
+        // Runs are numbered by value change (neighbouring runs can hold one
+        // value once a filter emptied the run between them); rows come in
+        // order, so the run pointer only moves forward.
+        ColumnSlice::Rle(rv) => {
+            let runs = rv.runs();
+            let mut id = 0u32;
+            let ids: Vec<u32> = (0..runs.len())
+                .map(|ri| {
+                    id += u32::from(ri > 0 && runs[ri].0 != runs[ri - 1].0);
+                    id
+                })
+                .collect();
+            if sel.is_none() {
+                // Dense: the boundaries are the run starts themselves.
+                for ri in (1..runs.len()).filter(|&ri| ids[ri] != ids[ri - 1]) {
+                    // (`get_mut`: an empty last run starts past the end.)
+                    if let Some(changed) = change.get_mut(rv.run_start(ri)) {
+                        *changed = true;
+                    }
+                }
+                return;
+            }
+            let mut ri = 0usize;
+            mark(change, sel, |i| {
+                while rv.run_start(ri + 1) <= i {
+                    ri += 1;
+                }
+                ids[ri]
+            })
+        }
+        ColumnSlice::Typed(tv) => match tv.data() {
+            VectorData::Int64(xs) | VectorData::Timestamp(xs) => {
+                mark(change, sel, |i| tv.is_valid(i).then(|| xs[i]))
+            }
+            VectorData::Float64(xs) => {
+                mark(change, sel, |i| tv.is_valid(i).then(|| xs[i].to_bits()))
+            }
+            VectorData::Dict { codes, .. } => {
+                mark(change, sel, |i| tv.is_valid(i).then(|| codes[i]))
+            }
+            VectorData::Bool(bits) => mark(change, sel, |i| tv.is_valid(i).then(|| bits.get(i))),
+        },
+    }
+}
+
+/// The physical rows behind logical rows `start..end`.
+fn span_of(sel: Option<&[u32]>, start: usize, end: usize) -> Span<'_> {
+    match sel {
+        Some(sel) => Span::Rows(&sel[start..end]),
+        None => Span::Range { start, end },
+    }
+}
+
+fn new_states(aggs: &[AggCall]) -> Vec<AggState> {
+    aggs.iter().map(|a| AggState::new(a.func)).collect()
+}
+
+/// Fold one span of `batch` into a group's states, one fold per aggregate.
+fn fold_aggs(
+    aggs: &[AggCall],
+    states: &mut [AggState],
+    batch: &Batch,
+    span: Span<'_>,
+) -> DbResult<()> {
+    for (a, s) in aggs.iter().zip(states) {
+        match a.func {
+            // COUNT(*) touches no column (its `input` may name none).
+            AggFunc::CountStar => s.update_n(a.func, &Value::Null, span.len() as u64)?,
+            _ => s.fold(a.func, &batch.columns[a.input], span)?,
+        }
+    }
+    Ok(())
+}
 
 // ---------------------------------------------------------------------------
 // Hash GroupBy with spill partitions
@@ -153,55 +278,111 @@ impl HashGroupByOp {
         }
     }
 
-    /// Global-aggregate path: COUNT(*) consumes whole batches by length;
-    /// other aggregates fold per column — typed vectors natively, RLE by
-    /// whole runs (SUM over a run is one multiply), honoring the batch's
-    /// selection vector — without row materialization.
-    fn consume_global(&mut self, batch: Batch) -> DbResult<()> {
-        let states = self
-            .global
-            .get_or_insert_with(|| self.aggs.iter().map(|a| AggState::new(a.func)).collect());
-        let n = batch.len() as u64;
-        // Pure COUNT(*): no value access at all.
-        if self.aggs.iter().all(|a| a.func == AggFunc::CountStar) {
-            for s in states.iter_mut() {
-                s.update_n(AggFunc::CountStar, &Value::Null, n)?;
+    /// Global aggregates (no GROUP BY): the batch's selected rows are one
+    /// span, folded once per aggregate — no hashing, no row materialization.
+    fn consume_global(&mut self, batch: &Batch) -> DbResult<()> {
+        let states = self.global.get_or_insert_with(|| new_states(&self.aggs));
+        let sel = batch.selection().map(SelectionVector::indices);
+        fold_aggs(&self.aggs, states, batch, span_of(sel, 0, batch.len()))
+    }
+
+    /// Grouped path: one table probe and one span fold per aggregate for
+    /// every key run of the batch (`key_segments`). Folding run by run in
+    /// batch order adds a group's floats in row order — the order a
+    /// row-at-a-time loop would — so a float SUM has the same bits however
+    /// its input happens to be coded.
+    fn consume_grouped(
+        &mut self,
+        batch: &Batch,
+        table: &mut GroupTable,
+        approx: &mut usize,
+    ) -> DbResult<()> {
+        let ends = key_segments(batch, &self.group_columns);
+        let sel = batch.selection().map(SelectionVector::indices);
+        let per_group = self.aggs.len() * 24 + 48 + 16 * self.group_columns.len();
+        let key_col = &batch.columns[self.group_columns[0]];
+        let mut start = 0usize;
+        // A single dictionary-coded or native integer key: each distinct
+        // key of the batch checks its group's states out of the table at
+        // its first run — one `Value` built and one hash lookup per
+        // distinct key, found again per run through a code-indexed
+        // (dictionary) or `i64` open-addressing (integer) slot array — and
+        // the batch hands them back at its end.
+        if let (&[_], ColumnSlice::Typed(tv)) = (self.group_columns.as_slice(), key_col) {
+            enum Slots<'a> {
+                Code(&'a [u32], Vec<u32>),
+                Int(&'a [i64], IntTable),
             }
-            return Ok(());
-        }
-        let sel = batch.selection();
-        for (a, s) in self.aggs.iter().zip(states.iter_mut()) {
-            if a.func == AggFunc::CountStar {
-                s.update_n(AggFunc::CountStar, &Value::Null, n)?;
-                continue;
-            }
-            match &batch.columns[a.input] {
-                ColumnSlice::Plain(values) => match sel {
-                    None => {
-                        for v in values {
-                            s.update(a.func, v)?;
-                        }
-                    }
-                    Some(sel) => {
-                        for i in sel.iter() {
-                            s.update(a.func, &values[i])?;
-                        }
-                    }
-                },
-                ColumnSlice::Rle(rv) => {
-                    let filtered;
-                    let runs = match sel {
-                        None => rv.runs(),
-                        Some(sel) => {
-                            filtered = rv.filter(sel);
-                            filtered.runs()
-                        }
-                    };
-                    for (v, len) in runs {
-                        s.update_n(a.func, v, u64::from(*len))?;
-                    }
+            let mut slots = match tv.data() {
+                VectorData::Dict { dict, codes } => {
+                    Some(Slots::Code(codes, vec![NO_ROW; dict.len()]))
                 }
-                ColumnSlice::Typed(tv) => update_global_typed(s, a.func, tv, sel)?,
+                VectorData::Int64(xs) | VectorData::Timestamp(xs) => {
+                    Some(Slots::Int(xs, IntTable::for_rows(ends.len())))
+                }
+                _ => None,
+            };
+            if let Some(slots) = &mut slots {
+                let mut groups: Vec<(Value, Vec<AggState>)> = Vec::new();
+                let mut null_slot = NO_ROW;
+                for &end in &ends {
+                    let end = end as usize;
+                    let pi = batch.physical_index(start);
+                    let slot = match slots {
+                        _ if !tv.is_valid(pi) => &mut null_slot,
+                        Slots::Code(codes, by_code) => &mut by_code[codes[pi] as usize],
+                        Slots::Int(xs, table) => table.head_mut(xs[pi]),
+                    };
+                    if *slot == NO_ROW {
+                        let key = tv.value_at(pi);
+                        let states = table.take_one(&key).unwrap_or_else(|| {
+                            *approx += per_group;
+                            new_states(&self.aggs)
+                        });
+                        *slot = groups.len() as u32;
+                        groups.push((key, states));
+                    }
+                    let states = &mut groups[*slot as usize].1;
+                    fold_aggs(&self.aggs, states, batch, span_of(sel, start, end))?;
+                    start = end;
+                }
+                for (key, states) in groups {
+                    table.put_one(key, states);
+                }
+                if self.budget.exceeded_by(*approx) {
+                    self.spill_table(table)?;
+                    *approx = 0;
+                }
+                return Ok(());
+            }
+        }
+        // Any other key (RLE runs included): a `Value` key per run.
+        for &end in &ends {
+            let end = end as usize;
+            let pi = batch.physical_index(start);
+            let mut new_group = false;
+            let states = match self.group_columns.as_slice() {
+                [_] => table.state_for_one(
+                    key_col.value_at(pi),
+                    || new_states(&self.aggs),
+                    &mut new_group,
+                ),
+                many => table.state_for_many(
+                    many.iter()
+                        .map(|&c| batch.columns[c].value_at(pi))
+                        .collect(),
+                    || new_states(&self.aggs),
+                    &mut new_group,
+                ),
+            };
+            if new_group {
+                *approx += per_group;
+            }
+            fold_aggs(&self.aggs, states, batch, span_of(sel, start, end))?;
+            start = end;
+            if self.budget.exceeded_by(*approx) {
+                self.spill_table(table)?;
+                *approx = 0;
             }
         }
         Ok(())
@@ -268,183 +449,18 @@ impl HashGroupByOp {
         };
         let mut table = GroupTable::new(self.group_columns.len());
         let mut approx = 0usize;
-        let per_group = self.aggs.len() * 24 + 48;
         while let Some(batch) = input.next_batch()? {
-            // Global aggregates (no GROUP BY): fold without any hashing.
-            if self.group_columns.is_empty() {
-                self.consume_global(batch)?;
+            if batch.is_empty() {
                 continue;
             }
-            // Grouped path: iterate logical rows through column accessors —
-            // no row vector is ever materialized, and typed aggregate
-            // inputs fold natively.
-            let accessors: Vec<ColAccess<'_>> = self
-                .aggs
-                .iter()
-                .map(|a| ColAccess::new(&batch.columns, a))
-                .collect();
-            let single_key = self.group_columns.len() == 1;
-            let key_col = self.group_columns[0];
-            // Compressed-domain fast paths for single-column keys: the hot
-            // loop never constructs (or hashes) a key `Value` per row.
-            if single_key {
-                match &batch.columns[key_col] {
-                    // Dictionary-coded and native integer keys: each distinct
-                    // key of the batch checks its group's states out of the
-                    // table at its first row — one `Value` built and one
-                    // hash lookup per distinct key, found again per row
-                    // through a code-indexed (dictionary) or `i64`
-                    // open-addressing (integer) slot array — and the batch
-                    // hands them back at its end. Rows fold into the
-                    // checked-out states in row order, the order the plain
-                    // path adds in, so a float SUM has the same bits
-                    // whichever path ran.
-                    ColumnSlice::Typed(tv) => {
-                        let mut groups: Vec<(Value, Vec<AggState>)> = Vec::new();
-                        let mut number = |slot: &mut u32,
-                                          groups: &mut Vec<(Value, Vec<AggState>)>,
-                                          key: &dyn Fn() -> Value|
-                         -> usize {
-                            if *slot == NO_ROW {
-                                let key = key();
-                                let states = table.take_one(&key).unwrap_or_else(|| {
-                                    approx += per_group + 16;
-                                    self.aggs.iter().map(|a| AggState::new(a.func)).collect()
-                                });
-                                *slot = groups.len() as u32;
-                                groups.push((key, states));
-                            }
-                            *slot as usize
-                        };
-                        let mut null_slot = NO_ROW;
-                        let handled = match tv.data() {
-                            VectorData::Dict { dict, codes } => {
-                                let mut by_code = vec![NO_ROW; dict.len()];
-                                for li in 0..batch.len() {
-                                    let pi = batch.physical_index(li);
-                                    let g = if tv.is_valid(pi) {
-                                        let code = codes[pi];
-                                        let key = || Value::Varchar(dict.get(code).to_string());
-                                        number(&mut by_code[code as usize], &mut groups, &key)
-                                    } else {
-                                        number(&mut null_slot, &mut groups, &|| Value::Null)
-                                    };
-                                    for (acc, s) in accessors.iter().zip(&mut groups[g].1) {
-                                        acc.update(s, pi)?;
-                                    }
-                                }
-                                true
-                            }
-                            VectorData::Int64(xs) | VectorData::Timestamp(xs) => {
-                                let timestamp = matches!(tv.data(), VectorData::Timestamp(_));
-                                let mut slots = IntTable::for_rows(batch.len());
-                                for li in 0..batch.len() {
-                                    let pi = batch.physical_index(li);
-                                    let g = if tv.is_valid(pi) {
-                                        let x = xs[pi];
-                                        let key = || match timestamp {
-                                            true => Value::Timestamp(x),
-                                            false => Value::Integer(x),
-                                        };
-                                        number(slots.head_mut(x), &mut groups, &key)
-                                    } else {
-                                        number(&mut null_slot, &mut groups, &|| Value::Null)
-                                    };
-                                    for (acc, s) in accessors.iter().zip(&mut groups[g].1) {
-                                        acc.update(s, pi)?;
-                                    }
-                                }
-                                true
-                            }
-                            _ => false,
-                        };
-                        if handled {
-                            for (key, states) in groups {
-                                table.put_one(key, states);
-                            }
-                            if self.budget.exceeded_by(approx) {
-                                self.spill_table(&mut table)?;
-                                approx = 0;
-                            }
-                            continue;
-                        }
-                    }
-                    // RLE keys probe the table once per *run*, not per row.
-                    ColumnSlice::Rle(rv) => {
-                        let filtered;
-                        let runs = match batch.selection() {
-                            None => rv.runs(),
-                            Some(sel) => {
-                                filtered = rv.filter(sel);
-                                filtered.runs()
-                            }
-                        };
-                        let mut li = 0usize;
-                        for (v, n) in runs {
-                            let mut new_group = false;
-                            let states = table.state_for_one(
-                                v.clone(),
-                                || self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                                &mut new_group,
-                            );
-                            if new_group {
-                                approx += per_group + 16;
-                            }
-                            for _ in 0..*n {
-                                let pi = batch.physical_index(li);
-                                li += 1;
-                                for (acc, s) in accessors.iter().zip(states.iter_mut()) {
-                                    acc.update(s, pi)?;
-                                }
-                            }
-                            if self.budget.exceeded_by(approx) {
-                                self.spill_table(&mut table)?;
-                                approx = 0;
-                            }
-                        }
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            for li in 0..batch.len() {
-                let pi = batch.physical_index(li);
-                let mut new_group = false;
-                let states = if single_key {
-                    table.state_for_one(
-                        batch.columns[key_col].value_at(pi),
-                        || self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                        &mut new_group,
-                    )
-                } else {
-                    let key: Vec<Value> = self
-                        .group_columns
-                        .iter()
-                        .map(|&c| batch.columns[c].value_at(pi))
-                        .collect();
-                    table.state_for_many(
-                        key,
-                        || self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                        &mut new_group,
-                    )
-                };
-                if new_group {
-                    approx += per_group + 16 * self.group_columns.len();
-                }
-                for (acc, s) in accessors.iter().zip(states.iter_mut()) {
-                    acc.update(s, pi)?;
-                }
-                if self.budget.exceeded_by(approx) {
-                    self.spill_table(&mut table)?;
-                    approx = 0;
-                }
+            if self.group_columns.is_empty() {
+                self.consume_global(&batch)?;
+            } else {
+                self.consume_grouped(&batch, &mut table, &mut approx)?;
             }
         }
         if self.group_columns.is_empty() {
-            let states = self
-                .global
-                .take()
-                .unwrap_or_else(|| self.aggs.iter().map(|a| AggState::new(a.func)).collect());
+            let states = self.global.take().unwrap_or_else(|| new_states(&self.aggs));
             self.output = vec![finish_group(Vec::new(), states)];
             return Ok(());
         }
@@ -515,108 +531,6 @@ impl HashGroupByOp {
         self.output.sort();
         Ok(())
     }
-}
-
-/// Per-aggregate view of an input column, letting the grouped hash path
-/// fold values straight from the column representation.
-struct ColAccess<'a> {
-    func: AggFunc,
-    kind: ColAccessKind<'a>,
-}
-
-enum ColAccessKind<'a> {
-    /// COUNT(*) touches no column.
-    CountStar,
-    /// Native integral buffer (`Integer`/`Timestamp`).
-    I64(&'a [i64], Option<&'a Bitmap>, DataType),
-    /// Native float buffer.
-    F64(&'a [f64], Option<&'a Bitmap>),
-    /// Plain values, folded by reference (no clone).
-    PlainRef(&'a [Value]),
-    /// Anything else (RLE, bool/dict vectors): point access.
-    Generic(&'a ColumnSlice),
-}
-
-impl<'a> ColAccess<'a> {
-    fn new(columns: &'a [ColumnSlice], a: &AggCall) -> ColAccess<'a> {
-        let kind = if a.func == AggFunc::CountStar {
-            ColAccessKind::CountStar
-        } else {
-            match &columns[a.input] {
-                ColumnSlice::Plain(values) => ColAccessKind::PlainRef(values),
-                ColumnSlice::Typed(tv) => match tv.data() {
-                    VectorData::Int64(xs) => {
-                        ColAccessKind::I64(xs, tv.validity(), DataType::Integer)
-                    }
-                    VectorData::Timestamp(xs) => {
-                        ColAccessKind::I64(xs, tv.validity(), DataType::Timestamp)
-                    }
-                    VectorData::Float64(xs) => ColAccessKind::F64(xs, tv.validity()),
-                    _ => ColAccessKind::Generic(&columns[a.input]),
-                },
-                other => ColAccessKind::Generic(other),
-            }
-        };
-        ColAccess { func: a.func, kind }
-    }
-
-    /// Fold physical row `pi` into `s`.
-    #[inline]
-    fn update(&self, s: &mut AggState, pi: usize) -> DbResult<()> {
-        match &self.kind {
-            ColAccessKind::CountStar => s.update(self.func, &Value::Null),
-            ColAccessKind::I64(xs, validity, ty) => {
-                if validity.is_none_or(|v| v.get(pi)) {
-                    s.update_i64(self.func, xs[pi], *ty)
-                } else {
-                    Ok(()) // NULL: every aggregate but COUNT(*) skips it
-                }
-            }
-            ColAccessKind::F64(xs, validity) => {
-                if validity.is_none_or(|v| v.get(pi)) {
-                    s.update_f64(self.func, xs[pi])
-                } else {
-                    Ok(())
-                }
-            }
-            ColAccessKind::PlainRef(values) => s.update(self.func, &values[pi]),
-            ColAccessKind::Generic(col) => s.update(self.func, &col.value_at(pi)),
-        }
-    }
-}
-
-/// Fold a whole typed vector (optionally through a selection) into one
-/// aggregate state — the global-aggregate typed fast path.
-fn update_global_typed(
-    s: &mut AggState,
-    func: AggFunc,
-    tv: &TypedVector,
-    sel: Option<&SelectionVector>,
-) -> DbResult<()> {
-    let mut fold = |i: usize| -> DbResult<()> {
-        if !tv.is_valid(i) {
-            return Ok(());
-        }
-        match tv.data() {
-            VectorData::Int64(xs) => s.update_i64(func, xs[i], DataType::Integer),
-            VectorData::Timestamp(xs) => s.update_i64(func, xs[i], DataType::Timestamp),
-            VectorData::Float64(xs) => s.update_f64(func, xs[i]),
-            _ => s.update(func, &tv.value_at(i)),
-        }
-    };
-    match sel {
-        None => {
-            for i in 0..tv.len() {
-                fold(i)?;
-            }
-        }
-        Some(sel) => {
-            for i in sel.iter() {
-                fold(i)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 fn finish_group(key: Vec<Value>, states: Vec<AggState>) -> Row {
@@ -722,24 +636,133 @@ fn decode_agg_state(r: &mut Reader<'_>) -> DbResult<AggState> {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined (one-pass) GroupBy over sorted input
+// Streaming (one-pass) GroupBy over sorted input
 // ---------------------------------------------------------------------------
+
+/// The streaming strategy's state machine: input arrives sorted by the
+/// group columns, so one group is in flight at a time and finishes when
+/// the key changes. Each key run of a batch (`key_segments`) costs one
+/// comparison of its key with the group in flight and one span fold per
+/// aggregate; an RLE key yields its runs without expansion. Nothing is
+/// allocated per group: key and states are reused buffers, and finished
+/// groups gather column by column. [`PipelinedGroupByOp`] drives it over a
+/// whole input; a morsel worker drives it over one morsel at a time and
+/// the morsel barrier over the morsel-ordered partials
+/// ([`crate::parallel`]).
+pub(crate) struct SortedFold {
+    group_columns: Vec<usize>,
+    aggs: Vec<AggCall>,
+    /// Is a group in flight? Then `key` is its key and `states` its
+    /// running states; otherwise `states` are fresh.
+    open: bool,
+    key: Vec<Value>,
+    states: Vec<AggState>,
+    /// The key run being looked at (scratch).
+    probe: Vec<Value>,
+    /// Finished groups not yet handed out, by output column: the group
+    /// columns, then one per aggregate.
+    finished: Vec<Vec<Value>>,
+    encoded_rows: u64,
+}
+
+impl SortedFold {
+    pub(crate) fn new(group_columns: Vec<usize>, aggs: Vec<AggCall>) -> SortedFold {
+        SortedFold {
+            open: false,
+            key: Vec::new(),
+            states: new_states(&aggs),
+            probe: Vec::new(),
+            finished: vec![Vec::new(); group_columns.len() + aggs.len()],
+            encoded_rows: 0,
+            group_columns,
+            aggs,
+        }
+    }
+
+    pub(crate) fn consume(&mut self, batch: &Batch) -> DbResult<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let sel = batch.selection().map(SelectionVector::indices);
+        let mut start = 0usize;
+        for end in key_segments(batch, &self.group_columns) {
+            let end = end as usize;
+            let pi = batch.physical_index(start);
+            self.probe.clear();
+            let key_at = self
+                .group_columns
+                .iter()
+                .map(|&c| batch.columns[c].value_at(pi));
+            self.probe.extend(key_at);
+            if !self.open || self.key != self.probe {
+                self.close_group();
+                std::mem::swap(&mut self.key, &mut self.probe);
+                self.open = true;
+            }
+            fold_aggs(
+                &self.aggs,
+                &mut self.states,
+                batch,
+                span_of(sel, start, end),
+            )?;
+            start = end;
+        }
+        let value_free = |c: &ColumnSlice| !matches!(c, ColumnSlice::Plain(_));
+        let keys_value_free = self
+            .group_columns
+            .iter()
+            .all(|&c| value_free(&batch.columns[c]));
+        let folds_natively =
+            |a: &AggCall| AggState::folds_natively(a.func, batch.columns.get(a.input));
+        if keys_value_free && self.aggs.iter().all(folds_natively) {
+            self.encoded_rows += batch.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// The group in flight is complete: its key will not come again (end
+    /// of input), or what follows must not merge into it (end of a morsel).
+    fn close_group(&mut self) {
+        if !std::mem::take(&mut self.open) {
+            return;
+        }
+        let (key_out, agg_out) = self.finished.split_at_mut(self.key.len());
+        for (out, v) in key_out.iter_mut().zip(self.key.drain(..)) {
+            out.push(v);
+        }
+        for ((out, s), a) in agg_out.iter_mut().zip(&mut self.states).zip(&self.aggs) {
+            out.push(std::mem::replace(s, AggState::new(a.func)).finish());
+        }
+    }
+
+    fn finished_groups(&self) -> usize {
+        self.finished.first().map_or(0, Vec::len)
+    }
+
+    /// Hand out every finished group as one batch of typed columns, if
+    /// there is any.
+    fn take_finished(&mut self) -> Option<Batch> {
+        if self.finished_groups() == 0 {
+            return None;
+        }
+        let columns = self.finished.iter_mut().map(std::mem::take).collect();
+        Some(crate::batch::typed_batch_from_columns(columns))
+    }
+
+    /// Close the group in flight and hand out every finished group.
+    pub(crate) fn finish(&mut self) -> Option<Batch> {
+        self.close_group();
+        self.take_finished()
+    }
+}
 
 /// One-pass aggregation: input must arrive sorted by the group columns
 /// (projection sort order). Emits each group as soon as the key changes, so
-/// memory is O(1) groups. When the (single) group column arrives as RLE
-/// runs and the aggregates only need run-level math, runs are consumed
-/// without expansion.
+/// memory is O(1) groups (`SortedFold`).
 pub struct PipelinedGroupByOp {
     input: BoxedOperator,
-    group_columns: Vec<usize>,
-    aggs: Vec<AggCall>,
-    current: Option<(Vec<Value>, Vec<AggState>)>,
-    pending: Vec<Row>,
+    fold: SortedFold,
     done: bool,
-    /// Count of values aggregated via whole-run updates (encoded-exec
-    /// telemetry for the ablation bench).
-    run_aggregated_rows: u64,
 }
 
 impl PipelinedGroupByOp {
@@ -750,163 +773,36 @@ impl PipelinedGroupByOp {
     ) -> PipelinedGroupByOp {
         PipelinedGroupByOp {
             input,
-            group_columns,
-            aggs,
-            current: None,
-            pending: Vec::new(),
+            fold: SortedFold::new(group_columns, aggs),
             done: false,
-            run_aggregated_rows: 0,
         }
     }
 
+    /// Rows aggregated without building or comparing a `Value` per row:
+    /// their key columns arrived as runs or typed vectors and every
+    /// aggregate folded natively (encoded-execution telemetry for tests
+    /// and the ablation bench).
     pub fn run_aggregated_rows(&self) -> u64 {
-        self.run_aggregated_rows
+        self.fold.encoded_rows
     }
-
-    fn flush_current(&mut self) {
-        if let Some((key, states)) = self.current.take() {
-            self.pending.push(finish_group(key, states));
-        }
-    }
-
-    fn update_group(&mut self, key: Vec<Value>, row_values: RunOrRow<'_>) -> DbResult<()> {
-        let switch = match &self.current {
-            Some((cur, _)) => cur != &key,
-            None => true,
-        };
-        if switch {
-            self.flush_current();
-            self.current = Some((
-                key,
-                self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-            ));
-        }
-        let (_, states) = self.current.as_mut().unwrap();
-        match row_values {
-            RunOrRow::Row { value_of } => {
-                for (a, s) in self.aggs.iter().zip(states.iter_mut()) {
-                    let v = if a.func == AggFunc::CountStar {
-                        Value::Null
-                    } else {
-                        value_of(a.input)
-                    };
-                    s.update(a.func, &v)?;
-                }
-            }
-            RunOrRow::Run { value_of, n } => {
-                self.run_aggregated_rows += u64::from(n);
-                for (a, s) in self.aggs.iter().zip(states.iter_mut()) {
-                    let v = if a.func == AggFunc::CountStar {
-                        Value::Null
-                    } else {
-                        value_of(a.input)
-                    };
-                    s.update_n(a.func, &v, u64::from(n))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Can this batch use the run fast path? Single group column arriving
-    /// as RLE, and every aggregate input is either the group column itself
-    /// or COUNT(*) — i.e. constant within a run.
-    fn run_fast_path(&self, batch: &Batch) -> bool {
-        if self.group_columns.len() != 1 {
-            return false;
-        }
-        let gc = self.group_columns[0];
-        if !batch.columns[gc].is_rle() {
-            return false;
-        }
-        self.aggs
-            .iter()
-            .all(|a| a.func == AggFunc::CountStar || a.input == gc)
-    }
-
-    fn consume_batch(&mut self, batch: &Batch) -> DbResult<()> {
-        if self.run_fast_path(batch) {
-            let gc = self.group_columns[0];
-            let ColumnSlice::Rle(rv) = &batch.columns[gc] else {
-                unreachable!()
-            };
-            // A selection (from a filter or visibility) shortens runs but
-            // never expands them.
-            let filtered;
-            let runs = match batch.selection() {
-                None => rv.runs(),
-                Some(sel) => {
-                    filtered = rv.filter(sel);
-                    filtered.runs()
-                }
-            };
-            for (v, n) in runs {
-                let key = vec![v.clone()];
-                let vv = v.clone();
-                self.update_group(
-                    key,
-                    RunOrRow::Run {
-                        value_of: &|_| vv.clone(),
-                        n: *n,
-                    },
-                )?;
-            }
-            return Ok(());
-        }
-        // Columnar path: walk logical rows through column accessors — the
-        // group key and each aggregate input construct one `Value` per
-        // row, never a full row vector.
-        for li in 0..batch.len() {
-            let pi = batch.physical_index(li);
-            let key: Vec<Value> = self
-                .group_columns
-                .iter()
-                .map(|&c| batch.columns[c].value_at(pi))
-                .collect();
-            let value_of = |c: usize| batch.columns[c].value_at(pi);
-            self.update_group(
-                key,
-                RunOrRow::Row {
-                    value_of: &value_of,
-                },
-            )?;
-        }
-        Ok(())
-    }
-}
-
-enum RunOrRow<'a> {
-    Row {
-        value_of: &'a dyn Fn(usize) -> Value,
-    },
-    Run {
-        value_of: &'a dyn Fn(usize) -> Value,
-        n: u32,
-    },
 }
 
 impl Operator for PipelinedGroupByOp {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        loop {
-            if self.pending.len() >= BATCH_SIZE || (self.done && !self.pending.is_empty()) {
-                let rows = std::mem::take(&mut self.pending);
-                return Ok(Some(crate::batch::typed_batch_from_rows(rows)));
-            }
-            if self.done {
-                return Ok(None);
-            }
+        while !self.done && self.fold.finished_groups() < BATCH_SIZE {
             match self.input.next_batch()? {
-                Some(batch) => self.consume_batch(&batch)?,
+                Some(batch) => self.fold.consume(&batch)?,
                 None => {
-                    self.flush_current();
+                    self.fold.close_group();
                     self.done = true;
                 }
             }
         }
+        Ok(self.fold.take_finished())
     }
 
     fn name(&self) -> String {
-        format!("GroupByPipelined(keys={:?})", self.group_columns)
+        format!("GroupByPipelined(keys={:?})", self.fold.group_columns)
     }
 }
 
@@ -1109,7 +1005,7 @@ pub fn two_phase_aggs(
                     a.output_name.clone(),
                 ));
             }
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
+            AggFunc::Sum | AggFunc::SumFloat | AggFunc::Min | AggFunc::Max => {
                 let pcol = group_arity + partial.len();
                 partial.push(AggCall::new(
                     a.func,
@@ -1122,10 +1018,13 @@ pub fn two_phase_aggs(
                     a.output_name.clone(),
                 ));
             }
+            // AVG's sum travels as a float — the accumulator the
+            // single-phase state is — so it cannot overflow where the
+            // single-phase AVG would not.
             AggFunc::Avg => {
                 let sum_col = group_arity + partial.len();
                 partial.push(AggCall::new(
-                    AggFunc::Sum,
+                    AggFunc::SumFloat,
                     a.input,
                     format!("p_sum_{}", a.output_name),
                 ));
@@ -1137,7 +1036,7 @@ pub fn two_phase_aggs(
                 ));
                 let fsum = group_arity + final_aggs.len();
                 final_aggs.push(AggCall::new(
-                    AggFunc::Sum,
+                    AggFunc::SumFloat,
                     sum_col,
                     format!("f_sum_{}", a.output_name),
                 ));
@@ -1169,6 +1068,7 @@ mod tests {
     use super::*;
     use crate::filter::ProjectOp;
     use crate::operator::{collect_rows, ValuesOp};
+    use crate::vector::TypedVector;
 
     fn source_rows(n: i64, groups: i64) -> Vec<Row> {
         (0..n)
@@ -1281,6 +1181,144 @@ mod tests {
         );
         let rows = collect_rows(&mut op).unwrap();
         assert_eq!(rows, vec![vec![Value::Integer(7), Value::Integer(150)]]);
+    }
+
+    /// Sorted rows `(a, b, c, f, i)` cut into batches of 700 (key runs
+    /// straddle them), each under a selection that empties some runs:
+    /// `a` in long runs with a NULL run first, `b` strings with NULLs, `c`
+    /// a unique timestamp; `f` floats of mixed magnitude
+    /// with NULLs, `i` integers. `encoded` picks RLE / dictionary / typed
+    /// columns, otherwise everything is plain `Value`s.
+    fn sorted_batches(encoded: bool) -> Vec<Batch> {
+        let n = 5000usize;
+        let mut rows: Vec<Row> = (0..n)
+            .map(|r| {
+                let a = match r / 900 {
+                    0 => Value::Null,
+                    run => Value::Integer(run as i64),
+                };
+                let b = match (r / 60) % 4 {
+                    0 => Value::Null,
+                    s => Value::Varchar(format!("b{s}")),
+                };
+                let f = match r % 11 {
+                    0 => Value::Null,
+                    _ => Value::Float(0.1 * r as f64 + if r % 7 == 0 { 1e15 } else { 0.0 }),
+                };
+                vec![
+                    a,
+                    b,
+                    Value::Timestamp(r as i64),
+                    f,
+                    Value::Integer(r as i64 % 97 - 40),
+                ]
+            })
+            .collect();
+        rows.sort_by(|x, y| x[..3].cmp(&y[..3]));
+        rows.chunks(700)
+            .map(|chunk| {
+                let col = |c: usize| chunk.iter().map(|r| r[c].clone()).collect::<Vec<Value>>();
+                let typed =
+                    |c: usize| ColumnSlice::Typed(TypedVector::from_values(&col(c)).unwrap());
+                let columns = match encoded {
+                    true => {
+                        let mut runs: Vec<(Value, u32)> = Vec::new();
+                        for v in col(0) {
+                            match runs.last_mut() {
+                                Some((last, n)) if *last == v => *n += 1,
+                                _ => runs.push((v, 1)),
+                            }
+                        }
+                        vec![
+                            ColumnSlice::rle(runs),
+                            typed(1),
+                            typed(2),
+                            typed(3),
+                            typed(4),
+                        ]
+                    }
+                    false => (0..5).map(|c| ColumnSlice::Plain(col(c))).collect(),
+                };
+                // Drops whole `(a, b)` runs (r / 60 even multiples of 5)
+                // and scattered rows.
+                let keep = |i: &u32| (i / 60) % 5 != 2 && !i.is_multiple_of(13);
+                let sel = SelectionVector::new((0..chunk.len() as u32).filter(keep).collect());
+                Batch::new(columns).with_selection(sel)
+            })
+            .collect()
+    }
+
+    fn every_agg() -> Vec<AggCall> {
+        vec![
+            AggCall::new(AggFunc::CountStar, 0, "cnt"),
+            AggCall::new(AggFunc::Count, 3, "cnt_f"),
+            AggCall::new(AggFunc::Sum, 3, "sum_f"),
+            AggCall::new(AggFunc::Avg, 3, "avg_f"),
+            AggCall::new(AggFunc::Min, 3, "min_f"),
+            AggCall::new(AggFunc::Sum, 4, "sum_i"),
+            AggCall::new(AggFunc::Max, 4, "max_i"),
+            AggCall::new(AggFunc::Avg, 2, "avg_ts"),
+            AggCall::new(AggFunc::Max, 1, "max_s"),
+            AggCall::new(AggFunc::Min, 0, "min_key"),
+        ]
+    }
+
+    /// Streaming ≡ hash, bit for bit, for one-, two- and three-column
+    /// sort-prefix keys over RLE, dictionary, typed and plain columns.
+    #[test]
+    fn pipelined_matches_hash_for_every_key_shape_and_representation() {
+        let mut answers = Vec::new();
+        for keys in [vec![0], vec![0, 1], vec![0, 1, 2]] {
+            for encoded in [true, false] {
+                let input = || Box::new(ValuesOp::new(sorted_batches(encoded)));
+                let mut hash = HashGroupByOp::new(
+                    input(),
+                    keys.clone(),
+                    every_agg(),
+                    MemoryBudget::unlimited(),
+                );
+                let mut pipe = PipelinedGroupByOp::new(input(), keys.clone(), every_agg());
+                let want = collect_rows(&mut hash).unwrap();
+                // Sorted input: the streaming output is already in key order.
+                assert_eq!(collect_rows(&mut pipe).unwrap(), want, "{keys:?} {encoded}");
+                answers.push(want);
+            }
+        }
+        assert_eq!(answers[0], answers[1], "encoded ≡ plain");
+        assert_eq!(answers[4], answers[5], "encoded ≡ plain");
+        assert_eq!(answers[0].len(), 6, "NULL and five values of `a`");
+        let selected: usize = sorted_batches(true).iter().map(Batch::len).sum();
+        assert_eq!(answers[4].len(), selected, "one group per row");
+    }
+
+    /// The shape the streaming strategy exists for — a run-length key and
+    /// aggregates over *other* typed columns — folds a key run at a time:
+    /// no `Value` is built per row and nothing pivots.
+    #[test]
+    fn pipelined_folds_typed_inputs_per_key_run_without_a_value_per_row() {
+        let batches = sorted_batches(true);
+        let rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
+        let aggs = vec![
+            AggCall::new(AggFunc::CountStar, 0, "cnt"),
+            AggCall::new(AggFunc::Sum, 3, "sum"),
+            AggCall::new(AggFunc::Avg, 3, "avg"),
+            AggCall::new(AggFunc::Min, 2, "first_ts"),
+        ];
+        let mut op = PipelinedGroupByOp::new(Box::new(ValuesOp::new(batches)), vec![0], aggs);
+        let pivots = crate::batch::row_pivot_count();
+        let mut groups = 0;
+        while let Some(b) = op.next_batch().unwrap() {
+            groups += b.len();
+        }
+        assert_eq!(groups, 6);
+        assert_eq!(op.run_aggregated_rows(), rows, "every row by span fold");
+        assert_eq!(crate::batch::row_pivot_count(), pivots);
+        // A dictionary-coded *input* still costs a `Value` per row.
+        let aggs = vec![AggCall::new(AggFunc::Max, 1, "max_s")];
+        let input = Box::new(ValuesOp::new(sorted_batches(true)));
+        let mut op = PipelinedGroupByOp::new(input, vec![0], aggs);
+        while op.next_batch().unwrap().is_some() {}
+        assert_eq!(op.run_aggregated_rows(), 0);
     }
 
     #[test]
@@ -1467,12 +1505,15 @@ mod tests {
             .iter()
             .flat_map(|(v, n)| std::iter::repeat_n(v.clone(), *n as usize))
             .collect();
+        // Terms of very different magnitude: the per-run fold must add
+        // them in the plain path's (row) order.
         let vals: Vec<Value> = (0..expanded.len())
-            .map(|i| Value::Integer(i as i64))
+            .map(|i| Value::Float(0.1 * i as f64 + if i % 7 == 0 { 1e15 } else { 0.0 }))
             .collect();
         let aggs = vec![
             AggCall::new(AggFunc::CountStar, 0, "cnt"),
             AggCall::new(AggFunc::Sum, 1, "sum"),
+            AggCall::new(AggFunc::Avg, 1, "avg"),
         ];
         let rle_batch = Batch::new(vec![
             ColumnSlice::rle(runs),

@@ -27,8 +27,20 @@
 //! as selection vectors — plus an optional per-worker stage, entirely on
 //! its own data. Worker states meet exactly once, at the barrier:
 //!
-//! * [`ParallelStage::GroupBy`] — per-worker partial aggregation (own hash
-//!   table, no sharing); the barrier re-aggregates the partials.
+//! * [`ParallelStage::GroupBy`] — partial aggregation in the workers; the
+//!   barrier re-aggregates the partials, by the strategy the planner chose
+//!   for the group-by. *Hash*: one table per worker across all its morsels,
+//!   a hash table at the barrier. *Sorted input* (the group columns are a
+//!   prefix of the projection's sort order): each worker runs the streaming
+//!   fold ([`crate::groupby`]) **per morsel** — a key that continues into
+//!   the next morsel leaves one partial row in each — and the barrier
+//!   streams the same fold, with the merge aggregates, over the partials
+//!   **in morsel order**, where adjacent equal keys collapse (only a
+//!   morsel's first and last partial can; the rows between pass through).
+//!   No hash table on either side, memory O(groups in flight) plus the
+//!   partial rows; and since partials meet in morsel order, not worker
+//!   order, a float SUM has the same bits at every DoP ≥ 2 and on every
+//!   run.
 //! * [`ParallelStage::Sort`] — per-worker sorted runs; the barrier k-way
 //!   merges them.
 //! * [`ParallelStage::Collect`] — scan/filter only; per-morsel outputs are
@@ -56,11 +68,12 @@
 use crate::aggregate::AggCall;
 use crate::batch::{Batch, BATCH_SIZE};
 use crate::filter::ProjectOp;
-use crate::groupby::{two_phase_aggs, HashGroupByOp};
+use crate::groupby::{two_phase_aggs, HashGroupByOp, PipelinedGroupByOp, SortedFold};
 use crate::memory::MemoryBudget;
 use crate::operator::{BoxedOperator, Operator, ValuesOp};
 use crate::scan::{ScanOperator, ScanStats, SipBinding};
 use crate::sort::SortOp;
+use crate::vector::SelectionVector;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -191,7 +204,7 @@ pub enum ParallelStage {
     /// stateful for the §6.1 memory split; streaming morsel-ordered
     /// emission is future work.
     Collect,
-    /// Per-worker partial aggregation; hash tables merge at the barrier.
+    /// Partial aggregation in the workers, merged at the barrier.
     /// Non-decomposable aggregates (COUNT DISTINCT) parallelize the scan
     /// and aggregate once at the barrier instead — that fallback buffers
     /// the filtered scan output at the barrier (like a serial plan whose
@@ -200,6 +213,10 @@ pub enum ParallelStage {
     GroupBy {
         group_columns: Vec<usize>,
         aggs: Vec<AggCall>,
+        /// The input arrives sorted by `group_columns` (they are a prefix
+        /// of the scanned projection's sort order — a fact of the plan,
+        /// not a choice): workers and barrier stream instead of hashing.
+        sorted: bool,
     },
     /// Per-worker sorted runs; the barrier k-way merges them. Rows that
     /// compare equal on `keys` may interleave differently than a serial
@@ -215,6 +232,7 @@ impl ParallelStage {
             ParallelStage::GroupBy {
                 group_columns,
                 aggs,
+                ..
             } => group_columns.len() + aggs.len(),
         }
     }
@@ -296,8 +314,9 @@ impl Operator for MorselSourceOp {
 
 /// What one worker hands the barrier.
 enum WorkerOutput {
-    /// `(morsel index, its batches)` pairs for order-preserving concat;
-    /// partial-aggregate batches (group columns first) under index 0.
+    /// `(morsel index, its batches)` pairs for order-preserving concat —
+    /// scan output, or a sorted group-by's partials of that morsel; a hash
+    /// group-by's partial batches (group columns first) under index 0.
     Batches(Vec<(usize, Vec<Batch>)>),
     /// One sorted run.
     Run(Vec<Row>),
@@ -306,11 +325,13 @@ enum WorkerOutput {
 /// What the barrier does with the worker outputs.
 enum BarrierMerge {
     Concat,
-    /// Re-aggregate rows with `aggs` grouped on `keys`, then optionally
+    /// Re-aggregate rows with `aggs` grouped on `keys` — streaming when
+    /// the morsel-ordered rows are `sorted` on them — then optionally
     /// project (AVG reconstitution).
     GroupBy {
         keys: Vec<usize>,
         aggs: Vec<AggCall>,
+        sorted: bool,
         project: Option<Vec<Expr>>,
     },
     KWayMerge {
@@ -433,8 +454,23 @@ pub(crate) fn serial_stage(
         ParallelStage::GroupBy {
             group_columns,
             aggs,
-        } => Box::new(HashGroupByOp::new(source, group_columns, aggs, budget)),
+            sorted,
+        } => group_by_op(source, group_columns, aggs, sorted, budget),
         ParallelStage::Sort { keys } => Box::new(SortOp::new(source, keys, budget)),
+    }
+}
+
+/// The group-by operator of the strategy the plan names.
+fn group_by_op(
+    source: BoxedOperator,
+    keys: Vec<usize>,
+    aggs: Vec<AggCall>,
+    sorted: bool,
+    budget: MemoryBudget,
+) -> BoxedOperator {
+    match sorted {
+        true => Box::new(PipelinedGroupByOp::new(source, keys, aggs)),
+        false => Box::new(HashGroupByOp::new(source, keys, aggs, budget)),
     }
 }
 
@@ -486,25 +522,30 @@ fn resolve_stage(stage: ParallelStage) -> (ParallelStage, BarrierMerge) {
         ParallelStage::GroupBy {
             group_columns,
             aggs,
+            sorted,
         } => match two_phase_aggs(group_columns.len(), &aggs) {
             Some((partial, final_aggs, project)) => (
                 ParallelStage::GroupBy {
                     group_columns: group_columns.clone(),
                     aggs: partial,
+                    sorted,
                 },
                 BarrierMerge::GroupBy {
                     keys: (0..group_columns.len()).collect(),
                     aggs: final_aggs,
+                    sorted,
                     project: Some(project),
                 },
             ),
             // Non-decomposable (COUNT DISTINCT): parallelize the pipeline
-            // only and aggregate once at the barrier.
+            // only and aggregate once at the barrier (the morsel-ordered
+            // concat is the serial scan, so sorted input stays sorted).
             None => (
                 ParallelStage::Collect,
                 BarrierMerge::GroupBy {
                     keys: group_columns,
                     aggs,
+                    sorted,
                     project: None,
                 },
             ),
@@ -520,14 +561,30 @@ fn run_worker(
     job: ParallelStage,
     budget: MemoryBudget,
 ) -> DbResult<WorkerOutput> {
-    if matches!(job, ParallelStage::Collect) {
+    // Per-morsel jobs, tagged with the morsel index: the scan output as it
+    // is, or — sorted input — the streaming fold's partial groups of the
+    // morsel, closed at its end so that partials only ever meet at the
+    // barrier, in morsel order.
+    let mut fold = match &job {
+        ParallelStage::GroupBy {
+            group_columns,
+            aggs,
+            sorted: true,
+        } => Some(SortedFold::new(group_columns.clone(), aggs.clone())),
+        _ => None,
+    };
+    if fold.is_some() || matches!(job, ParallelStage::Collect) {
         let mut out = Vec::new();
         while let Some((idx, morsel)) = queue.pop() {
             pipeline.feed(morsel);
             let mut batches = Vec::new();
             while let Some(b) = pipeline.pull()? {
-                batches.push(b);
+                match &mut fold {
+                    Some(fold) => fold.consume(&b)?,
+                    None => batches.push(b),
+                }
             }
+            batches.extend(fold.as_mut().and_then(SortedFold::finish));
             out.push((idx, batches));
         }
         return Ok(WorkerOutput::Batches(out));
@@ -566,17 +623,59 @@ fn merge_outputs(
         BarrierMerge::GroupBy {
             keys,
             aggs,
+            sorted,
             project,
         } => {
-            let gb = HashGroupByOp::new(Box::new(ValuesOp::new(batches)), keys, aggs, budget);
+            // `project` is there exactly when the workers sent partial
+            // groups rather than rows.
+            let merged: BoxedOperator = match (&project, sorted) {
+                (Some(_), true) => {
+                    Box::new(ValuesOp::new(merge_sorted_partials(batches, keys, aggs)?))
+                }
+                _ => group_by_op(Box::new(ValuesOp::new(batches)), keys, aggs, sorted, budget),
+            };
             let mut op: BoxedOperator = match project {
-                Some(exprs) => Box::new(ProjectOp::new(Box::new(gb), exprs)),
-                None => Box::new(gb),
+                Some(exprs) => Box::new(ProjectOp::new(merged, exprs)),
+                None => merged,
             };
             drain(op.as_mut())
         }
         BarrierMerge::KWayMerge { keys } => Ok(kway_merge(runs, &keys)),
     }
+}
+
+/// The sorted group-by's barrier: stream the merge aggregates over the
+/// morsel-ordered partials so that adjacent equal keys collapse. Each batch
+/// is one morsel's partial groups, every row a distinct closed group — so
+/// only a morsel's first and last rows can continue a neighbour's key, and
+/// only they go through the streaming fold. The rows between are appended
+/// as they are: merging one partial yields that partial.
+fn merge_sorted_partials(
+    batches: Vec<Batch>,
+    keys: Vec<usize>,
+    aggs: Vec<AggCall>,
+) -> DbResult<Vec<Batch>> {
+    let mut fold = SortedFold::new(keys, aggs);
+    let mut out = Batch::default();
+    let mut emit = |piece: Option<Batch>| piece.into_iter().for_each(|b| out.append(b));
+    for batch in batches.into_iter().filter(|b| !b.is_empty()) {
+        let batch = batch.compact();
+        let n = batch.len() as u32;
+        let rows = |range: std::ops::Range<u32>| SelectionVector::new(range.collect());
+        fold.consume(&batch.materialized(&rows(0..1)))?;
+        if n > 1 {
+            // Row 1 has another key: the group row 0 went into is complete.
+            emit(fold.finish());
+            fold.consume(&batch.materialized(&rows(n - 1..n)))?;
+            emit((n > 2).then(|| batch.with_selection(rows(1..n - 1))));
+        }
+    }
+    emit(fold.finish());
+    Ok(if out.is_empty() {
+        Vec::new()
+    } else {
+        vec![out]
+    })
 }
 
 fn drain(op: &mut dyn Operator) -> DbResult<Vec<Batch>> {
@@ -736,6 +835,7 @@ mod tests {
                 ParallelStage::GroupBy {
                     group_columns: vec![0],
                     aggs: aggs.clone(),
+                    sorted: false,
                 },
                 morsels_of(&store),
                 threads,
@@ -743,6 +843,155 @@ mod tests {
             );
             let got = collect_rows(&mut op).unwrap();
             assert_eq!(got, expected, "threads={threads}");
+        }
+    }
+
+    /// `(g, x, y)` sorted by `g`: one container three morsels long whose
+    /// key runs (3000 rows) straddle blocks and morsels, a second container
+    /// in which the keys start over, and a WOS tail. `x` is exactly
+    /// representable (any grouping of its sums is exact), `y` is not.
+    fn make_sorted_store() -> ProjectionStore {
+        use vdb_storage::store::MORSEL_BLOCKS;
+        let schema = TableSchema::new(
+            "s",
+            vec![
+                ColumnDef::new("g", DataType::Integer),
+                ColumnDef::new("x", DataType::Float),
+                ColumnDef::new("y", DataType::Float),
+            ],
+        );
+        let def = ProjectionDef::super_projection(&schema, "s_super", &[0], &[]);
+        let mut store = ProjectionStore::new(def, None, 1, Arc::new(MemBackend::new()));
+        let row = |i: usize| {
+            let y = 0.1 * i as f64 + if i.is_multiple_of(7) { 1e15 } else { 0.0 };
+            vec![
+                Value::Integer(i as i64 / 3000),
+                Value::Float((i % 4001) as f64 * 0.25),
+                Value::Float(y),
+            ]
+        };
+        let long = 2 * MORSEL_BLOCKS * vdb_encoding::BLOCK_SIZE + 5000;
+        store
+            .insert_direct_ros((0..long).map(row).collect(), Epoch(1))
+            .unwrap();
+        store
+            .insert_direct_ros((0..7000).map(row).collect(), Epoch(1))
+            .unwrap();
+        store
+            .insert_wos((6000..6100).map(row).collect(), Epoch(1))
+            .unwrap();
+        assert!(store.morsel_count() >= 5);
+        store
+    }
+
+    /// The sorted-input strategy inside the morsel framework: per-morsel
+    /// streaming partials merged by a morsel-ordered streaming barrier
+    /// answer what the serial streaming operator answers — keys that start
+    /// over in the next container stay separate rows in both — and a float
+    /// SUM over inexact data has the same bits at every DoP ≥ 2, run after
+    /// run, because partials meet in morsel order.
+    #[test]
+    fn sorted_groupby_streams_per_morsel_and_matches_serial() {
+        let store = make_sorted_store();
+        let exact = vec![
+            AggCall::new(AggFunc::CountStar, 0, "cnt"),
+            AggCall::new(AggFunc::Sum, 1, "sum"),
+            AggCall::new(AggFunc::Avg, 1, "avg"),
+            AggCall::new(AggFunc::Min, 1, "min"),
+            AggCall::new(AggFunc::Max, 2, "max"),
+        ];
+        let inexact = vec![
+            AggCall::new(AggFunc::Sum, 2, "sum"),
+            AggCall::new(AggFunc::Avg, 2, "avg"),
+        ];
+        let spec = || {
+            let mut spec = ParallelScanSpec::new(store.backend().clone(), vec![0, 1, 2]);
+            // Empties a whole key run and thins the others.
+            spec.predicate = Some(Expr::and(
+                Expr::binary(BinOp::Ne, Expr::col(0, "g"), Expr::int(3)),
+                Expr::binary(BinOp::Lt, Expr::col(1, "x"), Expr::lit(Value::Float(900.0))),
+            ));
+            spec
+        };
+        let serial = |aggs: &[AggCall]| {
+            let stats = Arc::new(Mutex::new(ScanStats::default()));
+            let morsels = spec().cut(&morsels_of(&store), &stats).unwrap();
+            let scan = spec().scan_of(morsels, &stats);
+            let mut op = PipelinedGroupByOp::new(Box::new(scan), vec![0], aggs.to_vec());
+            collect_rows(&mut op).unwrap()
+        };
+        let parallel = |aggs: &[AggCall], threads: usize| {
+            let stage = ParallelStage::GroupBy {
+                group_columns: vec![0],
+                aggs: aggs.to_vec(),
+                sorted: true,
+            };
+            let mut op = ParallelScanOp::new(
+                spec(),
+                stage,
+                morsels_of(&store),
+                threads,
+                MemoryBudget::unlimited(),
+            );
+            let rows = collect_rows(&mut op).unwrap();
+            assert_eq!(op.threads_used(), threads.min(store.morsel_count()));
+            rows
+        };
+        let want = serial(&exact);
+        let keys: Vec<i64> = want.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        let restart = keys.iter().skip(1).position(|&g| g == keys[0]);
+        assert!(
+            restart.is_some_and(|at| at > 10),
+            "keys start over: {keys:?}"
+        );
+        assert!(!keys.contains(&3), "the emptied run leaves no group");
+        for threads in [1, 2, 7] {
+            assert_eq!(parallel(&exact, threads), want, "threads={threads}");
+        }
+        let two = parallel(&inexact, 2);
+        assert_eq!(two.len(), want.len());
+        for _ in 0..3 {
+            assert_eq!(
+                parallel(&inexact, 7),
+                two,
+                "SUM bits moved with the DoP or the run"
+            );
+        }
+        assert_eq!(
+            parallel(&inexact, 1),
+            serial(&inexact),
+            "one lane is the serial operator"
+        );
+    }
+
+    /// Sorted input never meets a hash table: the workers' job and the
+    /// barrier's merge are both the streaming operator, decomposable
+    /// aggregates or not.
+    #[test]
+    fn sorted_stage_streams_in_the_workers_and_at_the_barrier() {
+        for func in [AggFunc::Avg, AggFunc::CountDistinct] {
+            let (job, merge) = resolve_stage(ParallelStage::GroupBy {
+                group_columns: vec![0],
+                aggs: vec![AggCall::new(func, 1, "agg")],
+                sorted: true,
+            });
+            let per_morsel_fold = matches!(job, ParallelStage::GroupBy { sorted: true, .. });
+            assert_eq!(per_morsel_fold, func == AggFunc::Avg, "{job:?}");
+            let BarrierMerge::GroupBy {
+                keys,
+                aggs,
+                sorted,
+                project,
+            } = merge
+            else {
+                panic!("a group-by stage merges by group-by");
+            };
+            // Partials go through `merge_sorted_partials` (a `SortedFold`);
+            // rows that could not be pre-aggregated through the operator.
+            assert_eq!(project.is_some(), per_morsel_fold);
+            let source = Box::new(ValuesOp::new(Vec::new()));
+            let barrier = group_by_op(source, keys, aggs, sorted, MemoryBudget::unlimited());
+            assert!(barrier.name().starts_with("GroupByPipelined"), "{func:?}");
         }
     }
 
@@ -755,6 +1004,7 @@ mod tests {
             ParallelStage::GroupBy {
                 group_columns: vec![0],
                 aggs,
+                sorted: false,
             },
             morsels_of(&store),
             4,
@@ -912,6 +1162,7 @@ mod tests {
             ParallelStage::GroupBy {
                 group_columns: vec![1], // v is unique: 20k groups
                 aggs: aggs.clone(),
+                sorted: false,
             },
             morsels_of(&store),
             4,

@@ -614,6 +614,7 @@ mod tests {
         let stage = ParallelStage::GroupBy {
             group_columns: vec![2],
             aggs: aggs.clone(),
+            sorted: false,
         };
         let joined = ValuesOp::new(batches);
         let mut above =

@@ -632,8 +632,13 @@ fn render(plan: &PhysicalPlan, depth: usize, out: &mut String) {
             }
             s.push_str(&match stage {
                 ParallelStage::Collect => format!(" [morsels -> {threads} threads]"),
-                ParallelStage::GroupBy { group_columns, .. } => format!(
-                    " [morsels -> {threads} threads, partial GroupBy keys={group_columns:?}, merge barrier]"
+                ParallelStage::GroupBy {
+                    group_columns,
+                    sorted,
+                    ..
+                } => format!(
+                    " [morsels -> {threads} threads, partial GroupBy keys={group_columns:?}{}, merge barrier]",
+                    if *sorted { " (sorted input)" } else { "" }
                 ),
                 ParallelStage::Sort { keys } => format!(
                     " [morsels -> {threads} threads, sort runs ({} keys), k-way merge]",
@@ -1075,6 +1080,7 @@ mod tests {
             stage: ParallelStage::GroupBy {
                 group_columns: vec![2],
                 aggs,
+                sorted: false,
             },
         };
         assert_eq!(serial.arity(), 3);

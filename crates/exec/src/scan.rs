@@ -10,8 +10,15 @@
 //!    the position index) cannot pass, the small-materialized-aggregates
 //!    technique the paper cites as \[22\].
 //! 3. **Block pruning** — the same test per 1024-row block.
-//! 4. **SIP filters** — membership tests against a join's hash table (§6.1).
-//! 5. Residual predicate evaluation, vectorized per batch.
+//! 4. **Comparison conjuncts** — `column ⟨cmp⟩ literal` and `BETWEEN`
+//!    conjuncts are split off the predicate once and applied, with their
+//!    exact operator, to each such column as it is decoded — before the
+//!    other columns are, so rows they rule out are never decoded there.
+//!    Each conjunct is evaluated once: pruning (2–3) keeps its own
+//!    inclusive, conservative bounds, and what step 6 evaluates no longer
+//!    contains these conjuncts.
+//! 5. **SIP filters** — membership tests against a join's hash table (§6.1).
+//! 6. Residual predicate evaluation, vectorized per batch.
 //!
 //! Steps 1–3 run over the in-memory position indexes **before any I/O**
 //! (`ScanOperator::cut`): what survives is cut into (container, block
@@ -24,6 +31,7 @@
 //! the encoded-execution path of pipelined GroupBy.
 
 use crate::batch::{Batch, ColumnSlice};
+use crate::filter::ColumnCmp;
 use crate::operator::Operator;
 use crate::sip::SipFilter;
 use crate::vector::{SelectionVector, VectorData};
@@ -141,23 +149,18 @@ pub fn extract_bounds(pred: &Expr) -> Vec<ColumnBounds> {
     out
 }
 
-/// Refine candidate positions with a bounded column's decoded values:
-/// exact per-row application of `low ≤ col ≤ high` (typed columns compare
-/// natively, RLE once per run). The bounds are necessary conditions of the
-/// scan predicate, so dropping failures early is sound; an unsupported
-/// column/literal pairing leaves the candidates untouched.
-fn refine_by_bounds(col: &ColumnSlice, b: &ColumnBounds, mut cands: Vec<u32>) -> Vec<u32> {
-    if let Some(lo) = &b.low {
-        if let Some(kept) = crate::filter::filter_cmp(col, BinOp::Ge, lo, cands.clone()) {
-            cands = kept;
-        }
-    }
-    if let Some(hi) = &b.high {
-        if let Some(kept) = crate::filter::filter_cmp(col, BinOp::Le, hi, cands.clone()) {
-            cands = kept;
-        }
-    }
-    cands
+/// Refine a selection over `rows` physical rows (`None` = all of them) by
+/// one comparison conjunct over its decoded column. A test that keeps every
+/// row leaves `None`, so downstream takes the dense path.
+fn refine(
+    col: &ColumnSlice,
+    cmp: &ColumnCmp,
+    sel: Option<Vec<u32>>,
+    rows: usize,
+) -> Option<Vec<u32>> {
+    let cands = sel.unwrap_or_else(|| (0..rows as u32).collect());
+    let kept = crate::filter::filter_cmp(col, cmp.op, &cmp.lit, cands);
+    (kept.len() < rows).then_some(kept)
 }
 
 /// A `col IS [NOT] NULL` conjunct, used for null-count pruning: the block
@@ -190,9 +193,16 @@ pub fn extract_null_tests(pred: &Expr) -> Vec<NullTest> {
 pub struct ScanOperator {
     /// Projection column indexes this scan outputs, in output order.
     output_columns: Vec<usize>,
-    /// Residual predicate over the *output* columns.
+    /// The whole predicate over the *output* columns: what pruning derives
+    /// its bounds and null tests from.
     predicate: Option<Expr>,
-    /// Bounds for pruning, with `column` = output column index.
+    /// Its `column ⟨cmp⟩ literal` conjuncts, applied exactly while the
+    /// block's columns are decoded...
+    cmps: Vec<ColumnCmp>,
+    /// ... and the conjunction of its other conjuncts, evaluated per batch.
+    residual: Option<Expr>,
+    /// Inclusive bounds for container and block pruning, with `column` =
+    /// output column index.
     bounds: Vec<ColumnBounds>,
     /// `IS [NOT] NULL` conjuncts for null-count pruning, same frame.
     null_tests: Vec<NullTest>,
@@ -269,6 +279,10 @@ impl ScanOperator {
         stats: Arc<Mutex<ScanStats>>,
     ) -> ScanOperator {
         let bounds = predicate.as_ref().map(extract_bounds).unwrap_or_default();
+        let (cmps, residual) = match &predicate {
+            Some(p) => crate::filter::split_column_cmps(p, output_columns.len()),
+            None => (Vec::new(), None),
+        };
         let null_tests = predicate
             .as_ref()
             .map(extract_null_tests)
@@ -276,6 +290,8 @@ impl ScanOperator {
         ScanOperator {
             output_columns,
             predicate,
+            cmps,
+            residual,
             bounds,
             null_tests,
             partition_predicate,
@@ -448,40 +464,33 @@ impl ScanOperator {
                     None
                 }
             };
-            // Decode bounded columns first and refine the selection with
-            // their exact bounds, so rows the bounds rule out are never
-            // decoded in the remaining columns. Then decode the rest under
-            // the final selection — straight into typed vectors (native
-            // buffers) or RLE vectors; no per-row `Value` construction for
-            // specialized encodings.
+            // Decode the columns under comparison conjuncts first and refine
+            // the selection with each conjunct, so rows they rule out are
+            // never decoded in the remaining columns. Then decode the rest
+            // under the final selection — straight into typed vectors
+            // (native buffers) or RLE vectors; no per-row `Value`
+            // construction for specialized encodings.
             let mut slices: Vec<Option<ColumnSlice>> = (0..ncols).map(|_| None).collect();
             let mut skipped = 0u64;
-            for b in &self.bounds {
+            let mut decode = |ci: usize, sel: Option<&[u32]>| -> DbResult<ColumnSlice> {
+                let reader = run.columns[ci].reader(index_of(ci));
+                let (native, sk) = reader.read_block_native_selected(bi, sel)?;
+                skipped += sk;
+                Ok(ColumnSlice::from_native(native))
+            };
+            for cmp in &self.cmps {
                 if sel.as_ref().is_some_and(|s| s.is_empty()) {
                     break;
                 }
-                if slices[b.column].is_some() {
-                    continue;
+                if slices[cmp.column].is_none() {
+                    slices[cmp.column] = Some(decode(cmp.column, sel.as_deref())?);
                 }
-                let reader = run.columns[b.column].reader(index_of(b.column));
-                let (native, sk) = reader.read_block_native_selected(bi, sel.as_deref())?;
-                skipped += sk;
-                let slice = ColumnSlice::from_native(native);
-                let cands: Vec<u32> = match &sel {
-                    Some(s) => s.clone(),
-                    None => (0..block_rows as u32).collect(),
-                };
-                let refined = refine_by_bounds(&slice, b, cands);
-                sel = if refined.len() < block_rows {
-                    Some(refined)
-                } else {
-                    None
-                };
-                slices[b.column] = Some(slice);
+                let slice = slices[cmp.column].as_ref().expect("just decoded");
+                sel = refine(slice, cmp, sel, block_rows);
             }
             if sel.as_ref().is_some_and(|s| s.is_empty()) {
-                // Nothing visible, or bounds eliminated every row: the
-                // remaining columns are never decoded at all.
+                // Nothing visible, or the conjuncts eliminated every row:
+                // the remaining columns are never decoded at all.
                 let undecoded = slices.iter().filter(|s| s.is_none()).count() as u64;
                 let mut st = self.stats.lock();
                 st.rows_scanned += block_rows as u64;
@@ -489,13 +498,9 @@ impl ScanOperator {
                 continue;
             }
             for (ci, slot) in slices.iter_mut().enumerate() {
-                if slot.is_some() {
-                    continue;
+                if slot.is_none() {
+                    *slot = Some(decode(ci, sel.as_deref())?);
                 }
-                let reader = run.columns[ci].reader(index_of(ci));
-                let (native, sk) = reader.read_block_native_selected(bi, sel.as_deref())?;
-                skipped += sk;
-                *slot = Some(ColumnSlice::from_native(native));
             }
             {
                 let mut st = self.stats.lock();
@@ -514,7 +519,8 @@ impl ScanOperator {
         }
     }
 
-    /// 4+5: SIP filters then residual predicate. Both stages refine the
+    /// 5+6: SIP filters then residual predicate, over a batch the
+    /// comparison conjuncts have been applied to. Both stages refine the
     /// batch's selection vector — survivors are marked, not copied.
     fn apply_row_filters(&self, batch: Batch) -> DbResult<Batch> {
         let mut batch = batch;
@@ -530,7 +536,7 @@ impl ScanOperator {
                 batch = batch.with_selection(sel);
             }
         }
-        if let Some(pred) = &self.predicate {
+        if let Some(pred) = &self.residual {
             if !batch.is_empty() {
                 // Vectorized evaluation over typed/RLE columns; row-wise
                 // fallback for predicates outside the vectorizable shape.
@@ -666,7 +672,16 @@ impl ScanOperator {
             .into_iter()
             .map(|r| self.output_columns.iter().map(|&c| r[c].clone()).collect())
             .collect();
-        let batch = self.apply_row_filters(Batch::from_rows(projected))?;
+        let mut batch = Batch::from_rows(projected);
+        let rows = batch.len();
+        let mut sel = None;
+        for cmp in &self.cmps {
+            sel = refine(&batch.columns[cmp.column], cmp, sel, rows);
+        }
+        if let Some(sel) = sel {
+            batch = batch.with_selection(SelectionVector::new(sel));
+        }
+        let batch = self.apply_row_filters(batch)?;
         if batch.is_empty() {
             Ok(None)
         } else {

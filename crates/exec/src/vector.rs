@@ -537,13 +537,18 @@ impl RleVector {
         self.offsets[ri] as usize
     }
 
-    /// Value at row `i` — O(log runs) via the cached prefix offsets.
-    pub fn value_at(&self, i: usize) -> &Value {
+    /// Index of the run holding row `i` — O(log runs) via the cached
+    /// prefix offsets.
+    pub fn run_index_at(&self, i: usize) -> usize {
         assert!(i < self.len(), "row {i} out of bounds for rle vector");
         // partition_point returns the first offset > i; its predecessor is
         // the run containing i.
-        let ri = self.offsets.partition_point(|&o| o <= i as u64) - 1;
-        &self.runs[ri].0
+        self.offsets.partition_point(|&o| o <= i as u64) - 1
+    }
+
+    /// Value at row `i` — O(log runs).
+    pub fn value_at(&self, i: usize) -> &Value {
+        &self.runs[self.run_index_at(i)].0
     }
 
     /// Expand to plain values (cloning run values).

@@ -19,7 +19,16 @@
 //!   equals the serial scan **row for row, in order**; `GroupBy`/`Sort`
 //!   stages equal their serial plans; `ParallelHashJoin` equals `HashJoin`;
 //! * (c) the pruning counters of `ScanStats` are the serial scan's at every
-//!   DoP.
+//!   DoP;
+//! * (d) group-bys on a sort-order prefix — one-, two- and three-column keys
+//!   over RLE, dictionary, typed and NULL-bearing key columns, whose runs
+//!   straddle blocks, morsels and containers; COUNT(*)/COUNT/SUM/MIN/MAX/AVG
+//!   over float, integer, timestamp, dictionary and all-NULL inputs — the
+//!   serial streaming operator ≡ the hash group-by ≡ the model after the
+//!   initiator's merge; the sorted stage of a `ParallelScan` at DoP
+//!   1/2/7/env ≡ the serial streaming operator row for row; and a float
+//!   SUM over inexact data has the same bits at DoP 2, at DoP 7 and on a
+//!   second run.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -52,7 +61,13 @@ const S: usize = 2; // short strings from a small set (dictionary)
 const F: usize = 3; // floats
 const N: usize = 4; // NULL in whole stretches and sporadically
 const P: usize = 5; // the partition key
-const ARITY: usize = 6;
+                    // Monotone in `k`, so rows sorted by `k` are sorted by `(a, b, t)` too:
+const A: usize = 6; // k / 2500 in long runs (RLE), NULL for the first stretch
+const B: usize = 7; // within a run of `a`: NULL, then "b0".."b3" (dictionary)
+const T: usize = 8; // a timestamp, unique
+const Y: usize = 9; // floats that no sum represents exactly
+const Z: usize = 10; // NULL in every row
+const ARITY: usize = 11;
 
 /// SplitMix64: the whole case derives from the seed through this.
 struct Rng(u64);
@@ -100,6 +115,18 @@ fn fact_row(k: i64, rng: &mut Rng) -> Row {
         Value::Float(rng.below(4000) as f64 * 0.25),
         n,
         Value::Integer((k / 10_000) % 3),
+        if k < 1_500 {
+            Value::Null
+        } else {
+            Value::Integer(k / 2_500)
+        },
+        match k % 2_500 {
+            r if r < 200 => Value::Null,
+            r => Value::Varchar(format!("b{}", r / 600)),
+        },
+        Value::Timestamp(1_000_000 + k),
+        Value::Float(0.1 * k as f64 + if k % 7 == 0 { 1e15 } else { 0.0 }),
+        Value::Null,
     ]
 }
 
@@ -130,6 +157,11 @@ fn fact_def(rng: &mut Rng) -> ProjectionDef {
             ColumnDef::new("f", DataType::Float),
             ColumnDef::new("n", DataType::Integer),
             ColumnDef::new("p", DataType::Integer),
+            ColumnDef::new("a", DataType::Integer),
+            ColumnDef::new("b", DataType::Varchar),
+            ColumnDef::new("t", DataType::Timestamp),
+            ColumnDef::new("y", DataType::Float),
+            ColumnDef::new("z", DataType::Integer),
         ],
     );
     let mut def = ProjectionDef::super_projection(&schema, FACT, &[K], &[]);
@@ -146,6 +178,16 @@ fn fact_def(rng: &mut Rng) -> ProjectionDef {
         EncodingType::DeltaRange,
     ]);
     def.encodings[N] = rng.pick(&INT_ENCODINGS);
+    // A stream of their own, so the columns above are what they were
+    // before these existed.
+    let mut rng = Rng(rng.0 ^ 0x50F7);
+    def.encodings[A] = rng.pick(&[EncodingType::Rle, EncodingType::Auto]);
+    def.encodings[B] = rng.pick(&[
+        EncodingType::BlockDict,
+        EncodingType::Auto,
+        EncodingType::Rle,
+    ]);
+    def.encodings[T] = rng.pick(&INT_ENCODINGS);
     def
 }
 
@@ -298,7 +340,7 @@ impl Fixture {
     }
 }
 
-/// A predicate over the scan output `[k, g, s, f, n, p]` with its model
+/// A predicate over the scan output `[k, g, s, f, n, p, ..]` with its model
 /// twin. Literals on `k` sit on block edges (or one off them).
 struct Pred {
     expr: Option<Expr>,
@@ -399,7 +441,7 @@ fn arb_pred(fx: &Fixture, rng: &mut Rng) -> Pred {
     }
 }
 
-const ALL_COLUMNS: [usize; ARITY] = [K, G, S, F, N, P];
+const ALL_COLUMNS: [usize; ARITY] = [K, G, S, F, N, P, A, B, T, Y, Z];
 
 fn scan_plan(pred: &Pred) -> PhysicalPlan {
     PhysicalPlan::Scan {
@@ -600,12 +642,163 @@ fn check_scans(fx: &Fixture, pred: &Pred, snapshot: u64) {
         let stage = ParallelStage::GroupBy {
             group_columns: vec![S],
             aggs: aggs.clone(),
+            sorted: false,
         };
         let got = execute_collect(&parallel_plan(pred, stage, threads), &mut fx.ctx(snapshot));
         assert_rows_eq(&got.unwrap(), &serial_groupby, &format!("{what}: GroupBy"));
         let stage = ParallelStage::Sort { keys: keys.clone() };
         let got = execute_collect(&parallel_plan(pred, stage, threads), &mut fx.ctx(snapshot));
         assert_rows_eq(&got.unwrap(), &serial_sort, &format!("{what}: Sort"));
+    }
+}
+
+/// The sort-order prefixes oracle (d) groups on: RLE runs with and without
+/// a NULL run, then a dictionary column, then a typed timestamp under them.
+const KEY_SHAPES: [&[usize]; 4] = [&[G], &[A], &[A, B], &[A, B, T]];
+
+/// What a user would write: every aggregate over every kind of input, on
+/// data whose sums are exact in any order.
+fn user_aggs() -> Vec<AggCall> {
+    let agg = |func, input| AggCall::new(func, input, format!("{func:?}_{input}"));
+    vec![
+        agg(AggFunc::CountStar, K),
+        agg(AggFunc::Count, N),
+        agg(AggFunc::Sum, F),
+        agg(AggFunc::Avg, F),
+        agg(AggFunc::Min, F),
+        agg(AggFunc::Sum, N),
+        agg(AggFunc::Avg, N),
+        agg(AggFunc::Max, N),
+        agg(AggFunc::Avg, T),
+        agg(AggFunc::Min, T),
+        agg(AggFunc::Max, S),
+        agg(AggFunc::Min, B),
+        agg(AggFunc::Count, Z),
+        agg(AggFunc::Sum, Z),
+        agg(AggFunc::Avg, Z),
+        agg(AggFunc::Min, Z),
+    ]
+}
+
+/// One aggregate over one group's values, written without the engine.
+fn model_agg(func: AggFunc, values: &[&Value]) -> Value {
+    let present: Vec<&Value> = values.iter().copied().filter(|v| !v.is_null()).collect();
+    let sum = || present.iter().map(|v| v.as_f64().unwrap()).sum::<f64>();
+    match func {
+        AggFunc::CountStar => Value::Integer(values.len() as i64),
+        AggFunc::Count => Value::Integer(present.len() as i64),
+        _ if present.is_empty() => Value::Null,
+        AggFunc::Sum if present.iter().all(|v| matches!(v, Value::Integer(_))) => {
+            Value::Integer(present.iter().map(|v| v.as_i64().unwrap()).sum())
+        }
+        AggFunc::Sum => Value::Float(sum()),
+        AggFunc::Avg => Value::Float(sum() / present.len() as f64),
+        AggFunc::Min => (*present.iter().min().unwrap()).clone(),
+        AggFunc::Max => (*present.iter().max().unwrap()).clone(),
+        other => unreachable!("{other:?} is not asked for"),
+    }
+}
+
+/// Oracle (d) for one predicate, snapshot and key shape.
+fn check_sorted_groupby(fx: &Fixture, pred: &Pred, snapshot: u64, keys: &[usize]) {
+    use vdb_exec::groupby::two_phase_aggs;
+    let what = format!(
+        "seed={} snapshot={snapshot} pred={:?} keys={keys:?}",
+        fx.seed, pred.expr
+    );
+    let g = keys.len();
+    let aggs = user_aggs();
+    // The model: rows in `k` order are in key order.
+    let rows = fx.model_rows(snapshot, &ALL_COLUMNS, &pred.keep);
+    let mut groups: BTreeMap<Row, Vec<&Row>> = BTreeMap::new();
+    for row in &rows {
+        let key: Row = keys.iter().map(|&c| row[c].clone()).collect();
+        groups.entry(key).or_default().push(row);
+    }
+    let model: Vec<Row> = groups
+        .into_iter()
+        .map(|(mut key, members)| {
+            key.extend(aggs.iter().map(|a| {
+                let values: Vec<&Value> = members.iter().map(|r| &r[a.input]).collect();
+                model_agg(a.func, &values)
+            }));
+            key
+        })
+        .collect();
+    // The hash group-by, single-phase.
+    let hash = execute_collect(
+        &PhysicalPlan::HashGroupBy {
+            input: Box::new(scan_plan(pred)),
+            group_columns: keys.to_vec(),
+            aggs: aggs.clone(),
+        },
+        &mut fx.ctx(snapshot),
+    )
+    .unwrap();
+    assert_rows_eq(&hash, &model, &format!("{what}: hash group-by vs model"));
+    // The plan the optimizer builds: streaming partials per node, merged
+    // by the initiator (`PlannedQuery::merge_plan`).
+    let (partial, merge_aggs, project) = two_phase_aggs(g, &aggs).unwrap();
+    let merged = |partials: Vec<Row>| {
+        let plan = PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::HashGroupBy {
+                input: Box::new(PhysicalPlan::Values {
+                    rows: partials,
+                    arity: g + partial.len(),
+                }),
+                group_columns: (0..g).collect(),
+                aggs: merge_aggs.clone(),
+            }),
+            exprs: project.clone(),
+        };
+        execute_collect(&plan, &mut fx.ctx(snapshot)).unwrap()
+    };
+    let serial = execute_collect(
+        &PhysicalPlan::PipelinedGroupBy {
+            input: Box::new(scan_plan(pred)),
+            group_columns: keys.to_vec(),
+            aggs: partial.clone(),
+        },
+        &mut fx.ctx(snapshot),
+    )
+    .unwrap();
+    assert!(serial.len() >= model.len(), "{what}");
+    assert_rows_eq(
+        &merged(serial.clone()),
+        &model,
+        &format!("{what}: streaming + initiator merge vs model"),
+    );
+    let sorted_stage = |aggs: &[AggCall], threads: usize| {
+        let stage = ParallelStage::GroupBy {
+            group_columns: keys.to_vec(),
+            aggs: aggs.to_vec(),
+            sorted: true,
+        };
+        execute_collect(&parallel_plan(pred, stage, threads), &mut fx.ctx(snapshot)).unwrap()
+    };
+    for threads in lane_counts() {
+        // Keys that start over in the next container stay separate rows on
+        // both sides; the initiator folds them.
+        assert_rows_eq(
+            &sorted_stage(&partial, threads),
+            &serial,
+            &format!("{what} threads={threads}: sorted stage vs serial streaming"),
+        );
+    }
+    // Inexact sums: partials meet in morsel order, so the bits do not
+    // depend on the DoP (≥ 2) or on the run.
+    let inexact = [
+        AggCall::new(AggFunc::Sum, Y, "sum_y"),
+        AggCall::new(AggFunc::SumFloat, Y, "avg_y_partial"),
+    ];
+    let two = sorted_stage(&inexact, 2);
+    assert_eq!(two.len(), serial.len(), "{what}");
+    for run in 0..2 {
+        assert_rows_eq(
+            &sorted_stage(&inexact, 7),
+            &two,
+            &format!("{what}: float SUM bits at DoP 7 (run {run}) vs DoP 2"),
+        );
     }
 }
 
@@ -689,10 +882,12 @@ fn check_seed(seed: u64) {
         "seed={seed}: an all-NULL block exists"
     );
     check_range_reads_equal_whole_file(&fx, &mut rng);
+    let mut shapes = Rng(seed ^ 0x50F7);
     for _ in 0..4 {
         let pred = arb_pred(&fx, &mut rng);
         let snapshot = rng.pick(&[1u64, 2, 3, 3, 4, 5, 6]);
         check_scans(&fx, &pred, snapshot);
+        check_sorted_groupby(&fx, &pred, snapshot, shapes.pick(&KEY_SHAPES));
     }
     let pred = arb_pred(&fx, &mut rng);
     let join_type = rng.pick(&[

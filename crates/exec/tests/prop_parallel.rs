@@ -189,7 +189,7 @@ proptest! {
         for threads in lane_counts() {
             let plan = parallel_plan(
                 None,
-                ParallelStage::GroupBy { group_columns: gc.clone(), aggs: aggs.clone() },
+                ParallelStage::GroupBy { group_columns: gc.clone(), aggs: aggs.clone(), sorted: false },
                 threads,
             );
             let got = execute_collect(&plan, &mut ctx_of(&fx)).unwrap();

@@ -463,6 +463,7 @@ fn check_group_by(fx: &Fixture, keys: Keys, jt: JoinType) {
             let stage = ParallelStage::GroupBy {
                 group_columns: vec![group],
                 aggs: aggs.clone(),
+                sorted: false,
             };
             let mut staged = parallel_op(fx, case, threads).0.with_stage(stage);
             let got = collect_rows(&mut staged).unwrap();

@@ -245,16 +245,21 @@ impl<'a> Planner<'a> {
     /// Rewrite serial scan shapes into morsel-parallel ones where the DoP
     /// is > 1. Conservative by design: only single-table shapes whose
     /// barrier semantics exactly reproduce the serial result are touched —
-    /// a hash GroupBy directly over a scan — or over a join that went
-    /// parallel (`Planner::parallelize_join`), whose probe workers then
-    /// aggregate what they join — becomes per-worker partial
-    /// aggregation + merge barrier, and a bare scan (under
+    /// a GroupBy directly over a scan becomes partial aggregation in the
+    /// morsel workers + merge barrier, by the strategy already chosen for
+    /// it: a hash group-by keeps a table per worker, a pipelined one (its
+    /// group columns are a sort-order prefix) streams per morsel and at a
+    /// morsel-ordered barrier (`ParallelStage::GroupBy { sorted }`); a hash
+    /// GroupBy over a join that went parallel
+    /// (`Planner::parallelize_join`) moves into the probe workers, which
+    /// then aggregate what they join; and a bare scan (under
     /// Project/Filter) becomes a parallel collect whose morsel-ordered
     /// concat equals the serial scan row for row. Sort barriers (and the
     /// top-k `Limit{Sort{..}}` shape) recurse — they re-order their whole
-    /// input, so morsel order underneath is invisible. Pipelined
-    /// (sort-order) aggregation, joins and bare LIMIT-bounded scans stay
-    /// serial; `threads=1` leaves every plan untouched.
+    /// input, so morsel order underneath is invisible. Group-bys with
+    /// non-decomposable aggregates, joins above the innermost and bare
+    /// LIMIT-bounded scans stay serial; `threads=1` leaves every plan
+    /// untouched.
     fn parallelize(&self, plan: PhysicalPlan) -> PhysicalPlan {
         if self.exec.threads <= 1 {
             return plan;
@@ -265,32 +270,8 @@ impl<'a> Planner<'a> {
                 group_columns,
                 aggs,
             } => match *input {
-                // Decomposable aggregates only: non-decomposable ones
-                // (COUNT DISTINCT) would fall back to buffering the whole
-                // filtered scan at the runtime barrier, so they keep the
-                // serial streaming group-by.
-                PhysicalPlan::Scan {
-                    projection,
-                    output_columns,
-                    predicate,
-                    partition_predicate,
-                    sip,
-                } if self.scan_dop(&projection) > 1
-                    && two_phase_aggs(group_columns.len(), &aggs).is_some() =>
-                {
-                    let threads = self.scan_dop(&projection);
-                    PhysicalPlan::ParallelScan {
-                        projection,
-                        output_columns,
-                        predicate,
-                        partition_predicate,
-                        sip,
-                        stage: ParallelStage::GroupBy {
-                            group_columns,
-                            aggs,
-                        },
-                        threads,
-                    }
+                scan @ PhysicalPlan::Scan { .. } => {
+                    self.parallelize_group_by(scan, group_columns, aggs, false)
                 }
                 other => match self.parallelize(other) {
                     // Aggregate where the rows are joined: the probe
@@ -320,6 +301,7 @@ impl<'a> Planner<'a> {
                             stage: ParallelStage::GroupBy {
                                 group_columns,
                                 aggs,
+                                sorted: false,
                             },
                         }
                     }
@@ -330,6 +312,13 @@ impl<'a> Planner<'a> {
                     },
                 },
             },
+            PhysicalPlan::PipelinedGroupBy {
+                input,
+                group_columns,
+                aggs,
+            } if matches!(*input, PhysicalPlan::Scan { .. }) => {
+                self.parallelize_group_by(*input, group_columns, aggs, true)
+            }
             PhysicalPlan::Scan {
                 projection,
                 output_columns,
@@ -380,9 +369,59 @@ impl<'a> Planner<'a> {
                 limit,
                 offset,
             },
-            // Everything else (pipelined group-by, bare limits) stays
-            // serial.
+            // Everything else (bare limits, windows) stays serial.
             other => other,
+        }
+    }
+
+    /// A group-by directly over `scan`, staged in the scan's morsel workers
+    /// when the scan has more than one and the aggregates decompose into
+    /// partials. Non-decomposable ones (COUNT DISTINCT) would fall back to
+    /// buffering the whole filtered scan at the runtime barrier, so they
+    /// keep the serial streaming operator. `sorted` is the strategy the
+    /// group-by was planned with: pipelined (`true`) or hash.
+    fn parallelize_group_by(
+        &self,
+        scan: PhysicalPlan,
+        group_columns: Vec<usize>,
+        aggs: Vec<AggCall>,
+        sorted: bool,
+    ) -> PhysicalPlan {
+        match scan {
+            PhysicalPlan::Scan {
+                projection,
+                output_columns,
+                predicate,
+                partition_predicate,
+                sip,
+            } if self.scan_dop(&projection) > 1
+                && two_phase_aggs(group_columns.len(), &aggs).is_some() =>
+            {
+                let threads = self.scan_dop(&projection);
+                PhysicalPlan::ParallelScan {
+                    projection,
+                    output_columns,
+                    predicate,
+                    partition_predicate,
+                    sip,
+                    stage: ParallelStage::GroupBy {
+                        group_columns,
+                        aggs,
+                        sorted,
+                    },
+                    threads,
+                }
+            }
+            input if sorted => PhysicalPlan::PipelinedGroupBy {
+                input: Box::new(input),
+                group_columns,
+                aggs,
+            },
+            input => PhysicalPlan::HashGroupBy {
+                input: Box::new(input),
+                group_columns,
+                aggs,
+            },
         }
     }
 
@@ -1817,13 +1856,9 @@ mod tests {
         assert!(text.contains("GroupByHash"), "{text}");
     }
 
-    #[test]
-    fn sorted_groupby_keeps_pipelined_even_with_threads() {
-        // GROUP BY ts rides the projection sort order; morsel parallelism
-        // would break the one-pass aggregation, so it stays serial.
-        let mut cat = catalog();
-        cat.tables.get_mut("fact").unwrap().projections[0].scan_morsels = 8;
-        let q = BoundQuery {
+    /// `GROUP BY ts` on `fact` (sorted by `ts` first) with `agg`.
+    fn sorted_groupby_query(func: AggFunc, input: Option<Expr>) -> BoundQuery {
+        BoundQuery {
             tables: vec![QueryTable {
                 table: "fact".into(),
                 alias: "f".into(),
@@ -1832,16 +1867,63 @@ mod tests {
             select: vec![(Expr::col(3, "ts"), "ts".into())],
             group_by: vec![Expr::col(3, "ts")],
             aggregates: vec![AggItem {
-                func: AggFunc::CountStar,
-                input: None,
-                output_name: "cnt".into(),
+                func,
+                input,
+                output_name: "agg".into(),
             }],
             ..Default::default()
-        };
+        }
+    }
+
+    #[test]
+    fn sorted_groupby_streams_inside_morsel_workers() {
+        // GROUP BY ts rides the projection sort order: the strategy stays
+        // streaming, and with workers to use it runs per morsel inside
+        // them, merged at a morsel-ordered streaming barrier.
+        let mut cat = catalog();
+        cat.tables.get_mut("fact").unwrap().projections[0].scan_morsels = 8;
+        let q = sorted_groupby_query(AggFunc::CountStar, None);
         let planned = plan(&cat, &q, None, &ExecOptions::with_threads(4)).unwrap();
         let text = vdb_exec::plan::explain(&planned.local);
-        assert!(text.contains("GroupByPipelined"), "{text}");
-        assert!(!text.contains("ParallelScan"), "{text}");
+        assert!(text.contains("ParallelScan"), "{text}");
+        assert!(
+            text.contains("4 threads, partial GroupBy keys=[0] (sorted input), merge barrier]"),
+            "{text}"
+        );
+        assert!(!text.contains("GroupByPipelined"), "{text}");
+        // An unsorted group-by over the same scan is not marked sorted.
+        let planned = plan(
+            &cat,
+            &hash_groupby_query(),
+            None,
+            &ExecOptions::with_threads(4),
+        )
+        .unwrap();
+        let text = vdb_exec::plan::explain(&planned.local);
+        assert!(text.contains("partial GroupBy"), "{text}");
+        assert!(!text.contains("(sorted input)"), "{text}");
+        // Serial options (or a one-morsel projection) keep the operator.
+        for (cat, exec) in [
+            (&cat, ExecOptions::serial()),
+            (&catalog(), ExecOptions::with_threads(4)),
+        ] {
+            let text = vdb_exec::plan::explain(&plan(cat, &q, None, &exec).unwrap().local);
+            assert!(text.contains("GroupByPipelined"), "{text}");
+            assert!(!text.contains("ParallelScan"), "{text}");
+        }
+    }
+
+    #[test]
+    fn count_distinct_over_a_sorted_key_is_not_staged_in_workers() {
+        // Not decomposable into partials: no group-by stage, sorted or not
+        // (the raw grouped rows ship to the initiator, as at threads = 1).
+        let mut cat = catalog();
+        cat.tables.get_mut("fact").unwrap().projections[0].scan_morsels = 8;
+        let q = sorted_groupby_query(AggFunc::CountDistinct, Some(Expr::col(2, "amount")));
+        let planned = plan(&cat, &q, None, &ExecOptions::with_threads(4)).unwrap();
+        let text = vdb_exec::plan::explain(&planned.local);
+        assert!(!text.contains("partial GroupBy"), "{text}");
+        assert!(!text.contains("GroupByPipelined"), "{text}");
     }
 
     #[test]

@@ -426,3 +426,100 @@ fn explain_shows_the_group_by_stage_on_the_parallel_join() {
     );
     assert_eq!(answers[0], answers[1]);
 }
+
+/// Regression: `SUM` over an INT column used to wrap (`SUM` of two
+/// `i64::MAX` and a 5 answered 3) and `AVG`, routed through that integer
+/// partial sum, answered 1.0. An integer SUM that leaves `i64` is now an
+/// error on every path — global and grouped, hash and sorted-input
+/// strategies, rows in the WOS and in ROS containers, serial and staged in
+/// the morsel workers, per node and at the initiator's merge — while AVG
+/// accumulates in `f64` and sums that fit still answer `Integer`.
+#[test]
+fn integer_sum_overflow_is_an_error_and_avg_accumulates_in_float() {
+    let max = i64::MAX;
+    let check = |db: &Engine, what: &str| {
+        // `k` is the sort-order prefix (streaming group-by), `h` is not
+        // (hash group-by); both hold the same values.
+        for sql in [
+            "SELECT SUM(v) FROM t",
+            "SELECT k, SUM(v) FROM t GROUP BY k ORDER BY k",
+            "SELECT h, SUM(v) FROM t GROUP BY h ORDER BY h",
+        ] {
+            let err = db
+                .query(sql)
+                .expect_err(&format!("{what}: {sql} must not wrap"));
+            assert!(
+                err.to_string().contains("integer overflow in SUM"),
+                "{what}: {sql}: {err}"
+            );
+        }
+        let float = |v: &Value| match v {
+            Value::Float(f) => *f,
+            other => panic!("{what}: expected a float, got {other:?}"),
+        };
+        let close = |got: f64, want: f64| (got - want).abs() <= want.abs() * 1e-12;
+        let all = db.query("SELECT AVG(v), COUNT(v) FROM t").unwrap();
+        let n = all[0][1].as_i64().unwrap() as f64;
+        let want = (2.0 * max as f64 + 5.0 * (n - 2.0)) / n;
+        assert!(
+            close(float(&all[0][0]), want),
+            "{what}: AVG {all:?} vs {want}"
+        );
+        for group in ["k", "h"] {
+            let sql = format!("SELECT {group}, AVG(v) FROM t GROUP BY {group} ORDER BY {group}");
+            let rows = db.query(&sql).unwrap();
+            assert_eq!(rows.len(), 2, "{what}: {sql}");
+            assert!(close(float(&rows[0][1]), max as f64), "{what}: {rows:?}");
+            assert_eq!(
+                rows[1],
+                vec![Value::Integer(2), Value::Float(5.0)],
+                "{what}"
+            );
+            // Sums that fit are still integers.
+            let sql = format!(
+                "SELECT {group}, SUM(v) FROM t WHERE v < 100 GROUP BY {group} ORDER BY {group}"
+            );
+            let fits = db.query(&sql).unwrap();
+            assert_eq!(fits.len(), 1, "{what}: {sql}");
+            assert_eq!(fits[0][0], Value::Integer(2), "{what}: {sql}");
+            assert_eq!(
+                fits[0][1],
+                Value::Integer(5 * (n as i64 - 2)),
+                "{what}: {sql}"
+            );
+        }
+        let one = db.query("SELECT SUM(v), MAX(v) FROM t WHERE k = 1 AND id = 0");
+        assert_eq!(
+            one.unwrap(),
+            vec![vec![Value::Integer(max), Value::Integer(max)]],
+            "{what}: one huge value is not an overflow"
+        );
+    };
+    for threads in [1, 2] {
+        let db = Engine::builder()
+            .nodes(2)
+            .k_safety(1)
+            .threads(threads)
+            .open()
+            .unwrap();
+        db.execute("CREATE TABLE t (id INT, k INT, h INT, v INT)")
+            .unwrap();
+        db.execute(
+            "CREATE PROJECTION t_super AS SELECT id, k, h, v FROM t ORDER BY k, id \
+             SEGMENTED BY HASH(id) ALL NODES",
+        )
+        .unwrap();
+        db.execute(&format!(
+            "INSERT INTO t VALUES (0, 1, 1, {max}), (1, 1, 1, {max}), (2, 2, 2, 5)"
+        ))
+        .unwrap();
+        check(&db, &format!("threads {threads}, WOS"));
+        db.tuple_mover_tick().unwrap();
+        check(&db, &format!("threads {threads}, ROS"));
+        // A WOS tail beside each node's container: two morsels, so at
+        // `threads(2)` the group-bys run staged in the morsel workers.
+        db.execute("INSERT INTO t VALUES (3, 2, 2, 5), (4, 2, 2, 5), (5, 2, 2, 5), (6, 2, 2, 5)")
+            .unwrap();
+        check(&db, &format!("threads {threads}, ROS + WOS tail"));
+    }
+}
