@@ -9,6 +9,7 @@ use vdb_exec::plan::{execute_collect, ExecContext};
 use vdb_optimizer::{
     MergeSpec, OptimizerCatalog, PlannedQuery, ProjectionMeta, TableAccess, TableMeta,
 };
+use vdb_storage::columnar::LoadBatch;
 use vdb_storage::projection::ProjectionDef;
 use vdb_storage::store::SnapshotScan;
 use vdb_storage::{MemBackend, StorageEngine, TupleMover, TupleMoverConfig, STATS_SAMPLE_ROWS};
@@ -477,53 +478,60 @@ impl Cluster {
             .filter(|f| f.table == table)
             .cloned()
             .collect();
-        let up = self.up.read().clone();
-        // Validate once against the schema (projection stores re-validate
-        // arity only).
         let (schema, _) = self
             .tables
             .read()
             .get(table)
             .cloned()
             .ok_or_else(|| DbError::NotFound(format!("table {table}")))?;
-        let mut validated: Vec<Row> = Vec::with_capacity(rows.len());
-        for r in rows {
-            let mut row = r.clone();
-            schema.validate_row(&mut row)?;
-            validated.push(row);
-        }
+        // Validate — and for a direct load pivot into typed columns — once
+        // per statement; every replica on every node takes its rows from
+        // this one batch.
+        let batch = LoadBatch::new(&schema, rows, epoch, direct_ros)?;
         for family in &families {
-            for (b, replica) in family.replicas.iter().enumerate() {
-                if self.router.is_replicated(&family.def) {
-                    for (n, node) in self.nodes.iter().enumerate() {
-                        if up[n] {
-                            node.engine
-                                .insert_projection_rows(replica, &validated, epoch, direct_ros)?;
-                        }
-                    }
-                    continue;
+            self.load_family(family, &batch, epoch, direct_ros)?;
+        }
+        Ok(())
+    }
+
+    /// Route a validated batch into every replica of one family: all rows
+    /// to every up node when replicated, otherwise each row to the node the
+    /// ring assigns its segmentation value for that replica's buddy offset.
+    /// Rows owned by a down node are skipped; recovery replays them from
+    /// the buddy (§5.2).
+    pub(crate) fn load_family(
+        &self,
+        family: &Family,
+        batch: &LoadBatch,
+        epoch: Epoch,
+        direct_ros: bool,
+    ) -> DbResult<()> {
+        let up = self.up.read().clone();
+        // Prejoin families are replicated (enforced at create), so
+        // segmentation only ever sees ordinary projections.
+        let segments = batch.segment_values(&family.def)?;
+        for (b, replica) in family.replicas.iter().enumerate() {
+            let Some(segments) = &segments else {
+                for n in (0..self.nodes.len()).filter(|&n| up[n]) {
+                    self.nodes[n]
+                        .engine
+                        .insert_batch(replica, batch, None, epoch, direct_ros)?;
                 }
-                // Route by segmentation. The segmentation expression is in
-                // projection column space: project each row first.
-                let mut per_node: HashMap<usize, Vec<Row>> = HashMap::new();
-                for row in &validated {
-                    // Prejoin families are replicated (enforced at create),
-                    // so this branch only sees ordinary projections.
-                    let prow = family.def.project_row(row)?;
-                    let node = self
-                        .router
-                        .node_for(&family.def, &prow, b)?
-                        .expect("segmented");
-                    per_node.entry(node).or_default().push(row.clone());
-                }
-                for (n, node_rows) in per_node {
-                    if up[n] {
-                        self.nodes[n]
-                            .engine
-                            .insert_projection_rows(replica, &node_rows, epoch, direct_ros)?;
-                    }
-                    // Down node: rows are skipped; recovery replays them
-                    // from the buddy (§5.2).
+                continue;
+            };
+            let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); self.nodes.len()];
+            for (row, &segment) in segments.iter().enumerate() {
+                per_node[self.router.node_of(segment, b)].push(row as u32);
+            }
+            for (n, node_rows) in per_node.iter().enumerate() {
+                if up[n] && !node_rows.is_empty() {
+                    self.nodes[n].engine.insert_batch(
+                        replica,
+                        batch,
+                        Some(node_rows),
+                        epoch,
+                        direct_ros,
+                    )?;
                 }
             }
         }
@@ -603,17 +611,19 @@ impl Cluster {
                     if f == 0 && b == 0 && (i == 0 || !one_copy_per_node) {
                         deleted += locations.len() as u64;
                     }
-                    for loc in locations {
-                        s.mark_deleted(loc, epoch)?;
-                    }
+                    s.mark_deleted_many(&locations, epoch)?;
                 }
             }
         }
         Ok(deleted)
     }
 
-    /// UPDATE = DELETE + INSERT of modified rows (§3.7.1). Sets are
-    /// (table column, value expr over table columns).
+    /// UPDATE = DELETE + INSERT of modified rows (§3.7.1), as **one**
+    /// transaction: one X lock, one commit epoch, one commit marker. The
+    /// old rows are delete-marked and the new ones inserted (through the
+    /// WOS) at the same epoch, so a snapshot sees either the old rows or
+    /// the new ones, and a crash before the marker recovers to the old
+    /// rows. Sets are (table column, value expr over table columns).
     pub fn update(
         &self,
         table: &str,
@@ -621,28 +631,47 @@ impl Cluster {
         predicate: Option<&Expr>,
     ) -> DbResult<(Epoch, u64)> {
         self.check_writable()?;
-        // Collect the new rows from the (full) table image first.
-        let snapshot = self.epochs.read_committed_snapshot();
-        let old_rows = self.table_rows(table, snapshot)?;
-        let mut new_rows = Vec::new();
-        for row in old_rows {
-            let matches = match predicate {
-                None => true,
-                Some(p) => p.matches(&row)?,
-            };
-            if matches {
-                let mut updated = row.clone();
-                for (col, e) in sets {
-                    updated[*col] = e.eval(&row)?;
+        let txn = self.txns.begin(Isolation::ReadCommitted);
+        self.txns.lock(&txn, table, LockMode::X)?;
+        // See `commit_serial`: writers on other tables share the marker.
+        let _commit = self.commit_serial.lock();
+        let epoch = self.txns.pending_commit_epoch();
+        let apply = || -> DbResult<u64> {
+            // The new rows, from the table image the delete is about to
+            // mark: under the X lock nothing else can change it.
+            let mut new_rows = Vec::new();
+            for row in self.table_rows(table, epoch.prev())? {
+                let matches = match predicate {
+                    None => true,
+                    Some(p) => p.matches(&row)?,
+                };
+                if matches {
+                    let mut updated = row.clone();
+                    for (col, e) in sets {
+                        updated[*col] = e.eval(&row)?;
+                    }
+                    new_rows.push(updated);
                 }
-                new_rows.push(updated);
+            }
+            let deleted = self.apply_delete(table, predicate, epoch)?;
+            if !new_rows.is_empty() {
+                self.apply_load(table, &new_rows, epoch, false)?;
+            }
+            self.persist_commit_marker(epoch)?;
+            Ok(deleted)
+        };
+        match apply() {
+            Ok(deleted) => {
+                self.txns.commit(&txn, true)?;
+                self.record_applied(epoch);
+                self.enforce_wos_budgets();
+                Ok((epoch, deleted))
+            }
+            Err(e) => {
+                self.txns.rollback(&txn);
+                Err(e)
             }
         }
-        let (epoch, deleted) = self.delete(table, predicate)?;
-        if !new_rows.is_empty() {
-            self.load(table, &new_rows, false)?;
-        }
-        Ok((epoch, deleted))
     }
 
     /// ALTER TABLE ... DROP PARTITION: file-level bulk delete on every

@@ -487,3 +487,173 @@ fn delete_counts_table_rows_not_projection_rows() {
     assert_eq!(n, 5);
     assert_eq!(c.delete("t", None).unwrap().1, 90);
 }
+
+/// One load statement validates each row once and pivots each cell once,
+/// however many projections, buddies and nodes take the rows: two families
+/// × two replicas × two nodes here.
+#[test]
+fn a_load_validates_and_pivots_once_per_statement() {
+    use vdb_storage::columnar::{cells_pivoted, rows_validated};
+    let c = start(2, false, &mem_backends(2));
+    let rows: Vec<Row> = (0..500).map(row).collect();
+    let (validated, pivoted) = (rows_validated(), cells_pivoted());
+    c.load("t", &rows, true).unwrap();
+    assert_eq!(rows_validated() - validated, 500);
+    assert_eq!(cells_pivoted() - pivoted, 500 * 3);
+    // A trickle load goes to the WOS as rows: validated once, not pivoted.
+    let (validated, pivoted) = (rows_validated(), cells_pivoted());
+    c.load("t", &rows[..10], false).unwrap();
+    assert_eq!(rows_validated() - validated, 10);
+    assert_eq!(cells_pivoted(), pivoted);
+    for family in ["t_by_k", "t_by_v"] {
+        assert_eq!(c.family_table_rows(family).len(), 510, "{family}");
+    }
+}
+
+/// A DELETE writes each touched container's `deletes.dv` once, however
+/// many of its rows it hits.
+#[test]
+fn delete_writes_each_sidecar_once_per_statement() {
+    let counting = Arc::new(CountingBackend::default());
+    let backends = vec![counting.clone() as Arc<dyn StorageBackend>];
+    let c = start(1, false, &backends);
+    c.load("t", &(0..400).map(row).collect::<Vec<_>>(), true)
+        .unwrap();
+    c.load("t", &(400..500).map(row).collect::<Vec<_>>(), true)
+        .unwrap();
+    counting.reset();
+    // 50 rows of the first container of each projection, none of the
+    // second's.
+    let (_, deleted) = c.delete("t", Some(&k_cmp(BinOp::Lt, 50))).unwrap();
+    assert_eq!(deleted, 50);
+    let mut writes: Vec<String> = counting
+        .calls()
+        .into_iter()
+        .filter(|call| call.op == IoOp::WriteFile)
+        .map(|call| call.path)
+        .collect();
+    writes.sort();
+    assert_eq!(
+        writes,
+        vec![
+            "commit.marker".to_string(),
+            "t_by_k/ros1/deletes.dv".to_string(),
+            "t_by_v/ros1/deletes.dv".to_string(),
+        ]
+    );
+    // Restarted on the files, the statement is there in full.
+    drop(c);
+    let c = start(1, false, &backends);
+    for family in ["t_by_k", "t_by_v"] {
+        assert_eq!(c.family_table_rows(family).len(), 450, "{family}");
+    }
+}
+
+/// Fails the `n`th write of a `deletes.dv` sidecar, once.
+struct FailingSidecars {
+    inner: Arc<dyn StorageBackend>,
+    countdown: Mutex<Option<usize>>,
+}
+
+impl StorageBackend for FailingSidecars {
+    fn write_file(&self, path: &str, bytes: &[u8]) -> DbResult<()> {
+        if path.ends_with("deletes.dv") {
+            let mut countdown = self.countdown.lock();
+            match *countdown {
+                Some(0) => {
+                    *countdown = None;
+                    return Err(DbError::Io(format!("injected: {path} not written")));
+                }
+                Some(n) => *countdown = Some(n - 1),
+                None => {}
+            }
+        }
+        self.inner.write_file(path, bytes)
+    }
+    fn read_file(&self, path: &str) -> DbResult<Vec<u8>> {
+        self.inner.read_file(path)
+    }
+    fn read_range(&self, path: &str, offset: u64, len: usize) -> DbResult<Vec<u8>> {
+        self.inner.read_range(path, offset, len)
+    }
+    fn delete_file(&self, path: &str) -> DbResult<()> {
+        self.inner.delete_file(path)
+    }
+    fn file_size(&self, path: &str) -> DbResult<u64> {
+        self.inner.file_size(path)
+    }
+    fn list_files(&self, prefix: &str) -> Vec<String> {
+        self.inner.list_files(prefix)
+    }
+    fn hard_link(&self, src: &str, dst: &str) -> DbResult<()> {
+        self.inner.hard_link(src, dst)
+    }
+}
+
+/// A statement that dies between two containers' sidecar writes did not
+/// happen: the first sidecar is on disk, but no commit marker vouches for
+/// its epoch, so a restart truncates the mark away.
+#[test]
+fn a_delete_that_dies_between_two_sidecars_did_not_happen() {
+    let failing = Arc::new(FailingSidecars {
+        inner: Arc::new(MemBackend::new()),
+        countdown: Mutex::new(None),
+    });
+    let backends = vec![failing.clone() as Arc<dyn StorageBackend>];
+    let c = start(1, false, &backends);
+    c.load("t", &(0..100).map(row).collect::<Vec<_>>(), true)
+        .unwrap();
+    c.load("t", &(100..200).map(row).collect::<Vec<_>>(), true)
+        .unwrap();
+    let before = c.epochs.current();
+    *failing.countdown.lock() = Some(1);
+    // k in 90..110 lives in both containers of `t_by_k`.
+    let pred = Expr::and(k_cmp(BinOp::Ge, 90), k_cmp(BinOp::Lt, 110));
+    let err = c.delete("t", Some(&pred)).unwrap_err();
+    assert!(matches!(err, DbError::Io(_)), "{err}");
+    assert!(
+        failing.read_file("t_by_k/ros1/deletes.dv").is_ok(),
+        "the first container's sidecar was written"
+    );
+    assert!(failing.read_file("t_by_k/ros2/deletes.dv").is_err());
+    assert_eq!(c.epochs.current(), before, "nothing committed");
+    drop(c);
+    let c = start(1, false, &backends);
+    for family in ["t_by_k", "t_by_v"] {
+        assert_eq!(c.family_table_rows(family).len(), 200, "{family}");
+    }
+    // And the table still takes the statement afterwards.
+    assert_eq!(c.delete("t", Some(&pred)).unwrap().1, 20);
+    assert_eq!(c.family_table_rows("t_by_k").len(), 180);
+}
+
+/// UPDATE is one transaction: one epoch, old rows at the snapshot before
+/// it, only new rows at it.
+#[test]
+fn update_commits_at_one_epoch() {
+    let c = start(2, false, &mem_backends(2));
+    c.load("t", &(0..100).map(row).collect::<Vec<_>>(), true)
+        .unwrap();
+    c.load("t", &(100..120).map(row).collect::<Vec<_>>(), false)
+        .unwrap();
+    let before = c.epochs.current();
+    let set = (2, Expr::lit(Value::Varchar("updated".into())));
+    let pred = Expr::and(k_cmp(BinOp::Ge, 95), k_cmp(BinOp::Lt, 105));
+    let (epoch, n) = c.update("t", &[set], Some(&pred)).unwrap();
+    assert_eq!(n, 10);
+    assert_eq!(epoch, before, "the update commits at the pending epoch");
+    assert_eq!(c.epochs.current(), before.next(), "and advances it once");
+    let updated = |rows: &[Row]| {
+        rows.iter()
+            .filter(|r| r[2] == Value::Varchar("updated".into()))
+            .count()
+    };
+    let old = c.table_rows("t", epoch.prev()).unwrap();
+    assert_eq!((old.len(), updated(&old)), (120, 0));
+    let new = c.table_rows("t", epoch).unwrap();
+    assert_eq!((new.len(), updated(&new)), (120, 10));
+    let mut keys: Vec<i64> = new.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    keys.sort_unstable();
+    assert_eq!(keys, (0..120).collect::<Vec<_>>(), "no row lost or doubled");
+    check_catalog(&c);
+}

@@ -212,36 +212,11 @@ impl Cluster {
             table_rows.push(row);
         }
         let epoch = self.txns.pending_commit_epoch();
-        let up = self.node_up_mask();
-        for (b, replica) in family.replicas.iter().enumerate() {
-            if self.router().is_replicated(&family.def) {
-                for (n, &node_up) in up.iter().enumerate().take(self.n_nodes()) {
-                    if node_up {
-                        self.node_engine(n).insert_projection_rows(
-                            replica,
-                            &table_rows,
-                            epoch,
-                            true,
-                        )?;
-                    }
-                }
-                continue;
-            }
-            let mut per_node: std::collections::HashMap<usize, Vec<Row>> =
-                std::collections::HashMap::new();
-            for row in &table_rows {
-                let prow = family.def.project_row(row)?;
-                if let Some(n) = self.router().node_for(&family.def, &prow, b)? {
-                    per_node.entry(n).or_default().push(row.clone());
-                }
-            }
-            for (n, rows) in per_node {
-                if up[n] {
-                    self.node_engine(n)
-                        .insert_projection_rows(replica, &rows, epoch, true)?;
-                }
-            }
-        }
+        let schema = self
+            .table_schema(&family.table)
+            .ok_or_else(|| DbError::NotFound(format!("table {}", family.table)))?;
+        let batch = vdb_storage::columnar::LoadBatch::new(&schema, &table_rows, epoch, true)?;
+        self.load_family(family, &batch, epoch, true)?;
         self.txns.commit(txn, true)?;
         Ok(table_rows.len() as u64)
     }

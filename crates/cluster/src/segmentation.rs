@@ -7,7 +7,6 @@
 //! are exactly the rows node (d+b) mod N holds in replica b.
 
 use vdb_storage::projection::{ProjectionDef, Segmentation};
-use vdb_types::{DbResult, Row};
 
 /// Ring position → owning node index (replica 0).
 pub fn ring_node(seg_value: u64, n_nodes: usize) -> usize {
@@ -26,18 +25,9 @@ impl RingRouter {
         RingRouter { n_nodes }
     }
 
-    /// The node storing a projection-shaped row for replica `buddy`.
-    /// `None` means replicated: every node stores it.
-    pub fn node_for(
-        &self,
-        def: &ProjectionDef,
-        row: &Row,
-        buddy: usize,
-    ) -> DbResult<Option<usize>> {
-        match def.segment_value(row)? {
-            None => Ok(None),
-            Some(v) => Ok(Some((ring_node(v, self.n_nodes) + buddy) % self.n_nodes)),
-        }
+    /// The node storing ring position `seg_value` for replica `buddy`.
+    pub fn node_of(&self, seg_value: u64, buddy: usize) -> usize {
+        (ring_node(seg_value, self.n_nodes) + buddy) % self.n_nodes
     }
 
     /// Which buddy replica node `n` should read for ring position `r`,

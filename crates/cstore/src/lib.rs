@@ -78,13 +78,14 @@ impl CStoreDb {
             // and low-cardinality, else plain. (No delta/dictionary/entropy
             // schemes.)
             let sorted = col.windows(2).all(|w| w[0] <= w[1]);
-            let runs = vdb_encoding::rle::to_runs(&col).len();
+            let typed = vdb_encoding::TypedColumn::from_values(&col);
+            let runs = vdb_encoding::rle::runs_in(&typed.view());
             if sorted && runs * 4 <= col.len().max(1) {
                 w.put_u8(1);
-                vdb_encoding::rle::encode(&col, &mut w);
+                vdb_encoding::rle::encode(&typed.view(), &mut w);
             } else {
                 w.put_u8(0);
-                vdb_encoding::plain::encode(&col, &mut w);
+                vdb_encoding::plain::encode(&typed.view(), &mut w);
             }
             columns.push(w.into_bytes());
         }

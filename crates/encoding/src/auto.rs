@@ -4,122 +4,95 @@
 //! based on properties of the data itself. This type is the default and is
 //! used when insufficient usage examples are known."
 //!
-//! [`choose_encoding`] uses cheap data properties (run structure, distinct
-//! count, type, sortedness). [`choose_by_trial`] actually encodes with
-//! every applicable scheme and keeps the smallest — the empirical method
-//! the Database Designer's storage-optimization phase uses (§6.3), whose
-//! encoding choices the paper notes users essentially never override.
+//! [`choose_encoding`] is the one chooser, over a typed block. It computes
+//! a property only when the decision it is making needs it: the run count
+//! first (and nothing else if RLE wins), then per family the delta,
+//! second-difference, distinct-value and bit-width tests in order, each a
+//! pass over a native slice that stops as soon as its answer is known.
+//! [`choose_by_trial`] actually encodes with every applicable scheme and
+//! keeps the smallest — the empirical method the Database Designer's
+//! storage-optimization phase uses (§6.3), whose encoding choices the
+//! paper notes users essentially never override.
 
-use crate::{
-    block_dict, common_delta, delta_delta, delta_range, delta_value, for_bitpack, rle, EncodingType,
-};
+use crate::block::{encode_typed_block, Family};
+use crate::kernels::{distinct_at_most, run_count, with_cells, BlockCells};
+use crate::typed::{TypedColumn, TypedSlice};
+use crate::{block_dict, common_delta, delta_delta, for_bitpack, EncodingType};
 use vdb_types::codec::Writer;
 use vdb_types::Value;
 
-/// Data properties driving the heuristic choice.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColumnProperties {
-    pub count: usize,
-    pub distinct: usize,
-    pub runs: usize,
-    pub sorted: bool,
-    pub all_integral: bool,
-    pub all_float: bool,
-    pub has_nulls: bool,
+/// Heuristic encoding choice for one typed block.
+pub fn choose_encoding(block: &TypedSlice<'_>) -> EncodingType {
+    with_cells!(block, |c| choose(c, &Family::of(block)))
 }
 
-/// Compute the properties of a block of values (exact; blocks are small).
-pub fn analyze(values: &[Value]) -> ColumnProperties {
-    let count = values.len();
-    let runs = rle::to_runs(values).len();
-    let mut distinct_set: Vec<&Value> = values.iter().collect();
-    distinct_set.sort();
-    distinct_set.dedup();
-    let distinct = distinct_set.len();
-    let sorted = values.windows(2).all(|w| w[0] <= w[1]);
-    let non_null: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
-    let all_integral = !non_null.is_empty()
-        && non_null
-            .iter()
-            .all(|v| matches!(v, Value::Integer(_) | Value::Timestamp(_)));
-    let all_float = !non_null.is_empty() && non_null.iter().all(|v| matches!(v, Value::Float(_)));
-    ColumnProperties {
-        count,
-        distinct,
-        runs,
-        sorted,
-        all_integral,
-        all_float,
-        has_nulls: non_null.len() != count,
-    }
-}
-
-/// Heuristic encoding choice from data properties.
-pub fn choose_encoding(values: &[Value]) -> EncodingType {
-    if values.is_empty() {
+pub(crate) fn choose<C: BlockCells>(c: C, family: &Family<'_>) -> EncodingType {
+    let n = c.len();
+    if n == 0 {
         return EncodingType::Plain;
     }
-    let p = analyze(values);
-    let non_null: Vec<Value> = values.iter().filter(|v| !v.is_null()).cloned().collect();
-
     // Long runs (low-cardinality sorted data): RLE wins outright.
-    if p.count >= 8 && p.runs * 4 <= p.count {
+    if n >= 8 && run_count(c) * 4 <= n {
         return EncodingType::Rle;
     }
-    if p.all_integral {
-        // Predictable sequences (repeating deltas) → delta dictionary +
-        // entropy coding. Sortedness is not required: periodic timestamps
-        // that reset at series boundaries still have a tiny delta
-        // dictionary. The profitability gate (deltas must repeat ≥8x on
-        // average) keeps random integers away from this scheme.
-        if common_delta::profitable(&non_null) {
-            return EncodingType::CommonDelta;
+    // `distinct * k <= n` with NULL counted as one distinct value, and few
+    // enough values for a block dictionary.
+    let has_nulls = usize::from((0..n).any(|i| c.is_null(i)));
+    let few_valued = |k: usize| {
+        (n / k)
+            .checked_sub(has_nulls)
+            .is_some_and(|cap| distinct_at_most(c, cap.min(block_dict::MAX_DICT)))
+    };
+    match family {
+        Family::Int { tag: 0 | 1, values } if !values.is_empty() => {
+            // Predictable sequences (repeating deltas) → delta dictionary +
+            // entropy coding. Sortedness is not required: periodic
+            // timestamps that reset at series boundaries still have a tiny
+            // delta dictionary. The profitability gate (deltas must repeat
+            // ≥8x on average) keeps random integers away from this scheme.
+            if common_delta::profitable(values) {
+                return EncodingType::CommonDelta;
+            }
+            // Stable-delta sequences whose deltas do not repeat (drift,
+            // acceleration) → delta-of-delta buckets.
+            if delta_delta::profitable(values) {
+                return EncodingType::DeltaDelta;
+            }
+            // Few-valued unsorted → per-block dictionary.
+            if few_valued(16) {
+                return EncodingType::BlockDict;
+            }
+            // Offsets that fill their bit width uniformly → fixed-stride
+            // frame-of-reference packing (also unlocks random-access
+            // decode).
+            if for_bitpack::profitable(values) {
+                return EncodingType::ForBitPack;
+            }
+            // Many-valued unsorted integers → delta from block min.
+            EncodingType::DeltaValue
         }
-        // Stable-delta sequences whose deltas do not repeat (drift,
-        // acceleration) → delta-of-delta buckets.
-        if delta_delta::profitable(&non_null) {
-            return EncodingType::DeltaDelta;
-        }
-        // Few-valued unsorted → per-block dictionary.
-        if p.distinct * 16 <= p.count && block_dict::applicable(&non_null) {
-            return EncodingType::BlockDict;
-        }
-        // Offsets that fill their bit width uniformly → fixed-stride
-        // frame-of-reference packing (also unlocks random-access decode).
-        if for_bitpack::profitable(&non_null) {
-            return EncodingType::ForBitPack;
-        }
-        // Many-valued unsorted integers → delta from block min.
-        if delta_value::applicable(&non_null) {
-            return EncodingType::DeltaValue;
-        }
+        Family::Float(_) if few_valued(16) => EncodingType::BlockDict,
+        Family::Float(_) => EncodingType::DeltaRange,
+        // Strings, booleans, all-NULL and type-mixing blocks: dictionary
+        // when repetitive, else plain.
+        _ if few_valued(4) => EncodingType::BlockDict,
+        _ => EncodingType::Plain,
     }
-    if p.all_float {
-        if p.distinct * 16 <= p.count && block_dict::applicable(&non_null) {
-            return EncodingType::BlockDict;
-        }
-        if delta_range::applicable(&non_null) {
-            return EncodingType::DeltaRange;
-        }
-    }
-    // Strings / mixed: dictionary when repetitive, else plain.
-    if p.distinct * 4 <= p.count && block_dict::applicable(&non_null) {
-        return EncodingType::BlockDict;
-    }
-    EncodingType::Plain
 }
 
 /// Empirically choose the smallest encoding by trial (the DBD method).
 /// Returns `(winner, encoded_sizes)` where sizes align with
 /// [`EncodingType::CONCRETE`].
 pub fn choose_by_trial(values: &[Value]) -> (EncodingType, Vec<(EncodingType, usize)>) {
+    let typed = TypedColumn::from_values(values);
     let mut results = Vec::with_capacity(EncodingType::CONCRETE.len());
     for e in EncodingType::CONCRETE {
         let mut w = Writer::new();
-        let used = crate::block::encode_block(values, e, &mut w);
+        let meta = encode_typed_block(&typed.view(), e, 0, &mut w)
+            .expect("a classified block is well-formed");
         // Only count schemes that actually applied (no silent Plain
         // fallback winning under another name).
-        if used == e {
+        if meta.encoding == e {
             results.push((e, w.len()));
         }
     }
@@ -135,19 +108,23 @@ pub fn choose_by_trial(values: &[Value]) -> (EncodingType, Vec<(EncodingType, us
 mod tests {
     use super::*;
 
+    fn pick(values: &[Value]) -> EncodingType {
+        choose_encoding(&TypedColumn::from_values(values).view())
+    }
+
     #[test]
     fn sorted_low_cardinality_picks_rle() {
         let mut vals = Vec::new();
         for d in 0..4 {
             vals.extend(std::iter::repeat_n(Value::Integer(d), 100));
         }
-        assert_eq!(choose_encoding(&vals), EncodingType::Rle);
+        assert_eq!(pick(&vals), EncodingType::Rle);
     }
 
     #[test]
     fn periodic_sorted_ints_pick_common_delta() {
         let vals: Vec<Value> = (0..1000).map(|i| Value::Integer(i * 300)).collect();
-        assert_eq!(choose_encoding(&vals), EncodingType::CommonDelta);
+        assert_eq!(pick(&vals), EncodingType::CommonDelta);
     }
 
     #[test]
@@ -163,7 +140,7 @@ mod tests {
                 Value::Integer((x % 1_000_000) as i64)
             })
             .collect();
-        assert_eq!(choose_encoding(&vals), EncodingType::ForBitPack);
+        assert_eq!(pick(&vals), EncodingType::ForBitPack);
     }
 
     #[test]
@@ -183,7 +160,7 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(choose_encoding(&vals), EncodingType::DeltaValue);
+        assert_eq!(pick(&vals), EncodingType::DeltaValue);
     }
 
     #[test]
@@ -197,7 +174,7 @@ mod tests {
                 Value::Timestamp(acc)
             })
             .collect();
-        assert_eq!(choose_encoding(&vals), EncodingType::DeltaDelta);
+        assert_eq!(pick(&vals), EncodingType::DeltaDelta);
     }
 
     #[test]
@@ -207,7 +184,7 @@ mod tests {
             .map(|i| Value::Float(prices[(i * 7) % 3]))
             .collect();
         // Unsorted but few runs of equal neighbors: check not RLE-dominated.
-        let e = choose_encoding(&vals);
+        let e = pick(&vals);
         assert_eq!(e, EncodingType::BlockDict);
     }
 
@@ -216,7 +193,7 @@ mod tests {
         let vals: Vec<Value> = (0..100)
             .map(|i| Value::Varchar(format!("user_{i}_xyz")))
             .collect();
-        assert_eq!(choose_encoding(&vals), EncodingType::Plain);
+        assert_eq!(pick(&vals), EncodingType::Plain);
     }
 
     #[test]
@@ -230,17 +207,19 @@ mod tests {
     }
 
     #[test]
-    fn analyze_properties() {
+    fn null_is_one_more_distinct_value_and_its_own_run() {
+        // 4 values, 2 distinct + NULL: 3 * 4 > 4, so no dictionary; three
+        // runs, so no RLE.
         let vals = vec![
             Value::Integer(1),
             Value::Integer(1),
             Value::Integer(2),
             Value::Null,
         ];
-        let p = analyze(&vals);
-        assert_eq!(p.count, 4);
-        assert_eq!(p.runs, 3);
-        assert!(p.has_nulls);
-        assert!(!p.sorted, "null sorts first, so trailing null breaks order");
+        assert_eq!(pick(&vals), EncodingType::DeltaValue);
+        // All NULL: one run.
+        assert_eq!(pick(&vec![Value::Null; 8]), EncodingType::Rle);
+        assert_eq!(pick(&vec![Value::Null; 4]), EncodingType::BlockDict);
+        assert_eq!(pick(&vec![Value::Null; 3]), EncodingType::Plain);
     }
 }

@@ -12,11 +12,24 @@
 //! values; NULL positions are carried in the bitmap. RLE and Plain handle
 //! NULLs natively (a NULL run is a perfectly good run), so they skip the
 //! bitmap, keeping the common sorted-leading-column path allocation-free.
+//!
+//! Both directions are typed. [`decode_block_native`] lands a block in a
+//! [`NativeBlock`]; [`encode_typed_block`] takes the same shapes back as a
+//! [`TypedSlice`] (`i64`/`f64`/dictionary codes + NULL bitmap), resolves
+//! the requested encoding, writes the block and returns its [`BlockMeta`].
+//! [`encode_block`] is the `Value` adapter: it classifies the values into
+//! a [`TypedColumn`] and encodes that, so both entries write the same
+//! bytes. A block with no non-NULL cell has no type: it is encoded as the
+//! integer family whatever column it belongs to.
 
+use crate::kernels::{distinct_at_most, min_max, with_cells, BlockCells};
+use crate::position_index::BlockMeta;
+use crate::typed::{TypedColumn, TypedSlice};
 use crate::{
     auto, block_dict, common_delta, delta_delta, delta_range, delta_value, for_bitpack, plain, rle,
     EncodingType,
 };
+use std::borrow::Cow;
 use vdb_types::codec::{Reader, Writer};
 use vdb_types::{DataType, DbError, DbResult, Value};
 
@@ -59,81 +72,178 @@ impl DecodedBlock {
     }
 }
 
-/// Encode one block of values. Returns the concrete encoding actually used
+/// Encode one block of values: the `Value` adapter over
+/// [`encode_typed_block`]. Returns the concrete encoding actually used
 /// (Auto resolves; inapplicable requests fall back to Plain — the storage
 /// layer records the concrete tag in the position index).
 pub fn encode_block(values: &[Value], requested: EncodingType, w: &mut Writer) -> EncodingType {
-    let concrete = resolve(values, requested);
-    w.put_u8(concrete.tag());
-    w.put_uvarint(values.len() as u64);
-    match concrete {
-        EncodingType::Plain => {
-            w.put_u8(0);
-            plain::encode(values, w);
-        }
-        EncodingType::Rle => {
-            w.put_u8(0);
-            rle::encode(values, w);
-        }
-        EncodingType::DeltaValue
-        | EncodingType::BlockDict
-        | EncodingType::DeltaRange
-        | EncodingType::CommonDelta
-        | EncodingType::ForBitPack
-        | EncodingType::DeltaDelta => {
-            let has_nulls = values.iter().any(Value::is_null);
-            w.put_u8(u8::from(has_nulls));
-            let storage: Vec<Value>;
-            let non_null: &[Value] = if has_nulls {
-                let mut bitmap = vec![0u8; values.len().div_ceil(8)];
-                for (i, v) in values.iter().enumerate() {
-                    if v.is_null() {
-                        bitmap[i / 8] |= 1 << (i % 8);
-                    }
-                }
-                w.put_raw(&bitmap);
-                storage = values.iter().filter(|v| !v.is_null()).cloned().collect();
-                &storage
-            } else {
-                values
-            };
-            let r = match concrete {
-                EncodingType::DeltaValue => delta_value::encode(non_null, w),
-                EncodingType::BlockDict => block_dict::encode(non_null, w),
-                EncodingType::DeltaRange => delta_range::encode(non_null, w),
-                EncodingType::CommonDelta => common_delta::encode(non_null, w),
-                EncodingType::ForBitPack => for_bitpack::encode(non_null, w),
-                EncodingType::DeltaDelta => delta_delta::encode(non_null, w),
-                _ => unreachable!(),
-            };
-            debug_assert!(r.is_ok(), "resolve() guaranteed applicability");
-        }
-        EncodingType::Auto => unreachable!("resolve() returns concrete encodings"),
+    let typed = TypedColumn::from_values(values);
+    encode_typed_block(&typed.view(), requested, 0, w)
+        .expect("a classified block is well-formed")
+        .encoding
+}
+
+/// What the specialized codecs can see of a block: its non-NULL cells as
+/// one native slice, compacted only when the block has NULLs.
+pub(crate) enum Family<'a> {
+    /// Integral values with their codec type tag (0 = Integer,
+    /// 1 = Timestamp, 2 = Boolean). A block with no non-NULL cell is `Int`
+    /// tag 0 with no values, whatever the column's type.
+    Int {
+        tag: u8,
+        values: Cow<'a, [i64]>,
+    },
+    Float(Cow<'a, [f64]>),
+    /// Strings and type-mixing blocks: Plain, RLE or dictionary only.
+    Other,
+}
+
+fn non_null<'a, T: Copy>(values: &'a [T], nulls: Option<&[u8]>) -> Cow<'a, [T]> {
+    match nulls {
+        None => Cow::Borrowed(values),
+        Some(b) => Cow::Owned(
+            (0..values.len())
+                .filter(|&i| !bitmap_is_null(b, i))
+                .map(|i| values[i])
+                .collect(),
+        ),
     }
-    concrete
+}
+
+impl<'a> Family<'a> {
+    pub(crate) fn of(block: &TypedSlice<'a>) -> Family<'a> {
+        if block.null_count() == block.len() {
+            return Family::Int {
+                tag: 0,
+                values: Cow::Borrowed(&[]),
+            };
+        }
+        match *block {
+            TypedSlice::I64 { ty, values, nulls } => Family::Int {
+                tag: match ty {
+                    DataType::Timestamp => 1,
+                    DataType::Boolean => 2,
+                    _ => 0,
+                },
+                values: non_null(values, nulls),
+            },
+            TypedSlice::F64 { values, nulls } => Family::Float(non_null(values, nulls)),
+            _ => Family::Other,
+        }
+    }
 }
 
 /// Resolve a requested encoding against the data: Auto picks; inapplicable
 /// specialized codecs fall back to Plain.
-fn resolve(values: &[Value], requested: EncodingType) -> EncodingType {
-    let non_null_applicable = |e: EncodingType| {
-        let non_null: Vec<Value> = values.iter().filter(|v| !v.is_null()).cloned().collect();
-        match e {
-            EncodingType::DeltaValue => delta_value::applicable(&non_null),
-            EncodingType::BlockDict => block_dict::applicable(&non_null),
-            EncodingType::DeltaRange => delta_range::applicable(&non_null),
-            EncodingType::CommonDelta => common_delta::applicable(&non_null),
-            EncodingType::ForBitPack => for_bitpack::applicable(&non_null),
-            EncodingType::DeltaDelta => delta_delta::applicable(&non_null),
-            _ => true,
+fn resolve<C: BlockCells>(c: C, family: &Family<'_>, requested: EncodingType) -> EncodingType {
+    let applicable = match (requested, family) {
+        (EncodingType::Auto, _) => return auto::choose(c, family),
+        (EncodingType::Plain | EncodingType::Rle, _) => true,
+        (EncodingType::BlockDict, _) => distinct_at_most(c, block_dict::MAX_DICT),
+        (EncodingType::DeltaValue | EncodingType::ForBitPack, Family::Int { .. }) => true,
+        (EncodingType::DeltaRange, Family::Float(_)) => true,
+        (EncodingType::DeltaRange | EncodingType::DeltaDelta, Family::Int { tag: 0 | 1, .. }) => {
+            true
         }
+        (EncodingType::CommonDelta, Family::Int { tag: 0 | 1, values }) => {
+            common_delta::applicable(values)
+        }
+        _ => false,
     };
-    match requested {
-        EncodingType::Auto => auto::choose_encoding(values),
-        EncodingType::Plain | EncodingType::Rle => requested,
-        e if non_null_applicable(e) => e,
-        _ => EncodingType::Plain,
+    match applicable {
+        true => requested,
+        false => EncodingType::Plain,
     }
+}
+
+/// Encode one typed block at the end of `w` and describe it: the concrete
+/// encoding (see [`encode_block`]), where its bytes lie in `w`, min/max and
+/// NULL count. Malformed input ([`TypedSlice::check`]) is an error.
+pub fn encode_typed_block(
+    block: &TypedSlice<'_>,
+    requested: EncodingType,
+    start_position: u64,
+    w: &mut Writer,
+) -> DbResult<BlockMeta> {
+    block.check()?;
+    let byte_offset = w.len() as u64;
+    let family = Family::of(block);
+    let (encoding, (ends, null_count)) = with_cells!(block, |c| {
+        let encoding = resolve(c, &family, requested);
+        encode_cells(c, &family, encoding, w)?;
+        (encoding, min_max(c))
+    });
+    let (min, max) = ends.map_or((Value::Null, Value::Null), |(lo, hi)| {
+        (block.value_at(lo), block.value_at(hi))
+    });
+    Ok(BlockMeta {
+        start_position,
+        count: block.len() as u32,
+        byte_offset,
+        byte_len: (w.len() as u64 - byte_offset) as u32,
+        encoding,
+        min,
+        max,
+        null_count,
+    })
+}
+
+/// Header, NULL bitmap and payload of one block in a resolved encoding.
+fn encode_cells<C: BlockCells>(
+    c: C,
+    family: &Family<'_>,
+    encoding: EncodingType,
+    w: &mut Writer,
+) -> DbResult<()> {
+    let n = c.len();
+    w.put_u8(encoding.tag());
+    w.put_uvarint(n as u64);
+    match encoding {
+        // RLE and Plain carry NULLs in their payload.
+        EncodingType::Plain => {
+            w.put_u8(0);
+            plain::encode_cells(c, w);
+            return Ok(());
+        }
+        EncodingType::Rle => {
+            w.put_u8(0);
+            rle::encode_cells(c, w);
+            return Ok(());
+        }
+        EncodingType::Auto => unreachable!("resolve() returns concrete encodings"),
+        _ => {}
+    }
+    let mut bitmap = vec![0u8; n.div_ceil(8)];
+    let mut has_nulls = false;
+    for i in (0..n).filter(|&i| c.is_null(i)) {
+        bitmap[i / 8] |= 1 << (i % 8);
+        has_nulls = true;
+    }
+    w.put_u8(u8::from(has_nulls));
+    if has_nulls {
+        w.put_raw(&bitmap);
+    }
+    match (encoding, family) {
+        (EncodingType::BlockDict, _) => block_dict::encode_cells(c, w)?,
+        (EncodingType::DeltaValue, Family::Int { tag, values }) => {
+            delta_value::encode(*tag, values, w)
+        }
+        (EncodingType::ForBitPack, Family::Int { tag, values }) => {
+            for_bitpack::encode(*tag, values, w)
+        }
+        (EncodingType::DeltaDelta, Family::Int { tag, values }) => {
+            delta_delta::encode(*tag, values, w)
+        }
+        (EncodingType::CommonDelta, Family::Int { tag, values }) => {
+            common_delta::encode(*tag, values, w)?
+        }
+        (EncodingType::DeltaRange, Family::Int { tag, values }) => {
+            delta_range::encode_ints(*tag, values, w)
+        }
+        (EncodingType::DeltaRange, Family::Float(values)) => delta_range::encode_floats(values, w),
+        _ => unreachable!("resolve() guaranteed applicability"),
+    }
+    Ok(())
 }
 
 /// A decoded block in type-native form: the decode-into-vector surface the

@@ -8,26 +8,14 @@
 //! min/max fall out of the first/last entries; indexes are bit-packed at
 //! `ceil(log2(dict_len))` bits.
 
+use crate::kernels::{BlockCells, KeySet};
 use vdb_compress::bitio::{BitReader, BitWriter};
 use vdb_types::codec::{Reader, Writer};
 use vdb_types::{DbError, DbResult, Value};
 
-/// Dictionaries beyond this size stop paying for themselves; `applicable`
-/// rejects blocks with more distincts.
+/// Dictionaries beyond this size stop paying for themselves; blocks with
+/// more distinct values are not encoded this way.
 pub const MAX_DICT: usize = 4096;
-
-fn build_dict(values: &[Value]) -> Vec<Value> {
-    let mut dict: Vec<Value> = values.to_vec();
-    dict.sort();
-    dict.dedup();
-    dict
-}
-
-pub fn applicable(values: &[Value]) -> bool {
-    // Cheap distinct bound: sample-based would misestimate tiny blocks, and
-    // blocks are at most a few thousand values, so exact is fine.
-    build_dict(values).len() <= MAX_DICT
-}
 
 fn index_width(dict_len: usize) -> u32 {
     if dict_len <= 1 {
@@ -37,22 +25,34 @@ fn index_width(dict_len: usize) -> u32 {
     }
 }
 
-pub fn encode(values: &[Value], w: &mut Writer) -> DbResult<()> {
-    let dict = build_dict(values);
-    if dict.len() > MAX_DICT {
-        return Err(DbError::Execution(format!(
-            "block dictionary over {MAX_DICT} distinct values"
-        )));
+/// Encode the non-NULL cells of a block. Distinct cells are collected by
+/// key in first-seen order, sorted once, and every cell is replaced by its
+/// entry's rank.
+pub(crate) fn encode_cells<C: BlockCells>(c: C, w: &mut Writer) -> DbResult<()> {
+    let mut set = KeySet::with_cap(MAX_DICT.min(c.len()));
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut seen: Vec<u32> = Vec::with_capacity(c.len());
+    for i in (0..c.len()).filter(|&i| !c.is_null(i)) {
+        let at = set.insert(c.key(i)).ok_or_else(|| {
+            DbError::Execution(format!("block dictionary over {MAX_DICT} distinct values"))
+        })?;
+        if at as usize == firsts.len() {
+            firsts.push(i);
+        }
+        seen.push(at);
     }
-    w.put_uvarint(dict.len() as u64);
-    for v in &dict {
-        w.put_value(v);
+    let mut order: Vec<u32> = (0..firsts.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| c.cmp(firsts[a as usize], firsts[b as usize]));
+    let mut rank = vec![0u64; order.len()];
+    w.put_uvarint(order.len() as u64);
+    for (r, &entry) in order.iter().enumerate() {
+        rank[entry as usize] = r as u64;
+        c.put(firsts[entry as usize], w);
     }
-    let width = index_width(dict.len());
+    let width = index_width(order.len());
     let mut bits = BitWriter::new();
-    for v in values {
-        let idx = dict.binary_search(v).expect("value in dict") as u64;
-        bits.write_bits(idx, width);
+    for at in seen {
+        bits.write_bits(rank[at as usize], width);
     }
     w.put_bytes(&bits.finish());
     Ok(())
@@ -85,17 +85,24 @@ pub fn decode_native(r: &mut Reader<'_>, count: usize) -> DbResult<(Vec<Value>, 
     Ok((dict, codes))
 }
 
-pub fn decode(r: &mut Reader<'_>, count: usize) -> DbResult<Vec<Value>> {
-    let (dict, codes) = decode_native(r, count)?;
-    Ok(codes
-        .into_iter()
-        .map(|c| dict[c as usize].clone())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::with_cells;
+    use crate::typed::TypedColumn;
+
+    fn encode(vals: &[Value], w: &mut Writer) -> DbResult<()> {
+        let col = TypedColumn::from_values(vals);
+        with_cells!(&col.view(), |c| encode_cells(c, w))
+    }
+
+    fn decode(r: &mut Reader<'_>, count: usize) -> DbResult<Vec<Value>> {
+        let (dict, codes) = decode_native(r, count)?;
+        Ok(codes
+            .into_iter()
+            .map(|c| dict[c as usize].clone())
+            .collect())
+    }
 
     #[test]
     fn round_trip_strings() {
@@ -136,19 +143,24 @@ mod tests {
     }
 
     #[test]
-    fn nulls_are_dictionary_entries() {
+    fn nulls_stay_out_of_the_dictionary() {
+        // NULL positions ride the block bitmap; the payload holds the one
+        // non-NULL cell.
         let vals = vec![Value::Null, Value::Integer(1), Value::Null];
         let mut w = Writer::new();
         encode(&vals, &mut w).unwrap();
         let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 3).unwrap(), vals);
+        assert_eq!(
+            decode(&mut Reader::new(&bytes), 1).unwrap(),
+            vec![Value::Integer(1)]
+        );
     }
 
     #[test]
     fn applicability_bound() {
         let many: Vec<Value> = (0..(MAX_DICT as i64 + 1)).map(Value::Integer).collect();
-        assert!(!applicable(&many));
+        assert!(encode(&many, &mut Writer::new()).is_err());
         let few: Vec<Value> = (0..10).map(Value::Integer).collect();
-        assert!(applicable(&few));
+        assert!(encode(&few, &mut Writer::new()).is_ok());
     }
 }

@@ -1,14 +1,19 @@
 //! Whole-column encode/decode: the data file + position index pair (§3.7).
 //!
-//! [`ColumnWriter`] buffers values, cuts them into [`BLOCK_SIZE`] blocks,
-//! encodes each with the column's encoding (resolving Auto per block), and
-//! produces the two byte streams a ROS container stores per column.
-//! [`ColumnReader`] supports full scans, block-pruned scans and positional
-//! fetches (tuple reconstruction "by fetching values with the same position
-//! from each column file").
+//! [`ColumnWriter`] buffers cells in a typed block buffer, cuts them into
+//! [`BLOCK_SIZE`] blocks, encodes each with the column's encoding
+//! (resolving Auto per block) through the typed encoders, and produces the
+//! two byte streams a ROS container stores per column. Cells arrive typed
+//! ([`ColumnWriter::extend_gathered`] — the storage write path, no `Value`
+//! per cell) or as `Value`s
+//! ([`ColumnWriter::push`], which classifies each into the same buffer);
+//! the bytes are the same either way. [`ColumnReader`] supports full scans,
+//! block-pruned scans and positional fetches (tuple reconstruction "by
+//! fetching values with the same position from each column file").
 
-use crate::block::{decode_block_native_selected, encode_block, DecodedBlock, NativeBlock};
-use crate::position_index::{BlockMeta, PositionIndex};
+use crate::block::{decode_block_native_selected, encode_typed_block, DecodedBlock, NativeBlock};
+use crate::position_index::PositionIndex;
+use crate::typed::TypedColumn;
 use crate::EncodingType;
 use vdb_types::codec::{Reader, Writer};
 use vdb_types::{DbError, DbResult, Value};
@@ -21,7 +26,8 @@ pub const BLOCK_SIZE: usize = 1024;
 pub struct ColumnWriter {
     encoding: EncodingType,
     block_size: usize,
-    pending: Vec<Value>,
+    /// The block being filled, already in typed form.
+    pending: TypedColumn,
     data: Writer,
     index: PositionIndex,
     rows_written: u64,
@@ -37,7 +43,7 @@ impl ColumnWriter {
         ColumnWriter {
             encoding,
             block_size,
-            pending: Vec::with_capacity(block_size),
+            pending: TypedColumn::new(),
             data: Writer::new(),
             index: PositionIndex::default(),
             rows_written: 0,
@@ -45,7 +51,7 @@ impl ColumnWriter {
     }
 
     pub fn push(&mut self, v: Value) {
-        self.pending.push(v);
+        self.pending.push(&v);
         if self.pending.len() >= self.block_size {
             self.flush_block();
         }
@@ -57,27 +63,34 @@ impl ColumnWriter {
         }
     }
 
+    /// Append cells `rows` of a typed column, in that order: each block is
+    /// gathered into the block buffer natively and encoded from there.
+    pub fn extend_gathered(&mut self, column: &TypedColumn, mut rows: &[u32]) {
+        while !rows.is_empty() {
+            let room = self.block_size - self.pending.len();
+            let (now, later) = rows.split_at(room.min(rows.len()));
+            self.pending.extend_gather(column, now);
+            if self.pending.len() >= self.block_size {
+                self.flush_block();
+            }
+            rows = later;
+        }
+    }
+
     fn flush_block(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let values = std::mem::take(&mut self.pending);
-        let byte_offset = self.data.len() as u64;
-        let used = encode_block(&values, self.encoding, &mut self.data);
-        let (min, max) = min_max_non_null(&values);
-        let null_count = values.iter().filter(|v| v.is_null()).count() as u32;
-        self.index.blocks.push(BlockMeta {
-            start_position: self.rows_written,
-            count: values.len() as u32,
-            byte_offset,
-            byte_len: (self.data.len() as u64 - byte_offset) as u32,
-            encoding: used,
-            min,
-            max,
-            null_count,
-        });
-        self.rows_written += values.len() as u64;
-        self.pending = Vec::with_capacity(self.block_size);
+        let meta = encode_typed_block(
+            &self.pending.view(),
+            self.encoding,
+            self.rows_written,
+            &mut self.data,
+        )
+        .expect("the block buffer is well-formed");
+        self.rows_written += u64::from(meta.count);
+        self.index.blocks.push(meta);
+        self.pending.clear();
     }
 
     /// Finish the column, returning `(data_bytes, position_index)`.
@@ -85,26 +98,6 @@ impl ColumnWriter {
         self.flush_block();
         (self.data.into_bytes(), self.index)
     }
-}
-
-fn min_max_non_null(values: &[Value]) -> (Value, Value) {
-    let mut min: Option<&Value> = None;
-    let mut max: Option<&Value> = None;
-    for v in values {
-        if v.is_null() {
-            continue;
-        }
-        if min.is_none_or(|m| v < m) {
-            min = Some(v);
-        }
-        if max.is_none_or(|m| v > m) {
-            max = Some(v);
-        }
-    }
-    (
-        min.cloned().unwrap_or(Value::Null),
-        max.cloned().unwrap_or(Value::Null),
-    )
 }
 
 /// Reads an encoded column given its data bytes and position index.

@@ -9,87 +9,57 @@
 //! Huffman coder from `vdb-compress` then spends ~0 bits on the dominant
 //! delta and a few bits on each sequence break.
 
+use crate::kernels::KeySet;
 use vdb_compress::bitio::{BitReader, BitWriter};
 use vdb_compress::huffman::{HuffmanDecoder, HuffmanEncoder};
 use vdb_types::codec::{Reader, Writer};
-use vdb_types::{DbError, DbResult, Value};
+use vdb_types::{DbError, DbResult};
 
-/// More distinct deltas than this and the scheme degenerates; `applicable`
-/// rejects such blocks.
+/// More distinct deltas than this and the scheme degenerates; such blocks
+/// are not encoded this way.
 pub const MAX_DELTA_DICT: usize = 1024;
 
-fn type_tag(values: &[Value]) -> Option<u8> {
-    let mut tag = None;
-    for v in values {
-        let t = match v {
-            Value::Integer(_) => 0u8,
-            Value::Timestamp(_) => 1,
-            _ => return None,
-        };
-        match tag {
-            None => tag = Some(t),
-            Some(p) if p == t => {}
-            _ => return None,
-        }
-    }
-    tag.or(Some(0))
+/// Each value's delta from its predecessor (the first from 0), wrapping.
+fn deltas(ints: &[i64]) -> impl Iterator<Item = i64> + '_ {
+    let prevs = std::iter::once(0).chain(ints.iter().copied());
+    ints.iter()
+        .zip(prevs)
+        .map(|(&v, prev)| v.wrapping_sub(prev))
 }
 
-fn deltas_of(values: &[Value]) -> Option<Vec<i64>> {
-    type_tag(values)?;
-    let mut prev = 0i64;
-    let mut out = Vec::with_capacity(values.len());
-    for v in values {
-        let i = v.as_i64().unwrap();
-        out.push(i.wrapping_sub(prev));
-        prev = i;
-    }
-    Some(out)
+/// Do the values have at most `cap` distinct deltas? Stops at delta
+/// `cap + 1`.
+fn distinct_deltas_at_most(ints: &[i64], cap: usize) -> bool {
+    let mut set = KeySet::with_cap(cap.min(ints.len()));
+    deltas(ints).all(|d| set.insert(d as u64).is_some())
 }
 
-pub fn applicable(values: &[Value]) -> bool {
-    match deltas_of(values) {
-        None => false,
-        Some(deltas) => {
-            let mut d = deltas;
-            d.sort_unstable();
-            d.dedup();
-            d.len() <= MAX_DELTA_DICT
-        }
-    }
+/// The codec's applicability condition on non-NULL integral values.
+pub fn applicable(ints: &[i64]) -> bool {
+    distinct_deltas_at_most(ints, MAX_DELTA_DICT)
 }
 
 /// Stricter gate for the Auto picker: the scheme only pays off when deltas
 /// *repeat* ("predictable sequences with occasional breaks"); a near-full
 /// dictionary means random data where the Huffman pass just burns CPU.
-pub fn profitable(values: &[Value]) -> bool {
-    match deltas_of(values) {
-        None => false,
-        Some(deltas) => {
-            let n = deltas.len();
-            let mut d = deltas;
-            d.sort_unstable();
-            d.dedup();
-            d.len() <= MAX_DELTA_DICT && d.len() * 8 <= n
-        }
-    }
+pub fn profitable(ints: &[i64]) -> bool {
+    distinct_deltas_at_most(ints, MAX_DELTA_DICT.min(ints.len() / 8))
 }
 
-pub fn encode(values: &[Value], w: &mut Writer) -> DbResult<()> {
-    let tag = type_tag(values).ok_or_else(|| {
-        DbError::Execution("common-delta encoding requires integral values".into())
-    })?;
-    let deltas = deltas_of(values).unwrap();
-    let mut dict: Vec<i64> = deltas.clone();
-    dict.sort_unstable();
-    dict.dedup();
-    if dict.len() > MAX_DELTA_DICT {
-        return Err(DbError::Execution(format!(
+/// Encode non-NULL integral values (`tag` 0 = Integer, 1 = Timestamp)
+/// whose deltas fit the dictionary.
+pub fn encode(tag: u8, ints: &[i64], w: &mut Writer) -> DbResult<()> {
+    let mut set = KeySet::with_cap(MAX_DELTA_DICT.min(ints.len()));
+    let seen: Option<Vec<u32>> = deltas(ints).map(|d| set.insert(d as u64)).collect();
+    let seen = seen.ok_or_else(|| {
+        DbError::Execution(format!(
             "common-delta dictionary over {MAX_DELTA_DICT} entries"
-        )));
-    }
-    w.put_u8(tag);
+        ))
+    })?;
     // Dictionary: sorted deltas, themselves delta-coded for density.
+    let mut dict: Vec<i64> = set.keys().iter().map(|&k| k as i64).collect();
+    dict.sort_unstable();
+    w.put_u8(tag);
     w.put_uvarint(dict.len() as u64);
     let mut prev = 0i64;
     for &d in &dict {
@@ -97,13 +67,14 @@ pub fn encode(values: &[Value], w: &mut Writer) -> DbResult<()> {
         prev = d;
     }
     // Entropy-coded indexes.
-    let mut freqs = vec![0u64; dict.len()];
-    let indexes: Vec<usize> = deltas
+    let rank: Vec<usize> = set
+        .keys()
         .iter()
-        .map(|d| dict.binary_search(d).expect("delta in dict"))
+        .map(|&k| dict.binary_search(&(k as i64)).expect("delta in dict"))
         .collect();
-    for &i in &indexes {
-        freqs[i] += 1;
+    let mut freqs = vec![0u64; dict.len()];
+    for &at in &seen {
+        freqs[rank[at as usize]] += 1;
     }
     let enc = HuffmanEncoder::from_freqs(&freqs);
     // Header: code lengths (4 bits each), then the bitstream.
@@ -111,8 +82,8 @@ pub fn encode(values: &[Value], w: &mut Writer) -> DbResult<()> {
     for &l in enc.lengths() {
         bits.write_bits(u64::from(l), 4);
     }
-    for &i in &indexes {
-        enc.emit(&mut bits, i);
+    for &at in &seen {
+        enc.emit(&mut bits, rank[at as usize]);
     }
     w.put_bytes(&bits.finish());
     Ok(())
@@ -157,80 +128,67 @@ pub fn decode_native(r: &mut Reader<'_>, count: usize) -> DbResult<(u8, Vec<i64>
     Ok((tag, out))
 }
 
-pub fn decode(r: &mut Reader<'_>, count: usize) -> DbResult<Vec<Value>> {
-    let (tag, ints) = decode_native(r, count)?;
-    Ok(ints
-        .into_iter()
-        .map(|v| {
-            if tag == 0 {
-                Value::Integer(v)
-            } else {
-                Value::Timestamp(v)
-            }
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn round_trip(tag: u8, ints: &[i64]) -> usize {
+        let mut w = Writer::new();
+        encode(tag, ints, &mut w).unwrap();
+        let bytes = w.into_bytes();
+        assert_eq!(
+            decode_native(&mut Reader::new(&bytes), ints.len()).unwrap(),
+            (tag, ints.to_vec())
+        );
+        bytes.len()
+    }
 
     #[test]
     fn periodic_timestamps_compress_to_almost_nothing() {
         // Meter readings every 300s with occasional 3600s gaps — the
         // paper's canonical use case.
         let mut ts = 1_600_000_000i64;
-        let vals: Vec<Value> = (0..4096)
+        let ints: Vec<i64> = (0..4096)
             .map(|i| {
                 ts += if i % 97 == 0 { 3600 } else { 300 };
-                Value::Timestamp(ts)
+                ts
             })
             .collect();
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
         // Two-entry delta dictionary, ~1 bit per value ⇒ ~550 bytes.
-        assert!(w.len() < 800, "common-delta bytes = {}", w.len());
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 4096).unwrap(), vals);
+        let len = round_trip(1, &ints);
+        assert!(len < 800, "common-delta bytes = {len}");
     }
 
     #[test]
     fn primary_keys_single_delta() {
-        let vals: Vec<Value> = (1..=1000).map(Value::Integer).collect();
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
-        assert!(w.len() < 200, "pk bytes = {}", w.len());
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 1000).unwrap(), vals);
+        let len = round_trip(0, &(1..=1000).collect::<Vec<i64>>());
+        assert!(len < 200, "pk bytes = {len}");
     }
 
     #[test]
     fn round_trip_with_breaks_and_negatives() {
-        let raw = [10i64, 20, 30, 25, 35, 45, 0, 10];
-        let vals: Vec<Value> = raw.iter().map(|&v| Value::Integer(v)).collect();
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), raw.len()).unwrap(), vals);
+        round_trip(0, &[10, 20, 30, 25, 35, 45, 0, 10]);
+        round_trip(0, &[i64::MAX, i64::MIN, i64::MAX, 0]);
+        round_trip(0, &[]);
     }
 
     #[test]
     fn applicability() {
-        assert!(!applicable(&[Value::Float(1.0)]));
-        assert!(!applicable(&[Value::Null]));
         // Random 64-bit values: every delta distinct → not applicable once
         // the block exceeds the dictionary cap.
         let mut x = 1u64;
-        let many: Vec<Value> = (0..2000)
+        let many: Vec<i64> = (0..2000)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                Value::Integer(x as i64)
+                x as i64
             })
             .collect();
         assert!(!applicable(&many));
-        let periodic: Vec<Value> = (0..2000).map(|i| Value::Integer(i * 5)).collect();
-        assert!(applicable(&periodic));
+        assert!(encode(0, &many, &mut Writer::new()).is_err());
+        let periodic: Vec<i64> = (0..2000).map(|i| i * 5).collect();
+        assert!(applicable(&periodic) && profitable(&periodic));
+        assert!(applicable(&many[..100]) && !profitable(&many[..100]));
     }
 }

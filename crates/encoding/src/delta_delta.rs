@@ -10,29 +10,7 @@
 
 use vdb_compress::bitio::{BitReader, BitWriter};
 use vdb_types::codec::{Reader, Writer};
-use vdb_types::{DbError, DbResult, Value};
-
-fn type_tag(values: &[Value]) -> Option<u8> {
-    let mut tag = None;
-    for v in values {
-        let t = match v {
-            Value::Integer(_) => 0u8,
-            Value::Timestamp(_) => 1,
-            _ => return None,
-        };
-        match tag {
-            None => tag = Some(t),
-            Some(p) if p == t => {}
-            _ => return None,
-        }
-    }
-    tag.or(Some(0))
-}
-
-/// True when every value is Integer or Timestamp (a single variant).
-pub fn applicable(values: &[Value]) -> bool {
-    type_tag(values).is_some()
-}
+use vdb_types::{DbError, DbResult};
 
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -43,31 +21,24 @@ fn unzigzag(z: u64) -> i64 {
 }
 
 /// Second-order differences (delta of delta), wrapping.
-fn dods_of(values: &[Value]) -> Vec<i64> {
-    let mut out = Vec::with_capacity(values.len().saturating_sub(1));
-    let mut prev = None;
+fn dods_of(ints: &[i64]) -> impl Iterator<Item = i64> + '_ {
     let mut prev_delta = 0i64;
-    for v in values {
-        let i = v.as_i64().unwrap();
-        if let Some(p) = prev {
-            let delta = i64::wrapping_sub(i, p);
-            out.push(delta.wrapping_sub(prev_delta));
-            prev_delta = delta;
-        }
-        prev = Some(i);
-    }
-    out
+    ints.windows(2).map(move |w| {
+        let delta = w[1].wrapping_sub(w[0]);
+        let dod = delta.wrapping_sub(prev_delta);
+        prev_delta = delta;
+        dod
+    })
 }
 
 /// Auto-picker gate: the bucket scheme only pays when the delta is stable —
 /// require ≥90% of the second-order differences to fit the 7-bit bucket.
-pub fn profitable(values: &[Value]) -> bool {
-    if values.len() < 8 || type_tag(values).is_none() {
+pub fn profitable(ints: &[i64]) -> bool {
+    if ints.len() < 8 {
         return false;
     }
-    let dods = dods_of(values);
-    let small = dods.iter().filter(|&&d| zigzag(d) < 1 << 7).count();
-    small * 10 >= dods.len() * 9
+    let small = dods_of(ints).filter(|&d| zigzag(d) < 1 << 7).count();
+    small * 10 >= (ints.len() - 1) * 9
 }
 
 /// Bucket widths; prefix `k` one-bits (then a zero for k < 4) select
@@ -116,21 +87,18 @@ fn read_dod(bits: &mut BitReader<'_>) -> DbResult<i64> {
     Ok(unzigzag(z))
 }
 
-pub fn encode(values: &[Value], w: &mut Writer) -> DbResult<()> {
-    let tag = type_tag(values).ok_or_else(|| {
-        DbError::Execution("delta-delta encoding requires integral values".into())
-    })?;
+/// Encode non-NULL integral values; `tag` is 0 = Integer, 1 = Timestamp.
+pub fn encode(tag: u8, ints: &[i64], w: &mut Writer) {
     w.put_u8(tag);
-    let Some(first) = values.first() else {
-        return Ok(());
+    let Some(&first) = ints.first() else {
+        return;
     };
-    w.put_ivarint(first.as_i64().unwrap());
+    w.put_ivarint(first);
     let mut bits = BitWriter::new();
-    for dod in dods_of(values) {
+    for dod in dods_of(ints) {
         emit_dod(&mut bits, dod);
     }
     w.put_bytes(&bits.finish());
-    Ok(())
 }
 
 /// Decode straight into a native `i64` buffer; the returned tag is
@@ -157,47 +125,29 @@ pub fn decode_native(r: &mut Reader<'_>, count: usize) -> DbResult<(u8, Vec<i64>
     Ok((tag, out))
 }
 
-pub fn decode(r: &mut Reader<'_>, count: usize) -> DbResult<Vec<Value>> {
-    let (tag, ints) = decode_native(r, count)?;
-    Ok(ints
-        .into_iter()
-        .map(|v| {
-            if tag == 0 {
-                Value::Integer(v)
-            } else {
-                Value::Timestamp(v)
-            }
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip(vals: &[Value]) {
+    fn round_trip(tag: u8, ints: &[i64]) -> usize {
         let mut w = Writer::new();
-        encode(vals, &mut w).unwrap();
+        encode(tag, ints, &mut w);
         let bytes = w.into_bytes();
         assert_eq!(
-            decode(&mut Reader::new(&bytes), vals.len()).unwrap(),
-            vals,
+            decode_native(&mut Reader::new(&bytes), ints.len()).unwrap(),
+            (tag, ints.to_vec()),
             "{} values",
-            vals.len()
+            ints.len()
         );
+        bytes.len()
     }
 
     #[test]
     fn steady_timestamps_cost_about_a_bit_per_row() {
-        let vals: Vec<Value> = (0..4096)
-            .map(|i| Value::Timestamp(1_600_000_000 + i * 300))
-            .collect();
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
+        let ints: Vec<i64> = (0..4096).map(|i| 1_600_000_000 + i * 300).collect();
         // First value + ~1 bit per row ⇒ well under a kilobyte.
-        assert!(w.len() < 600, "delta-delta bytes = {}", w.len());
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 4096).unwrap(), vals);
+        let len = round_trip(1, &ints);
+        assert!(len < 600, "delta-delta bytes = {len}");
     }
 
     #[test]
@@ -205,56 +155,49 @@ mod tests {
         // Every delta distinct (grows by i), every dod tiny — the case
         // common-delta's dictionary cannot amortize.
         let mut acc = 0i64;
-        let vals: Vec<Value> = (0..2000)
+        let ints: Vec<i64> = (0..2000)
             .map(|i| {
                 acc += i;
-                Value::Integer(acc)
+                acc
             })
             .collect();
-        assert!(profitable(&vals));
-        round_trip(&vals);
+        assert!(profitable(&ints));
+        round_trip(0, &ints);
     }
 
     #[test]
     fn edge_cases_round_trip() {
-        round_trip(&[]);
-        round_trip(&[Value::Integer(-5)]);
-        round_trip(&[Value::Timestamp(i64::MAX), Value::Timestamp(i64::MIN)]);
-        round_trip(&(0..100).map(|_| Value::Integer(3)).collect::<Vec<_>>());
+        round_trip(0, &[]);
+        round_trip(0, &[-5]);
+        round_trip(1, &[i64::MAX, i64::MIN]);
+        round_trip(0, &[3; 100]);
         // Jittery but bounded dods exercise every bucket.
         let mut x = 3u64;
         let mut acc = 0i64;
-        let jitter: Vec<Value> = (0..500)
+        let jitter: Vec<i64> = (0..500)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 acc = acc.wrapping_add((x % 1_000_000_000) as i64 - 500_000_000);
-                Value::Integer(acc)
+                acc
             })
             .collect();
-        round_trip(&jitter);
+        round_trip(0, &jitter);
     }
 
     #[test]
     fn random_data_is_not_profitable() {
         let mut x = 1u64;
-        let vals: Vec<Value> = (0..1000)
+        let ints: Vec<i64> = (0..1000)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                Value::Integer(x as i64)
+                x as i64
             })
             .collect();
-        assert!(applicable(&vals));
-        assert!(!profitable(&vals));
-    }
-
-    #[test]
-    fn rejects_non_integral() {
-        assert!(!applicable(&[Value::Float(1.0)]));
-        assert!(!applicable(&[Value::Boolean(true)]));
-        assert!(!applicable(&[Value::Integer(1), Value::Null]));
+        assert!(!profitable(&ints));
+        round_trip(0, &ints);
     }
 }

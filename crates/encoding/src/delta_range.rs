@@ -10,54 +10,27 @@
 //! exponent and high mantissa bits.
 
 use vdb_types::codec::{Reader, Writer};
-use vdb_types::{DbError, DbResult, Value};
+use vdb_types::{DbError, DbResult};
 
-fn type_tag(values: &[Value]) -> Option<u8> {
-    let mut tag = None;
-    for v in values {
-        let t = match v {
-            Value::Integer(_) => 0u8,
-            Value::Timestamp(_) => 1,
-            Value::Float(_) => 2,
-            _ => return None,
-        };
-        match tag {
-            None => tag = Some(t),
-            Some(p) if p == t => {}
-            _ => return None,
-        }
-    }
-    tag.or(Some(0))
-}
-
-pub fn applicable(values: &[Value]) -> bool {
-    type_tag(values).is_some()
-}
-
-pub fn encode(values: &[Value], w: &mut Writer) -> DbResult<()> {
-    let tag = type_tag(values).ok_or_else(|| {
-        DbError::Execution("delta-range encoding requires a single numeric type".into())
-    })?;
+/// Encode non-NULL integral values; `tag` is 0 = Integer, 1 = Timestamp.
+pub fn encode_ints(tag: u8, ints: &[i64], w: &mut Writer) {
     w.put_u8(tag);
-    if tag == 2 {
-        let mut prev = 0u64;
-        for v in values {
-            let bits = match v {
-                Value::Float(f) => f.to_bits(),
-                _ => unreachable!(),
-            };
-            w.put_uvarint(bits ^ prev);
-            prev = bits;
-        }
-    } else {
-        let mut prev = 0i64;
-        for v in values {
-            let i = v.as_i64().unwrap();
-            w.put_ivarint(i.wrapping_sub(prev));
-            prev = i;
-        }
+    let mut prev = 0i64;
+    for &i in ints {
+        w.put_ivarint(i.wrapping_sub(prev));
+        prev = i;
     }
-    Ok(())
+}
+
+/// Encode non-NULL floats (tag 2).
+pub fn encode_floats(floats: &[f64], w: &mut Writer) {
+    w.put_u8(2);
+    let mut prev = 0u64;
+    for f in floats {
+        let bits = f.to_bits();
+        w.put_uvarint(bits ^ prev);
+        prev = bits;
+    }
 }
 
 /// Native decode result: integral (tag 0=Integer, 1=Timestamp) or float.
@@ -94,87 +67,66 @@ pub fn decode_native(r: &mut Reader<'_>, count: usize) -> DbResult<NativeRange> 
     }
 }
 
-pub fn decode(r: &mut Reader<'_>, count: usize) -> DbResult<Vec<Value>> {
-    Ok(match decode_native(r, count)? {
-        NativeRange::F64(fs) => fs.into_iter().map(Value::Float).collect(),
-        NativeRange::I64(0, is) => is.into_iter().map(Value::Integer).collect(),
-        NativeRange::I64(_, is) => is.into_iter().map(Value::Timestamp).collect(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn round_trip_ints(ints: &[i64]) -> usize {
+        let mut w = Writer::new();
+        encode_ints(0, ints, &mut w);
+        let bytes = w.into_bytes();
+        match decode_native(&mut Reader::new(&bytes), ints.len()).unwrap() {
+            NativeRange::I64(0, back) => assert_eq!(back, ints),
+            _ => panic!("integral block decodes as integers"),
+        }
+        bytes.len()
+    }
+
+    fn round_trip_floats(floats: &[f64]) -> usize {
+        let mut w = Writer::new();
+        encode_floats(floats, &mut w);
+        let bytes = w.into_bytes();
+        match decode_native(&mut Reader::new(&bytes), floats.len()).unwrap() {
+            NativeRange::F64(back) => {
+                let bits = |fs: &[f64]| fs.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&back), bits(floats));
+            }
+            NativeRange::I64(..) => panic!("float block decodes as floats"),
+        }
+        bytes.len()
+    }
+
     #[test]
     fn round_trip_sorted_ints() {
-        let vals: Vec<Value> = (0..1000).map(|i| Value::Integer(i * 3)).collect();
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
+        let ints: Vec<i64> = (0..1000).map(|i| i * 3).collect();
         // Sorted with constant stride: 1 byte per delta.
-        assert!(w.len() < 1100, "bytes = {}", w.len());
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 1000).unwrap(), vals);
+        let len = round_trip_ints(&ints);
+        assert!(len < 1100, "bytes = {len}");
     }
 
     #[test]
     fn round_trip_floats_confined_range() {
-        let vals: Vec<Value> = (0..500)
-            .map(|i| Value::Float(100.0 + f64::from(i % 50) * 0.25))
-            .collect();
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
-        let dr_len = w.len();
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 500).unwrap(), vals);
+        let floats: Vec<f64> = (0..500).map(|i| 100.0 + f64::from(i % 50) * 0.25).collect();
         // Confined range: XOR deltas stay well under the 9 bytes a raw
         // tagged f64 needs.
-        let mut pw = Writer::new();
-        crate::plain::encode(&vals, &mut pw);
-        assert!(
-            dr_len < pw.len(),
-            "delta-range {dr_len} vs plain {}",
-            pw.len()
-        );
+        let len = round_trip_floats(&floats);
+        assert!(len < 9 * floats.len(), "delta-range {len}");
     }
 
     #[test]
     fn repeated_floats_collapse() {
-        let vals = vec![Value::Float(3.125); 1000];
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
-        assert!(w.len() < 1020, "repeats are 1 byte each, got {}", w.len());
+        let len = round_trip_floats(&[3.125; 1000]);
+        assert!(len < 1020, "repeats are 1 byte each, got {len}");
     }
 
     #[test]
     fn special_float_values() {
-        let vals = vec![
-            Value::Float(f64::NAN),
-            Value::Float(f64::INFINITY),
-            Value::Float(-0.0),
-            Value::Float(f64::MIN_POSITIVE),
-        ];
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        let back = decode(&mut Reader::new(&bytes), 4).unwrap();
-        // NaN round-trips bit-exactly under total-order equality.
-        assert_eq!(back, vals);
+        // NaN round-trips bit-exactly.
+        round_trip_floats(&[f64::NAN, f64::INFINITY, -0.0, f64::MIN_POSITIVE]);
     }
 
     #[test]
     fn overflow_safe_deltas() {
-        let vals = vec![Value::Integer(i64::MIN), Value::Integer(i64::MAX)];
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 2).unwrap(), vals);
-    }
-
-    #[test]
-    fn rejects_mixed_and_strings() {
-        assert!(!applicable(&[Value::Varchar("x".into())]));
-        assert!(!applicable(&[Value::Integer(1), Value::Float(1.0)]));
-        assert!(!applicable(&[Value::Null]));
+        round_trip_ints(&[i64::MIN, i64::MAX]);
     }
 }

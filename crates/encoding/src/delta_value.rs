@@ -5,47 +5,20 @@
 //! integer-based columns." Integer-based covers TIMESTAMP and BOOLEAN.
 
 use vdb_types::codec::{Reader, Writer};
-use vdb_types::{DbError, DbResult, Value};
+use vdb_types::{DbError, DbResult};
 
-/// Type tag preserved so decode restores the original value variant.
-fn type_tag(values: &[Value]) -> Option<u8> {
-    let mut tag = None;
-    for v in values {
-        let t = match v {
-            Value::Integer(_) => 0u8,
-            Value::Timestamp(_) => 1,
-            Value::Boolean(_) => 2,
-            _ => return None,
-        };
-        match tag {
-            None => tag = Some(t),
-            Some(prev) if prev == t => {}
-            _ => return None,
-        }
-    }
-    tag.or(Some(0))
-}
-
-/// True when every value is integral of a single variant (the codec's
-/// applicability condition).
-pub fn applicable(values: &[Value]) -> bool {
-    type_tag(values).is_some()
-}
-
-pub fn encode(values: &[Value], w: &mut Writer) -> DbResult<()> {
-    let tag = type_tag(values).ok_or_else(|| {
-        DbError::Execution("delta-value encoding requires a single integral type".into())
-    })?;
-    let ints: Vec<i64> = values.iter().map(|v| v.as_i64().unwrap()).collect();
+/// Encode non-NULL integral values; `tag` (0 = Integer, 1 = Timestamp,
+/// 2 = Boolean) is preserved so decode restores the value variant.
+pub fn encode(tag: u8, ints: &[i64], w: &mut Writer) {
     let min = ints.iter().copied().min().unwrap_or(0);
     w.put_u8(tag);
     w.put_ivarint(min);
-    for v in &ints {
+    for v in ints {
         // Difference from the smallest value is non-negative by definition,
-        // so an unsigned varint is the tightest representation.
-        w.put_uvarint((v - min) as u64);
+        // so an unsigned varint is the tightest representation; taken
+        // modulo 2^64 it also holds a block spanning more than `i64::MAX`.
+        w.put_uvarint(v.wrapping_sub(min) as u64);
     }
-    Ok(())
 }
 
 /// Decode straight into a native `i64` buffer (no per-row `Value`
@@ -58,49 +31,35 @@ pub fn decode_native(r: &mut Reader<'_>, count: usize) -> DbResult<(u8, Vec<i64>
     let min = r.get_ivarint()?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let v = min
-            .checked_add(r.get_uvarint()? as i64)
-            .ok_or_else(|| DbError::Corrupt("delta-value overflow".into()))?;
-        out.push(v);
+        out.push(min.wrapping_add(r.get_uvarint()? as i64));
     }
     Ok((tag, out))
-}
-
-pub fn decode(r: &mut Reader<'_>, count: usize) -> DbResult<Vec<Value>> {
-    let (tag, ints) = decode_native(r, count)?;
-    Ok(ints
-        .into_iter()
-        .map(|v| match tag {
-            0 => Value::Integer(v),
-            1 => Value::Timestamp(v),
-            _ => Value::Boolean(v != 0),
-        })
-        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_trip_unsorted_ints() {
-        let vals: Vec<Value> = [500, 123, 999, 456, 123]
-            .iter()
-            .map(|&v| Value::Integer(v))
-            .collect();
+    fn round_trip(tag: u8, ints: &[i64]) -> usize {
         let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
+        encode(tag, ints, &mut w);
         let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 5).unwrap(), vals);
+        assert_eq!(
+            decode_native(&mut Reader::new(&bytes), ints.len()).unwrap(),
+            (tag, ints.to_vec())
+        );
+        bytes.len()
     }
 
     #[test]
-    fn round_trip_timestamps_preserves_type() {
-        let vals = vec![Value::Timestamp(1000), Value::Timestamp(2000)];
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 2).unwrap(), vals);
+    fn round_trip_unsorted_ints() {
+        round_trip(0, &[500, 123, 999, 456, 123]);
+    }
+
+    #[test]
+    fn round_trip_preserves_the_type_tag() {
+        round_trip(1, &[1000, 2000]);
+        round_trip(2, &[1, 0, 1]);
     }
 
     #[test]
@@ -108,39 +67,18 @@ mod tests {
         // Values clustered near 1e12: plain tagged varints need ~6 bytes
         // each; deltas from min need ~2.
         let base = 1_000_000_000_000i64;
-        let vals: Vec<Value> = (0..1000)
-            .map(|i| Value::Integer(base + (i * 37) % 10_000))
-            .collect();
-        let mut dw = Writer::new();
-        encode(&vals, &mut dw).unwrap();
+        let ints: Vec<i64> = (0..1000).map(|i| base + (i * 37) % 10_000).collect();
+        let delta = round_trip(0, &ints);
         let mut pw = Writer::new();
-        crate::plain::encode(&vals, &mut pw);
-        assert!(
-            dw.len() < pw.len() / 2,
-            "delta {} vs plain {}",
-            dw.len(),
-            pw.len()
-        );
+        for &v in &ints {
+            pw.put_value(&vdb_types::Value::Integer(v));
+        }
+        assert!(delta < pw.len() / 2, "delta {delta} vs plain {}", pw.len());
     }
 
     #[test]
-    fn rejects_floats_and_mixed() {
-        assert!(!applicable(&[Value::Float(1.0)]));
-        assert!(!applicable(&[Value::Integer(1), Value::Timestamp(2)]));
-        assert!(!applicable(&[Value::Integer(1), Value::Null]));
-        let mut w = Writer::new();
-        assert!(encode(&[Value::Float(1.0)], &mut w).is_err());
-    }
-
-    #[test]
-    fn negative_values() {
-        let vals: Vec<Value> = [-100, -5, -100, 0]
-            .iter()
-            .map(|&v| Value::Integer(v))
-            .collect();
-        let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        assert_eq!(decode(&mut Reader::new(&bytes), 4).unwrap(), vals);
+    fn negative_values_and_the_full_range() {
+        round_trip(0, &[-100, -5, -100, 0]);
+        round_trip(0, &[i64::MAX, i64::MIN, 0, -1]);
     }
 }

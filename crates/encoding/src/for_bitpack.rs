@@ -8,31 +8,7 @@
 //! contract ([`decode_native_selected`]).
 
 use vdb_types::codec::{Reader, Writer};
-use vdb_types::{DbError, DbResult, Value};
-
-/// Type tag preserved so decode restores the original value variant.
-fn type_tag(values: &[Value]) -> Option<u8> {
-    let mut tag = None;
-    for v in values {
-        let t = match v {
-            Value::Integer(_) => 0u8,
-            Value::Timestamp(_) => 1,
-            Value::Boolean(_) => 2,
-            _ => return None,
-        };
-        match tag {
-            None => tag = Some(t),
-            Some(prev) if prev == t => {}
-            _ => return None,
-        }
-    }
-    tag.or(Some(0))
-}
-
-/// True when every value is integral of a single variant.
-pub fn applicable(values: &[Value]) -> bool {
-    type_tag(values).is_some()
-}
+use vdb_types::{DbError, DbResult};
 
 /// Frame minimum and the bit width of the widest offset from it.
 fn frame_of(ints: &[i64]) -> (i64, u32) {
@@ -50,12 +26,11 @@ fn uvarint_len(v: u64) -> usize {
 /// payload by ≥10% on the same block; uniform offsets near the width
 /// boundary win, skewed offsets with rare outliers lose (one outlier
 /// inflates every row's stride but only its own varint).
-pub fn profitable(values: &[Value]) -> bool {
-    if values.len() < 8 || type_tag(values).is_none() {
+pub fn profitable(ints: &[i64]) -> bool {
+    if ints.len() < 8 {
         return false;
     }
-    let ints: Vec<i64> = values.iter().map(|v| v.as_i64().unwrap()).collect();
-    let (min, width) = frame_of(&ints);
+    let (min, width) = frame_of(ints);
     let packed = (ints.len() * width as usize).div_ceil(8) + 12;
     let varint: usize = ints
         .iter()
@@ -73,37 +48,28 @@ fn mask(width: u32) -> u64 {
     }
 }
 
-pub fn encode(values: &[Value], w: &mut Writer) -> DbResult<()> {
-    let tag = type_tag(values).ok_or_else(|| {
-        DbError::Execution("for-bitpack encoding requires a single integral type".into())
-    })?;
-    let ints: Vec<i64> = values.iter().map(|v| v.as_i64().unwrap()).collect();
-    let (min, width) = frame_of(&ints);
+/// Encode non-NULL integral values; `tag` is 0 = Integer, 1 = Timestamp,
+/// 2 = Boolean.
+pub fn encode(tag: u8, ints: &[i64], w: &mut Writer) {
+    let (min, width) = frame_of(ints);
     w.put_u8(tag);
     w.put_ivarint(min);
     w.put_u8(width as u8);
-    // Fixed-stride payload, LSB-first within and across bytes.
-    let mut packed = vec![0u8; (ints.len() * width as usize).div_ceil(8)];
-    for (i, &v) in ints.iter().enumerate() {
-        put_packed(&mut packed, i, width, v.wrapping_sub(min) as u64);
+    // Fixed-stride payload, LSB-first within and across bytes: offsets are
+    // shifted into a 128-bit window that is drained a word at a time.
+    let mut packed = Vec::with_capacity((ints.len() * width as usize).div_ceil(8) + 8);
+    let (mut window, mut held) = (0u128, 0u32);
+    for &v in ints {
+        window |= u128::from(v.wrapping_sub(min) as u64 & mask(width)) << held;
+        held += width;
+        if held >= 64 {
+            packed.extend_from_slice(&(window as u64).to_le_bytes());
+            window >>= 64;
+            held -= 64;
+        }
     }
+    packed.extend_from_slice(&window.to_le_bytes()[..held.div_ceil(8) as usize]);
     w.put_bytes(&packed);
-    Ok(())
-}
-
-fn put_packed(buf: &mut [u8], idx: usize, width: u32, v: u64) {
-    let mut bit = idx * width as usize;
-    let mut rest = v & mask(width);
-    let mut left = width;
-    while left > 0 {
-        let byte = bit / 8;
-        let shift = (bit % 8) as u32;
-        let take = (8 - shift).min(left);
-        buf[byte] |= ((rest & mask(take)) as u8) << shift;
-        rest >>= take;
-        bit += take as usize;
-        left -= take;
-    }
 }
 
 /// Fixed-stride slot reader over a validated payload, one word per value:
@@ -213,47 +179,31 @@ pub fn decode_native_selected(
     Ok((tag, out))
 }
 
-pub fn decode(r: &mut Reader<'_>, count: usize) -> DbResult<Vec<Value>> {
-    let (tag, ints) = decode_native(r, count)?;
-    Ok(ints
-        .into_iter()
-        .map(|v| match tag {
-            0 => Value::Integer(v),
-            1 => Value::Timestamp(v),
-            _ => Value::Boolean(v != 0),
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip(vals: &[Value]) {
+    fn round_trip(tag: u8, ints: &[i64]) {
         let mut w = Writer::new();
-        encode(vals, &mut w).unwrap();
+        encode(tag, ints, &mut w);
         let bytes = w.into_bytes();
         assert_eq!(
-            decode(&mut Reader::new(&bytes), vals.len()).unwrap(),
-            vals,
+            decode_native(&mut Reader::new(&bytes), ints.len()).unwrap(),
+            (tag, ints.to_vec()),
             "{} values",
-            vals.len()
+            ints.len()
         );
     }
 
     #[test]
     fn round_trip_various_widths() {
-        round_trip(&[]);
-        round_trip(&[Value::Integer(42)]);
-        round_trip(
-            &(0..300)
-                .map(|i| Value::Integer(i * 3 % 101))
-                .collect::<Vec<_>>(),
-        );
-        round_trip(&[Value::Integer(i64::MIN), Value::Integer(i64::MAX)]);
-        round_trip(&(0..50).map(|_| Value::Integer(7)).collect::<Vec<_>>());
-        round_trip(&[Value::Timestamp(1_000_000), Value::Timestamp(999_983)]);
-        round_trip(&[Value::Boolean(true), Value::Boolean(false)]);
+        round_trip(0, &[]);
+        round_trip(0, &[42]);
+        round_trip(0, &(0..300).map(|i| i * 3 % 101).collect::<Vec<_>>());
+        round_trip(0, &[i64::MIN, i64::MAX]);
+        round_trip(0, &[7; 50]);
+        round_trip(1, &[1_000_000, 999_983]);
+        round_trip(2, &[1, 0]);
     }
 
     /// SplitMix64.
@@ -293,9 +243,8 @@ mod tests {
             for len in [1usize, 7, 8, 9, 1023, 1024] {
                 for min in [0i64, -3, i64::MIN, i64::MAX - 5] {
                     let ints = values_of_width(width, len, min, &mut rng);
-                    let vals: Vec<Value> = ints.iter().map(|&v| Value::Integer(v)).collect();
                     let mut w = Writer::new();
-                    encode(&vals, &mut w).unwrap();
+                    encode(0, &ints, &mut w);
                     let bytes = w.into_bytes();
                     let what = format!("width {width} len {len} min {min}");
                     let (tag, full) = decode_native(&mut Reader::new(&bytes), len).unwrap();
@@ -373,11 +322,9 @@ mod tests {
 
     #[test]
     fn selected_decode_matches_full_decode_on_selected_slots() {
-        let vals: Vec<Value> = (0..500)
-            .map(|i| Value::Integer(1_000_000 + (i * 7919) % 4096))
-            .collect();
+        let ints: Vec<i64> = (0..500).map(|i| 1_000_000 + (i * 7919) % 4096).collect();
         let mut w = Writer::new();
-        encode(&vals, &mut w).unwrap();
+        encode(0, &ints, &mut w);
         let bytes = w.into_bytes();
         let (_, full) = decode_native(&mut Reader::new(&bytes), 500).unwrap();
         let sel: Vec<u32> = (0..500).step_by(13).map(|i| i as u32).collect();
@@ -390,13 +337,13 @@ mod tests {
     #[test]
     fn clustered_values_beat_plain() {
         let base = 1_000_000_000_000i64;
-        let vals: Vec<Value> = (0..1000)
-            .map(|i| Value::Integer(base + (i * 37) % 10_000))
-            .collect();
+        let ints: Vec<i64> = (0..1000).map(|i| base + (i * 37) % 10_000).collect();
         let mut fw = Writer::new();
-        encode(&vals, &mut fw).unwrap();
+        encode(0, &ints, &mut fw);
         let mut pw = Writer::new();
-        crate::plain::encode(&vals, &mut pw);
+        for &v in &ints {
+            pw.put_value(&vdb_types::Value::Integer(v));
+        }
         assert!(
             fw.len() * 2 < pw.len(),
             "for-bitpack {} vs plain {}",
@@ -409,35 +356,26 @@ mod tests {
     fn profitability_prefers_uniform_offsets_over_outliers() {
         // Uniform 20-bit offsets: fixed width beats varints.
         let mut x = 17u64;
-        let uniform: Vec<Value> = (0..1000)
+        let uniform: Vec<i64> = (0..1000)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                Value::Integer((x % 1_000_000) as i64)
+                (x % 1_000_000) as i64
             })
             .collect();
         assert!(profitable(&uniform));
         // Tiny offsets with rare huge outliers: the outlier widens every
         // row's stride, varints only its own.
-        let skewed: Vec<Value> = (0..1000)
+        let skewed: Vec<i64> = (0..1000)
             .map(|i| {
                 if i % 97 == 0 {
-                    Value::Integer(1_000_000_000_000)
+                    1_000_000_000_000
                 } else {
-                    Value::Integer(i % 100)
+                    i % 100
                 }
             })
             .collect();
         assert!(!profitable(&skewed));
-    }
-
-    #[test]
-    fn rejects_floats_and_mixed() {
-        assert!(!applicable(&[Value::Float(1.0)]));
-        assert!(!applicable(&[Value::Integer(1), Value::Timestamp(2)]));
-        assert!(!applicable(&[Value::Integer(1), Value::Null]));
-        let mut w = Writer::new();
-        assert!(encode(&[Value::Varchar("x".into())], &mut w).is_err());
     }
 }

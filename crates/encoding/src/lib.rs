@@ -34,17 +34,20 @@ pub mod delta_delta;
 pub mod delta_range;
 pub mod delta_value;
 pub mod for_bitpack;
+mod kernels;
 pub mod plain;
 pub mod position_index;
 pub mod rle;
+pub mod typed;
 
 pub use auto::choose_encoding;
 pub use block::{
-    decode_block, decode_block_native, decode_block_native_selected, encode_block, DecodedBlock,
-    NativeBlock,
+    decode_block, decode_block_native, decode_block_native_selected, encode_block,
+    encode_typed_block, DecodedBlock, NativeBlock,
 };
 pub use column::{ColumnReader, ColumnWriter, BLOCK_SIZE};
 pub use position_index::{BlockMeta, PositionIndex};
+pub use typed::{TypedColumn, TypedSlice};
 
 use vdb_types::{DbError, DbResult};
 

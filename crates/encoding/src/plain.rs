@@ -3,12 +3,21 @@
 //! Fallback when no specialized scheme applies; also the reference decoder
 //! against which all other codecs are property-tested.
 
+use crate::kernels::{with_cells, BlockCells};
+use crate::typed::TypedSlice;
 use vdb_types::codec::{Reader, Writer};
 use vdb_types::{DbResult, Value};
 
-pub fn encode(values: &[Value], w: &mut Writer) {
-    for v in values {
-        w.put_value(v);
+pub fn encode(block: &TypedSlice<'_>, w: &mut Writer) {
+    with_cells!(block, |c| encode_cells(c, w))
+}
+
+pub(crate) fn encode_cells<C: BlockCells>(c: C, w: &mut Writer) {
+    for i in 0..c.len() {
+        match c.is_null(i) {
+            true => w.put_u8(0),
+            false => c.put(i, w),
+        }
     }
 }
 
@@ -34,7 +43,7 @@ mod tests {
             Value::Timestamp(99),
         ];
         let mut w = Writer::new();
-        encode(&vals, &mut w);
+        encode(&TypedSlice::Mixed(&vals), &mut w);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(decode(&mut r, vals.len()).unwrap(), vals);

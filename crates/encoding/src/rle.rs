@@ -8,27 +8,29 @@
 //! *without expansion* ([`decode_runs`]), which is what "operators can
 //! operate directly on encoded data" (§6.1) means for aggregation.
 
+use crate::kernels::{run_count, runs, with_cells, BlockCells};
+use crate::typed::TypedSlice;
 use vdb_types::codec::{Reader, Writer};
 use vdb_types::{DbResult, Value};
 
-/// Collapse values into `(value, run_length)` runs.
-pub fn to_runs(values: &[Value]) -> Vec<(Value, u32)> {
-    let mut runs: Vec<(Value, u32)> = Vec::new();
-    for v in values {
-        match runs.last_mut() {
-            Some((rv, n)) if rv == v => *n += 1,
-            _ => runs.push((v.clone(), 1)),
-        }
-    }
-    runs
+/// How many `(run_length, value)` pairs [`encode`] would write.
+pub fn runs_in(block: &TypedSlice<'_>) -> usize {
+    with_cells!(block, |c| run_count(c))
 }
 
-pub fn encode(values: &[Value], w: &mut Writer) {
-    let runs = to_runs(values);
+pub fn encode(block: &TypedSlice<'_>, w: &mut Writer) {
+    with_cells!(block, |c| encode_cells(c, w))
+}
+
+pub(crate) fn encode_cells<C: BlockCells>(c: C, w: &mut Writer) {
+    let runs = runs(c);
     w.put_uvarint(runs.len() as u64);
-    for (v, n) in runs {
+    for (first, n) in runs {
         w.put_uvarint(u64::from(n));
-        w.put_value(&v);
+        match c.is_null(first) {
+            true => w.put_u8(0),
+            false => c.put(first, w),
+        }
     }
 }
 
@@ -66,6 +68,7 @@ pub fn decode_runs(r: &mut Reader<'_>, count: usize) -> DbResult<Vec<(Value, u32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::typed::TypedColumn;
 
     #[test]
     fn round_trip_and_runs() {
@@ -74,7 +77,7 @@ mod tests {
             .map(|&v| Value::Integer(v))
             .collect();
         let mut w = Writer::new();
-        encode(&vals, &mut w);
+        encode(&TypedColumn::from_values(&vals).view(), &mut w);
         let bytes = w.into_bytes();
         assert_eq!(decode(&mut Reader::new(&bytes), vals.len()).unwrap(), vals);
         let runs = decode_runs(&mut Reader::new(&bytes), vals.len()).unwrap();
@@ -96,7 +99,7 @@ mod tests {
             vals.extend(std::iter::repeat_n(Value::Integer(d), 2000));
         }
         let mut w = Writer::new();
-        encode(&vals, &mut w);
+        encode(&TypedColumn::from_values(&vals).view(), &mut w);
         assert!(w.len() < 40, "rle bytes = {}", w.len());
     }
 
@@ -104,7 +107,7 @@ mod tests {
     fn nulls_form_runs_too() {
         let vals = vec![Value::Null, Value::Null, Value::Integer(1)];
         let mut w = Writer::new();
-        encode(&vals, &mut w);
+        encode(&TypedColumn::from_values(&vals).view(), &mut w);
         let bytes = w.into_bytes();
         assert_eq!(decode(&mut Reader::new(&bytes), 3).unwrap(), vals);
     }
@@ -113,7 +116,7 @@ mod tests {
     fn count_mismatch_is_corrupt() {
         let vals = vec![Value::Integer(1); 4];
         let mut w = Writer::new();
-        encode(&vals, &mut w);
+        encode(&TypedColumn::from_values(&vals).view(), &mut w);
         let bytes = w.into_bytes();
         assert!(decode(&mut Reader::new(&bytes), 5).is_err());
     }

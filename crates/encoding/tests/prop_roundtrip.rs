@@ -202,3 +202,313 @@ proptest! {
         prop_assert!(winner_size <= plain_size);
     }
 }
+
+// ---------------------------------------------------------------------
+// The typed encode surface: same bytes as the `Value` adapter, and
+// decode_native(encode_native(x)) == x down to the bit.
+// ---------------------------------------------------------------------
+
+use vdb_encoding::{encode_typed_block, NativeBlock, TypedColumn, TypedSlice};
+use vdb_types::DataType;
+
+/// A homogeneous block in both forms: native cells + NULL flags.
+#[derive(Debug, Clone)]
+enum Native {
+    Ints(DataType, Vec<Option<i64>>),
+    Floats(Vec<Option<f64>>),
+    Strs(Vec<Option<String>>),
+}
+
+fn extreme_i64() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        any::<i64>(),
+        Just(i64::MIN),
+        Just(i64::MAX),
+        Just(0),
+        -3i64..3,
+        1_600_000_000i64..1_600_001_000,
+    ]
+}
+
+fn extreme_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        Just(f64::NAN),
+        Just(-0.0),
+        Just(0.0),
+        Just(f64::INFINITY),
+        -1e6f64..1e6,
+        (0i64..8).prop_map(|i| i as f64 * 0.25),
+    ]
+}
+
+fn nullable<T: std::fmt::Debug>(
+    cell: impl Strategy<Value = T>,
+    max: usize,
+) -> impl Strategy<Value = Vec<Option<T>>> {
+    (
+        prop::collection::vec(cell, 0..max),
+        prop::collection::vec(0u8..6, 0..max),
+        any::<bool>(),
+    )
+        .prop_map(|(cells, dice, with_nulls)| {
+            cells
+                .into_iter()
+                .enumerate()
+                .map(|(i, c)| match dice.get(i) {
+                    Some(0) if with_nulls => None,
+                    _ => Some(c),
+                })
+                .collect()
+        })
+}
+
+fn arb_native() -> impl Strategy<Value = Native> {
+    prop_oneof![
+        nullable(extreme_i64(), 300).prop_map(|c| Native::Ints(DataType::Integer, c)),
+        nullable(extreme_i64(), 300).prop_map(|c| Native::Ints(DataType::Timestamp, c)),
+        nullable(0i64..2, 300).prop_map(|c| Native::Ints(DataType::Boolean, c)),
+        nullable((0i64..40).prop_map(|i| i * 300), 300)
+            .prop_map(|c| Native::Ints(DataType::Integer, c)),
+        nullable(extreme_f64(), 300).prop_map(Native::Floats),
+        nullable("[a-c]{0,3}", 300).prop_map(Native::Strs),
+    ]
+}
+
+impl Native {
+    fn values(&self) -> Vec<Value> {
+        match self {
+            Native::Ints(ty, cells) => cells
+                .iter()
+                .map(|c| match (c, ty) {
+                    (None, _) => Value::Null,
+                    (Some(v), DataType::Timestamp) => Value::Timestamp(*v),
+                    (Some(v), DataType::Boolean) => Value::Boolean(*v != 0),
+                    (Some(v), _) => Value::Integer(*v),
+                })
+                .collect(),
+            Native::Floats(cells) => cells
+                .iter()
+                .map(|c| c.map_or(Value::Null, Value::Float))
+                .collect(),
+            Native::Strs(cells) => cells
+                .iter()
+                .map(|c| c.clone().map_or(Value::Null, Value::Varchar))
+                .collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Native::Ints(_, c) => c.len(),
+            Native::Floats(c) => c.len(),
+            Native::Strs(c) => c.len(),
+        }
+    }
+
+    /// `f` on the block as a hand-built `TypedSlice` — native buffers and
+    /// a bitmap assembled here, not by `TypedColumn`.
+    fn with_slice<R>(&self, f: impl FnOnce(&TypedSlice<'_>) -> R) -> R {
+        fn bitmap<T>(cells: &[Option<T>]) -> Option<Vec<u8>> {
+            let mut bits = vec![0u8; cells.len().div_ceil(8)];
+            for (i, c) in cells.iter().enumerate() {
+                if c.is_none() {
+                    bits[i / 8] |= 1 << (i % 8);
+                }
+            }
+            cells.iter().any(Option::is_none).then_some(bits)
+        }
+        match self {
+            Native::Ints(ty, cells) => {
+                let values: Vec<i64> = cells.iter().map(|c| c.unwrap_or(0)).collect();
+                let nulls = bitmap(cells);
+                f(&TypedSlice::I64 {
+                    ty: *ty,
+                    values: &values,
+                    nulls: nulls.as_deref(),
+                })
+            }
+            Native::Floats(cells) => {
+                let values: Vec<f64> = cells.iter().map(|c| c.unwrap_or(0.0)).collect();
+                let nulls = bitmap(cells);
+                f(&TypedSlice::F64 {
+                    values: &values,
+                    nulls: nulls.as_deref(),
+                })
+            }
+            Native::Strs(cells) => {
+                let mut dict: Vec<String> = Vec::new();
+                let codes: Vec<u32> = cells
+                    .iter()
+                    .map(|c| match c {
+                        None => 0,
+                        Some(s) => match dict.iter().position(|d| d == s) {
+                            Some(at) => at as u32,
+                            None => {
+                                dict.push(s.clone());
+                                dict.len() as u32 - 1
+                            }
+                        },
+                    })
+                    .collect();
+                let nulls = bitmap(cells);
+                f(&TypedSlice::Str {
+                    dict: &dict,
+                    codes: &codes,
+                    nulls: nulls.as_deref(),
+                })
+            }
+        }
+    }
+}
+
+/// Cells of a decoded block, floats by their bits.
+fn decoded_cells(block: NativeBlock) -> Vec<String> {
+    let mut col = TypedColumn::new();
+    col.append_native(block);
+    (0..col.len())
+        .map(|i| match col.value_at(i) {
+            Value::Float(f) => format!("f{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        })
+        .collect()
+}
+
+fn cells_of(values: &[Value]) -> Vec<String> {
+    values
+        .iter()
+        .map(|v| match v {
+            Value::Float(f) => format!("f{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        })
+        .collect()
+}
+
+fn any_encoding(idx: usize) -> EncodingType {
+    match idx {
+        0 => EncodingType::Auto,
+        i => EncodingType::CONCRETE[i - 1],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn typed_entry_and_value_adapter_write_the_same_block(
+        native in arb_native(),
+        enc_idx in 0usize..9,
+    ) {
+        let enc = any_encoding(enc_idx);
+        let values = native.values();
+        let mut adapter = Writer::new();
+        let used = vdb_encoding::encode_block(&values, enc, &mut adapter);
+        let mut typed = Writer::new();
+        let meta = native
+            .with_slice(|slice| encode_typed_block(slice, enc, 0, &mut typed))
+            .unwrap();
+        prop_assert_eq!(meta.encoding, used);
+        prop_assert_eq!(typed.into_bytes(), adapter.into_bytes());
+        prop_assert_eq!(meta.count as usize, values.len());
+        prop_assert_eq!(
+            meta.null_count as usize,
+            values.iter().filter(|v| v.is_null()).count()
+        );
+    }
+
+    #[test]
+    fn decode_native_inverts_encode_native(native in arb_native(), enc_idx in 0usize..9) {
+        let mut w = Writer::new();
+        native
+            .with_slice(|slice| encode_typed_block(slice, any_encoding(enc_idx), 0, &mut w))
+            .unwrap();
+        let bytes = w.into_bytes();
+        let block = vdb_encoding::decode_block_native(&mut Reader::new(&bytes)).unwrap();
+        prop_assert_eq!(block.len(), native.len());
+        prop_assert_eq!(decoded_cells(block), cells_of(&native.values()));
+    }
+
+    #[test]
+    fn typed_and_value_columns_write_the_same_files(
+        native in arb_native(),
+        enc_idx in 0usize..9,
+        block in 1usize..97,
+        reverse in any::<bool>(),
+    ) {
+        // Whole columns through `ColumnWriter`: `Value`s pushed one by
+        // one against the typed column gathered through the same
+        // permutation (the identity, or the reverse).
+        let enc = any_encoding(enc_idx);
+        let values = native.values();
+        let typed = TypedColumn::from_values(&values);
+        let mut rows: Vec<u32> = (0..values.len() as u32).collect();
+        if reverse {
+            rows.reverse();
+        }
+        let mut by_value = ColumnWriter::with_block_size(enc, block);
+        by_value.extend(rows.iter().map(|&r| values[r as usize].clone()));
+        let mut by_column = ColumnWriter::with_block_size(enc, block);
+        by_column.extend_gathered(&typed, &rows);
+        let (data_a, index_a) = by_value.finish();
+        let (data_b, index_b) = by_column.finish();
+        prop_assert_eq!(data_a, data_b);
+        prop_assert_eq!(index_a, index_b);
+    }
+}
+
+/// Malformed typed input is an error, never a panic: bitmap/value length
+/// mismatches, stray NULL bits, a float-typed integer block, a code outside
+/// the dictionary.
+#[test]
+fn malformed_typed_blocks_are_errors() {
+    let ints = [1i64, 2, 3, 4, 5, 6, 7, 8, 9];
+    let dict = ["a".to_string()];
+    let malformed = [
+        TypedSlice::I64 {
+            ty: DataType::Integer,
+            values: &ints,
+            nulls: Some(&[0b0000_0001]), // 9 values need 2 bytes
+        },
+        TypedSlice::I64 {
+            ty: DataType::Integer,
+            values: &ints,
+            nulls: Some(&[0, 0, 0]),
+        },
+        TypedSlice::I64 {
+            ty: DataType::Integer,
+            values: &ints,
+            nulls: Some(&[0, 0b0000_0010]), // bit 9 is past the end
+        },
+        TypedSlice::I64 {
+            ty: DataType::Float,
+            values: &ints,
+            nulls: None,
+        },
+        TypedSlice::F64 {
+            values: &[1.0, 2.0],
+            nulls: Some(&[]),
+        },
+        TypedSlice::Str {
+            dict: &dict,
+            codes: &[0, 1],
+            nulls: None,
+        },
+    ];
+    for block in &malformed {
+        for enc in std::iter::once(EncodingType::Auto).chain(EncodingType::CONCRETE) {
+            let mut w = Writer::new();
+            assert!(
+                encode_typed_block(block, enc, 0, &mut w).is_err(),
+                "{block:?} under {enc}"
+            );
+        }
+    }
+    // A padding code under a NULL bit is not malformed.
+    let padded = TypedSlice::Str {
+        dict: &dict,
+        codes: &[0, 7],
+        nulls: Some(&[0b10]),
+    };
+    let mut w = Writer::new();
+    encode_typed_block(&padded, EncodingType::Auto, 0, &mut w).unwrap();
+}

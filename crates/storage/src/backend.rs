@@ -264,10 +264,11 @@ pub enum IoOp {
     ReadFile,
     ReadRange,
     FileSize,
+    WriteFile,
 }
 
 /// One recorded call: what was asked of which file, and how many bytes
-/// came back (0 for [`IoOp::FileSize`]).
+/// came back or went in (0 for [`IoOp::FileSize`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoCall {
     pub op: IoOp,
@@ -309,7 +310,9 @@ impl CountingBackend {
 
     /// Bytes returned by whole-file and ranged reads together.
     pub fn bytes_read(&self) -> u64 {
-        self.calls.lock().iter().map(|c| c.bytes).sum()
+        let calls = self.calls.lock();
+        let reads = calls.iter().filter(|c| c.op != IoOp::WriteFile);
+        reads.map(|c| c.bytes).sum()
     }
 
     fn record(&self, op: IoOp, path: &str, bytes: u64) {
@@ -330,7 +333,9 @@ impl Default for CountingBackend {
 
 impl StorageBackend for CountingBackend {
     fn write_file(&self, path: &str, bytes: &[u8]) -> DbResult<()> {
-        self.inner.write_file(path, bytes)
+        self.inner.write_file(path, bytes)?;
+        self.record(IoOp::WriteFile, path, bytes.len() as u64);
+        Ok(())
     }
     fn read_file(&self, path: &str) -> DbResult<Vec<u8>> {
         let bytes = self.inner.read_file(path)?;
@@ -416,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn counting_backend_records_reads_and_sizes() {
+    fn counting_backend_records_reads_writes_and_sizes() {
         let counting = CountingBackend::default();
         exercise(&counting);
         counting.reset();
@@ -436,6 +441,7 @@ mod tests {
         assert_eq!(
             counting.calls(),
             vec![
+                call(IoOp::WriteFile, 10),
                 call(IoOp::ReadFile, 10),
                 call(IoOp::ReadRange, 3),
                 call(IoOp::FileSize, 0)

@@ -6,6 +6,7 @@
 //! the cluster layer; this engine stores whatever rows it is handed).
 
 use crate::backend::StorageBackend;
+use crate::columnar::LoadBatch;
 use crate::partition::PartitionSpec;
 use crate::projection::ProjectionDef;
 use crate::store::ProjectionStore;
@@ -229,37 +230,15 @@ impl StorageEngine {
         epoch: Epoch,
         direct_ros: bool,
     ) -> DbResult<()> {
-        let entry = self.table(table)?;
-        let mut validated: Vec<Row> = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut r = row.clone();
-            entry.schema.validate_row(&mut r)?;
-            validated.push(r);
-        }
+        let batch = LoadBatch::new(&self.table(table)?.schema, rows, epoch, direct_ros)?;
         for pname in self.projections_of(table) {
-            let store = self.projection(&pname)?;
-            let def = store.read().def().clone();
-            let projected: Vec<Row> = if def.prejoin.is_empty() {
-                validated
-                    .iter()
-                    .map(|r| def.project_row(r))
-                    .collect::<DbResult<_>>()?
-            } else {
-                self.prejoin_rows(&def, &validated, epoch)?
-            };
-            let mut store = store.write();
-            if direct_ros {
-                store.insert_direct_ros(projected, epoch)?;
-            } else {
-                store.insert_wos(projected, epoch)?;
-            }
+            self.insert_batch(&pname, &batch, None, epoch, direct_ros)?;
         }
         Ok(())
     }
 
-    /// Store table rows into *one* projection on this node (the cluster
-    /// layer routes per-projection row subsets by segmentation + buddy
-    /// offset, so it bypasses the all-projections fanout above).
+    /// Store table rows into *one* projection on this node: the row-shaped
+    /// door of [`StorageEngine::insert_batch`].
     pub fn insert_projection_rows(
         &self,
         projection: &str,
@@ -267,22 +246,51 @@ impl StorageEngine {
         epoch: Epoch,
         direct_ros: bool,
     ) -> DbResult<()> {
+        let table = self
+            .projection(projection)?
+            .read()
+            .def()
+            .anchor_table
+            .clone();
+        let batch = LoadBatch::new(&self.table(&table)?.schema, table_rows, epoch, direct_ros)?;
+        self.insert_batch(projection, &batch, None, epoch, direct_ros)
+    }
+
+    /// Store rows `rows` (all of them when `None`) of a validated batch
+    /// into *one* projection on this node — the cluster layer routes
+    /// per-projection row subsets by segmentation + buddy offset. A direct
+    /// load hands the store the batch's typed columns in projection order;
+    /// a WOS load and a prejoin projection take projected rows.
+    pub fn insert_batch(
+        &self,
+        projection: &str,
+        batch: &LoadBatch,
+        rows: Option<&[u32]>,
+        epoch: Epoch,
+        direct_ros: bool,
+    ) -> DbResult<()> {
         let store = self.projection(projection)?;
         let def = store.read().def().clone();
-        let entry = self.table(&def.anchor_table)?;
-        let mut validated: Vec<Row> = Vec::with_capacity(table_rows.len());
-        for row in table_rows {
-            let mut r = row.clone();
-            entry.schema.validate_row(&mut r)?;
-            validated.push(r);
+        let all: Vec<u32>;
+        let rows = match rows {
+            Some(rows) => rows,
+            None => {
+                all = (0..batch.len() as u32).collect();
+                &all
+            }
+        };
+        if let (Some(chunk), true) = (batch.chunk(), def.prejoin.is_empty()) {
+            let view = chunk.project(&def.columns);
+            store.write().insert_direct_ros_chunk(&view, rows, epoch)?;
+            return Ok(());
         }
+        let table_rows = rows.iter().map(|&r| &batch.rows()[r as usize]);
         let projected: Vec<Row> = if def.prejoin.is_empty() {
-            validated
-                .iter()
+            table_rows
                 .map(|r| def.project_row(r))
                 .collect::<DbResult<_>>()?
         } else {
-            self.prejoin_rows(&def, &validated, epoch)?
+            self.prejoin_rows(&def, table_rows, epoch)?
         };
         let mut store = store.write();
         if direct_ros {
@@ -293,10 +301,10 @@ impl StorageEngine {
         Ok(())
     }
 
-    fn prejoin_rows(
+    fn prejoin_rows<'a>(
         &self,
         def: &ProjectionDef,
-        fact_rows: &[Row],
+        fact_rows: impl Iterator<Item = &'a Row>,
         epoch: Epoch,
     ) -> DbResult<Vec<Row>> {
         // Build a key → row map per dimension from its super projection.
@@ -326,7 +334,7 @@ impl StorageEngine {
             }
             dim_maps.push(map);
         }
-        let mut out = Vec::with_capacity(fact_rows.len());
+        let mut out = Vec::new();
         for fact in fact_rows {
             let mut dims: Vec<&[Value]> = Vec::with_capacity(def.prejoin.len());
             for (dim, map) in def.prejoin.iter().zip(&dim_maps) {

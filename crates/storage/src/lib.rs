@@ -20,6 +20,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod backend;
+pub mod columnar;
 pub mod container_stats;
 pub mod delete_vector;
 pub mod engine;
@@ -34,6 +35,7 @@ pub mod tuple_mover;
 pub mod wos;
 
 pub use backend::{CountingBackend, FsBackend, IoCall, IoOp, MemBackend, StorageBackend};
+pub use columnar::{ChunkView, WriteChunk};
 pub use container_stats::{ColumnSummary, ContainerStats, STATS_SAMPLE_ROWS};
 pub use delete_vector::DeleteVector;
 pub use engine::StorageEngine;

@@ -7,6 +7,11 @@
 //! with a position index." Containers are immutable once written; data is
 //! identified by implicit ordinal position.
 //!
+//! A container is written from typed columns and a row permutation
+//! ([`RosContainer::write_columns`]): each column is gathered block by
+//! block into the typed encoders. [`RosContainer::write`] is the
+//! row-shaped door onto it.
+//!
 //! The rarely-used hybrid row-column mode ("grouping multiple columns
 //! together into the same file", §3.7) is supported via
 //! [`RosContainer::write_grouped`].
@@ -14,7 +19,7 @@
 use crate::backend::StorageBackend;
 use crate::projection::ProjectionDef;
 use std::ops::Range;
-use vdb_encoding::{ColumnReader, ColumnWriter, PositionIndex};
+use vdb_encoding::{ColumnReader, ColumnWriter, PositionIndex, TypedColumn};
 use vdb_types::codec::{Reader, Writer};
 use vdb_types::{DbError, DbResult, Epoch, Row, Value};
 
@@ -97,7 +102,9 @@ impl RosContainer {
     }
 
     /// Write a new column-oriented container from rows already sorted by
-    /// the projection's sort order.
+    /// the projection's sort order: the row-shaped door, which pivots the
+    /// rows once and hands the typed columns to
+    /// [`RosContainer::write_columns`].
     pub fn write(
         backend: &dyn StorageBackend,
         def: &ProjectionDef,
@@ -114,6 +121,37 @@ impl RosContainer {
             }),
             "rows must be sorted by the projection sort order"
         );
+        let columns: Vec<TypedColumn> = (0..def.arity())
+            .map(|col| TypedColumn::from_values(rows.iter().map(|r| &r[col])))
+            .collect();
+        let in_order: Vec<u32> = (0..rows.len() as u32).collect();
+        Self::write_columns(
+            backend,
+            def,
+            id,
+            columns.iter(),
+            &in_order,
+            commit_epoch,
+            partition_key,
+            local_segment,
+        )
+    }
+
+    /// Write a new column-oriented container holding cells `rows` of each
+    /// typed column, in that order (which must be the projection's sort
+    /// order): every column is gathered block by block into the typed
+    /// encoders.
+    #[allow(clippy::too_many_arguments)]
+    pub fn write_columns<'a>(
+        backend: &dyn StorageBackend,
+        def: &ProjectionDef,
+        id: ContainerId,
+        columns: impl Iterator<Item = &'a TypedColumn>,
+        rows: &[u32],
+        commit_epoch: Epoch,
+        partition_key: Option<Value>,
+        local_segment: u32,
+    ) -> DbResult<RosContainer> {
         let mut container = RosContainer {
             id,
             projection: def.name.clone(),
@@ -124,9 +162,9 @@ impl RosContainer {
             grouped: false,
             indexes: Vec::with_capacity(def.arity()),
         };
-        for col in 0..def.arity() {
+        for (col, column) in columns.enumerate() {
             let mut w = ColumnWriter::new(def.encodings[col]);
-            w.extend(rows.iter().map(|r| r[col].clone()));
+            w.extend_gathered(column, rows);
             let (data, index) = w.finish();
             backend.write_file(&container.data_path(col), &data)?;
             backend.write_file(&container.index_path(col), &index.encode())?;

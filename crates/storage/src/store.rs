@@ -8,8 +8,16 @@
 //! from several epochs (as moveout produces). Container-level epoch min/max
 //! (from the epoch column's position index) lets scans skip the per-row
 //! check for fully-visible containers, which is the common case.
+//!
+//! Every container is written by one writer, `write_containers`, from a
+//! [`crate::columnar::WriteChunk`] of typed columns and a list of row
+//! indexes: direct load, moveout and the row-shaped recovery entry points
+//! pivot their rows into a chunk once at the door; mergeout hands over
+//! chunks decoded natively from the victims (`merge_input`). Grouping,
+//! ordering and gathering work on row indexes (see [`crate::columnar`]).
 
 use crate::backend::StorageBackend;
+use crate::columnar::{self, ChunkView, RowOrder, WriteChunk};
 use crate::container_stats::ContainerStats;
 use crate::delete_vector::DeleteVector;
 use crate::fault;
@@ -403,6 +411,11 @@ pub struct ProjectionStore {
 
 const MANIFEST_VERSION: u64 = 1;
 
+/// Every row index of a chunk, in arrival order.
+fn all_rows(chunk: &WriteChunk) -> Vec<u32> {
+    (0..chunk.len() as u32).collect()
+}
+
 impl ProjectionStore {
     pub fn new(
         def: ProjectionDef,
@@ -662,7 +675,7 @@ impl ProjectionStore {
 
     /// Insert projection-shaped rows at `epoch` directly into new ROS
     /// containers, bypassing the WOS (the §7 "Direct Loading to the ROS"
-    /// path for bulk loads).
+    /// path for bulk loads). The row-shaped door: pivots the rows once.
     pub fn insert_direct_ros(
         &mut self,
         rows: Vec<Row>,
@@ -672,10 +685,29 @@ impl ProjectionStore {
         for row in &rows {
             self.check_arity(row)?;
         }
-        let augmented: Vec<(Row, Epoch, Option<Epoch>)> =
-            rows.into_iter().map(|r| (r, epoch, None)).collect();
+        let chunk = WriteChunk::from_rows(self.def.arity(), rows.iter().map(Vec::as_slice), epoch);
+        self.insert_direct_ros_chunk(&chunk.view(), &all_rows(&chunk), epoch)
+    }
+
+    /// Direct load of rows `rows` of an already-pivoted chunk (in this
+    /// projection's column order) whose rows commit at `epoch`.
+    pub fn insert_direct_ros_chunk(
+        &mut self,
+        chunk: &ChunkView<'_>,
+        rows: &[u32],
+        epoch: Epoch,
+    ) -> DbResult<Vec<ContainerId>> {
+        self.ensure_usable()?;
+        if chunk.arity() != self.def.arity() {
+            return Err(DbError::Execution(format!(
+                "projection {} expects {} columns, chunk has {}",
+                self.def.name,
+                self.def.arity(),
+                chunk.arity()
+            )));
+        }
         let result = self
-            .write_containers(augmented, epoch)
+            .write_containers(chunk, rows, epoch)
             .and_then(|created| self.save_manifest().map(|()| created));
         if let Err(e) = &result {
             self.poison("direct load", e);
@@ -695,57 +727,62 @@ impl ProjectionStore {
         Ok(())
     }
 
-    /// Group rows by (partition key, local segment), sort each group by the
-    /// sort order, append the epoch column and write one container per
-    /// group. Deleted rows carry their delete epochs into the new
-    /// container's delete vector.
+    /// Pivot `(row, commit epoch, delete epoch)` history — what the WOS
+    /// drains to and what recovery copies — into a chunk.
+    fn pivot_history(&self, history: &[(Row, Epoch, Option<Epoch>)]) -> WriteChunk {
+        let mut chunk = WriteChunk::new(self.def.arity());
+        for (row, epoch, deleted) in history {
+            chunk.push_row(row, *epoch, *deleted);
+        }
+        chunk
+    }
+
+    /// The one container writer. Split `rows` of the chunk by (partition
+    /// key, local segment), order each group by the sort order with a
+    /// stable sort of the row indexes over the typed sort-key columns, and
+    /// write one container per group by gathering every column (the epoch
+    /// column last) through that permutation into the typed encoders.
+    /// Deleted rows carry their delete epochs into the new container's
+    /// delete vector.
     fn write_containers(
         &mut self,
-        rows: Vec<(Row, Epoch, Option<Epoch>)>,
+        chunk: &ChunkView<'_>,
+        rows: &[u32],
         commit_epoch: Epoch,
     ) -> DbResult<Vec<ContainerId>> {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        // Group key: (partition, local segment).
-        type RowHistory = Vec<(Row, Epoch, Option<Epoch>)>;
-        let mut groups: BTreeMap<(Option<Value>, u32), RowHistory> = BTreeMap::new();
-        for (row, e, d) in rows {
-            let pkey = match &self.partition {
-                Some(spec) => Some(spec.key_of(&row)?),
-                None => None,
-            };
-            let seg = self.def.segment_value(&row)?;
-            let lseg = self.local_segment_of(seg);
-            groups.entry((pkey, lseg)).or_default().push((row, e, d));
-        }
+        let groups = columnar::group_rows(
+            chunk,
+            rows,
+            &self.def,
+            self.partition.as_ref(),
+            self.n_local_segments,
+        )?;
+        let order = RowOrder::new(chunk, rows, &self.def.sort_keys);
         let mut created = Vec::with_capacity(groups.len());
         for ((pkey, lseg), mut group) in groups {
-            group.sort_by(|a, b| vdb_types::schema::compare_rows(&a.0, &b.0, &self.def.sort_keys));
+            order.sort(&mut group);
+            let group: Vec<u32> = group.into_iter().map(|at| rows[at as usize]).collect();
             let mut dv = DeleteVector::new();
-            let physical_rows: Vec<Row> = group
-                .iter()
-                .enumerate()
-                .map(|(i, (row, e, d))| {
-                    if let Some(de) = d {
-                        dv.mark(i as u64, *de);
-                    }
-                    let mut pr = row.clone();
-                    pr.push(Value::Integer(e.0 as i64));
-                    pr
-                })
-                .collect();
+            for (position, &row) in group.iter().enumerate() {
+                if let Some(deleted) = chunk.delete_epoch(row) {
+                    dv.mark(position as u64, deleted);
+                }
+            }
             let id = self.alloc_container();
             // Stage the group's files fully before touching the catalog, so
             // a failed write leaves only orphan files (GC'd on reopen). A
             // failure once earlier groups are catalog-visible is a
             // different story: the catalog is ahead of the manifest, so the
             // store must poison itself until reopened.
-            let staged = RosContainer::write(
+            let staged = RosContainer::write_columns(
                 self.backend.as_ref(),
                 &self.physical,
                 id,
-                &physical_rows,
+                chunk.physical_columns(),
+                &group,
                 commit_epoch,
                 pkey,
                 lseg,
@@ -815,7 +852,10 @@ impl ProjectionStore {
         moved: Vec<(Row, Epoch, Option<Epoch>)>,
     ) -> DbResult<Vec<ContainerId>> {
         let max_epoch = moved.iter().map(|(_, e, _)| *e).max().unwrap();
-        let created = self.write_containers(moved, max_epoch)?;
+        let chunk = self.pivot_history(&moved);
+        drop(moved);
+        let created = self.write_containers(&chunk.view(), &all_rows(&chunk), max_epoch)?;
+        drop(chunk);
         fault::fire(fault::MOVEOUT_BEFORE_MANIFEST)?;
         let image: Vec<(Row, Epoch, Option<Epoch>)> = self
             .wos
@@ -835,44 +875,55 @@ impl ProjectionStore {
 
     /// Mark a row deleted (§3.7.1). UPDATE = delete + insert at exec level.
     pub fn mark_deleted(&mut self, loc: RowLocation, epoch: Epoch) -> DbResult<()> {
+        self.mark_deleted_many(&[loc], epoch)
+    }
+
+    /// Mark one statement's victims deleted at `epoch`. ROS marks are
+    /// grouped by container: one copy of the container's delete vector,
+    /// every mark, one sidecar write — and the in-memory vector is replaced
+    /// only after that write succeeded, so a failed write never serves a
+    /// delete that did not reach disk. WOS marks log one redo record each.
+    pub fn mark_deleted_many(&mut self, locations: &[RowLocation], epoch: Epoch) -> DbResult<()> {
         self.ensure_usable()?;
-        match loc {
-            RowLocation::Wos(pos) => {
-                if pos >= self.wos.len() as u64 {
-                    return Err(DbError::Execution(format!(
-                        "WOS position {pos} out of range"
-                    )));
+        let mut by_container: BTreeMap<ContainerId, Vec<u64>> = BTreeMap::new();
+        for loc in locations {
+            match *loc {
+                RowLocation::Ros(id, pos) => by_container.entry(id).or_default().push(pos),
+                RowLocation::Wos(pos) => {
+                    if pos >= self.wos.len() as u64 {
+                        return Err(DbError::Execution(format!(
+                            "WOS position {pos} out of range"
+                        )));
+                    }
+                    self.redo.append(
+                        self.backend.as_ref(),
+                        &RedoRecord::DeleteWos {
+                            position: pos,
+                            epoch,
+                        },
+                    )?;
+                    self.wos.mark_deleted(pos, epoch);
                 }
-                self.redo.append(
-                    self.backend.as_ref(),
-                    &RedoRecord::DeleteWos {
-                        position: pos,
-                        epoch,
-                    },
-                )?;
-                self.wos.mark_deleted(pos, epoch);
-                Ok(())
-            }
-            RowLocation::Ros(id, pos) => {
-                let container = self
-                    .containers
-                    .get(&id)
-                    .ok_or_else(|| DbError::NotFound(format!("container {id}")))?;
-                if pos >= container.row_count {
-                    return Err(DbError::Execution(format!(
-                        "position {pos} out of range for {id}"
-                    )));
-                }
-                // Persist before mutating memory: a failed write then
-                // leaves the in-memory vector untouched instead of
-                // serving a delete that never reached disk.
-                let mut dv = self.delete_vector_of(id);
-                dv.mark(pos, epoch);
-                self.persist_delete_vector(id, &dv)?;
-                self.delete_vectors.insert(id, Arc::new(dv));
-                Ok(())
             }
         }
+        for (id, positions) in by_container {
+            let container = self
+                .containers
+                .get(&id)
+                .ok_or_else(|| DbError::NotFound(format!("container {id}")))?;
+            if let Some(pos) = positions.iter().find(|&&p| p >= container.row_count) {
+                return Err(DbError::Execution(format!(
+                    "position {pos} out of range for {id}"
+                )));
+            }
+            let mut dv = self.delete_vector_of(id);
+            for pos in positions {
+                dv.mark(pos, epoch);
+            }
+            self.persist_delete_vector(id, &dv)?;
+            self.delete_vectors.insert(id, Arc::new(dv));
+        }
+        Ok(())
     }
 
     /// Snapshot of everything a scan needs at `snapshot`: pointer copies
@@ -1173,7 +1224,23 @@ impl ProjectionStore {
             .collect())
     }
 
-    /// Replace a set of containers with newly-merged history (tuple mover).
+    /// The tuple mover's mergeout input: every row of `victims`, victim
+    /// after victim, decoded block by block into typed columns.
+    pub(crate) fn merge_input(&self, victims: &[ContainerId]) -> DbResult<WriteChunk> {
+        let mut chunk = WriteChunk::new(self.def.arity());
+        for id in victims {
+            let container = self
+                .containers
+                .get(id)
+                .ok_or_else(|| DbError::NotFound(format!("container {id}")))?;
+            let deletes = self.delete_vectors.get(id).cloned().unwrap_or_default();
+            chunk.append_container(self.backend.as_ref(), container, &deletes)?;
+        }
+        Ok(chunk)
+    }
+
+    /// Replace a set of containers with rows `rows` of their merged
+    /// history (tuple mover).
     ///
     /// Durable protocol: write the merged containers, then commit by
     /// rewriting the manifest with the victims dropped, then reclaim victim
@@ -1185,11 +1252,12 @@ impl ProjectionStore {
     pub(crate) fn replace_containers(
         &mut self,
         victims: &[ContainerId],
-        merged: Vec<(Row, Epoch, Option<Epoch>)>,
+        merged: &WriteChunk,
+        rows: &[u32],
         commit_epoch: Epoch,
     ) -> DbResult<Vec<ContainerId>> {
         self.ensure_usable()?;
-        let created = self.write_containers(merged, commit_epoch)?;
+        let created = self.write_containers(&merged.view(), rows, commit_epoch)?;
         match self.commit_removal(
             victims,
             fault::MERGEOUT_BEFORE_MANIFEST,
@@ -1260,9 +1328,8 @@ impl ProjectionStore {
                 .map(|(r, e, d)| (r, e, d.filter(|de| *de <= epoch)))
                 .collect();
             detached.extend(self.detach_container(id));
-            if !filtered.is_empty() {
-                self.write_containers(filtered, epoch)?;
-            }
+            let chunk = self.pivot_history(&filtered);
+            self.write_containers(&chunk.view(), &all_rows(&chunk), epoch)?;
         }
         fault::fire(fault::TRUNCATE_BEFORE_MANIFEST)?;
         // Durable commit of the truncation: checkpoint the rebuilt WOS and
@@ -1395,7 +1462,12 @@ impl ProjectionStore {
             return Ok(());
         }
         let max_epoch = rows.iter().map(|(_, e, _)| *e).max().unwrap();
-        self.write_containers(rows, max_epoch)?;
+        for (row, _, _) in &rows {
+            self.check_arity(row)?;
+        }
+        let chunk = self.pivot_history(&rows);
+        drop(rows);
+        self.write_containers(&chunk.view(), &all_rows(&chunk), max_epoch)?;
         if let Err(e) = self.save_manifest() {
             self.poison("history apply", &e);
             return Err(e);
@@ -1519,6 +1591,90 @@ mod tests {
         s.mark_deleted(RowLocation::Ros(id, 0), Epoch(3)).unwrap();
         assert_eq!(s.visible_rows(Epoch(2)).unwrap().len(), 2);
         assert_eq!(s.visible_rows(Epoch(3)).unwrap(), vec![row(2, 20)]);
+    }
+
+    /// One statement's marks on one container are one sidecar write, and
+    /// leave on disk and after reopen exactly what marking row by row does.
+    #[test]
+    fn many_marks_on_a_container_are_one_sidecar_write() {
+        use crate::backend::{CountingBackend, IoOp};
+        let def = ProjectionDef::super_projection(&schema(), "sales_flat", &[0], &[]);
+        let rows: Vec<Row> = (0..200).map(|i| row(i, i * 10)).collect();
+        let victims: Vec<u64> = (0..200).filter(|p| p % 4 == 1).collect();
+        assert_eq!(victims.len(), 50);
+        let loaded = |backend: Arc<dyn StorageBackend>| {
+            let mut s = ProjectionStore::new(def.clone(), None, 1, backend);
+            s.insert_direct_ros(rows.clone(), Epoch(1)).unwrap();
+            s.insert_direct_ros(vec![row(1000, 1)], Epoch(2)).unwrap();
+            s
+        };
+        let counting = Arc::new(CountingBackend::default());
+        let mut batched = loaded(counting.clone());
+        let ids: Vec<ContainerId> = batched.containers().map(|c| c.id).collect();
+        let mut locations: Vec<RowLocation> = victims
+            .iter()
+            .map(|&p| RowLocation::Ros(ids[0], p))
+            .collect();
+        locations.push(RowLocation::Ros(ids[1], 0));
+        counting.reset();
+        batched.mark_deleted_many(&locations, Epoch(3)).unwrap();
+        let sidecars: Vec<String> = counting
+            .calls()
+            .into_iter()
+            .filter(|c| c.op == IoOp::WriteFile)
+            .map(|c| c.path)
+            .collect();
+        assert_eq!(
+            sidecars,
+            vec![
+                format!("sales_flat/{}/deletes.dv", ids[0]),
+                format!("sales_flat/{}/deletes.dv", ids[1])
+            ],
+            "one write per container, nothing else"
+        );
+
+        let plain: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let mut one_by_one = loaded(plain.clone());
+        for loc in &locations {
+            one_by_one.mark_deleted(*loc, Epoch(3)).unwrap();
+        }
+        for id in &ids {
+            let path = format!("sales_flat/{id}/deletes.dv");
+            assert_eq!(
+                counting.read_file(&path).unwrap(),
+                plain.read_file(&path).unwrap()
+            );
+        }
+        batched.save_manifest().unwrap();
+        drop(batched);
+        let reopened = ProjectionStore::open(def.clone(), None, 1, counting).unwrap();
+        for e in 1..=3 {
+            assert_eq!(
+                reopened.visible_rows(Epoch(e)).unwrap(),
+                one_by_one.visible_rows(Epoch(e)).unwrap(),
+                "epoch {e}"
+            );
+        }
+        assert_eq!(reopened.visible_rows(Epoch(3)).unwrap().len(), 150);
+    }
+
+    /// A position past the container's end fails the statement before any
+    /// sidecar of that container is written or its vector replaced.
+    #[test]
+    fn a_bad_position_marks_nothing_in_its_container() {
+        let mut s = flat_store();
+        s.insert_direct_ros(vec![row(1, 10), row(2, 20)], Epoch(1))
+            .unwrap();
+        let id = s.containers().next().unwrap().id;
+        let err = s
+            .mark_deleted_many(
+                &[RowLocation::Ros(id, 0), RowLocation::Ros(id, 2)],
+                Epoch(2),
+            )
+            .unwrap_err();
+        assert!(matches!(err, DbError::Execution(_)), "{err}");
+        assert_eq!(s.visible_rows(Epoch(2)).unwrap().len(), 2);
+        assert!(s.backend.read_file("sales_flat/ros1/deletes.dv").is_err());
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! Merges never intermix WOS and ROS data, never cross partition or local
 //! segment boundaries, never produce containers above the size cap, and
 //! elide rows deleted before the Ancient History Mark.
+//!
+//! Both go through the store's columnar container writer. Moveout pivots
+//! the drained WOS rows once. Mergeout never builds a row: the victims'
+//! blocks are decoded natively into typed columns, one after another, so
+//! the stable sort that orders them sees k sorted runs and merges them;
+//! purged rows are left out of the row list that is written.
 
 use crate::ros::ContainerId;
 use crate::store::ProjectionStore;
@@ -109,26 +115,24 @@ impl TupleMover {
             // Crash site: victims chosen, nothing written yet — recovery is
             // trivially the pre-merge state.
             crate::fault::fire(crate::fault::MERGEOUT_AFTER_PICK)?;
-            // Gather the full history of all victims, dropping
-            // ancient-deleted rows.
-            let mut merged = Vec::new();
-            let mut purged = 0u64;
-            for id in &victims {
-                for (row, e, d) in store.container_history(*id)? {
-                    if d.is_some_and(|de| de <= ahm) {
-                        purged += 1;
-                    } else {
-                        merged.push((row, e, d));
-                    }
-                }
-            }
+            // Decode every victim into typed columns; rows deleted at or
+            // before the AHM stay out of the rows that are written.
+            let merged = store.merge_input(&victims)?;
+            let rows: Vec<u32> = (0..merged.len() as u32)
+                .filter(|&row| {
+                    let deleted = merged.delete_epoch(row as usize);
+                    deleted.is_none_or(|de| de > ahm)
+                })
+                .collect();
+            let purged = (merged.len() - rows.len()) as u64;
             let _ = purge_estimate;
-            let commit = merged
+            let epochs = merged.epochs()?;
+            let commit = rows
                 .iter()
-                .map(|(_, e, _)| *e)
+                .map(|&row| Epoch(epochs[row as usize] as u64))
                 .max()
                 .unwrap_or(Epoch::ZERO);
-            store.replace_containers(&victims, merged, commit)?;
+            store.replace_containers(&victims, &merged, &rows, commit)?;
             stats.merges += 1;
             stats.containers_merged += victims.len();
             stats.rows_purged += purged;

@@ -157,3 +157,73 @@ fn poisoned_store_refuses_service_until_reopen() {
     drop(db);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// UPDATE is one transaction (§3.7.1 delete + insert at one epoch): killed
+/// before its commit marker, the table reopens to the **old** rows — never
+/// to "deleted and not replaced" — and a completed UPDATE advances the
+/// epoch clock once.
+#[test]
+fn update_killed_before_its_marker_reopens_to_the_old_rows() {
+    let _guard = serial();
+    vdb_storage::fault::disarm_all();
+    let root = temp_root("update");
+    let _ = std::fs::remove_dir_all(&root);
+    let db = Engine::builder().data_dir(&root).open().unwrap();
+    db.execute("CREATE TABLE t (id INT, grp INT, v INT)")
+        .unwrap();
+    db.execute(
+        "CREATE PROJECTION t_super AS SELECT id, grp, v FROM t ORDER BY id \
+         SEGMENTED BY HASH(id) ALL NODES",
+    )
+    .unwrap();
+    let rows: Vec<Vec<Value>> = (0..60i64)
+        .map(|i| vec![Value::Integer(i), Value::Integer(i % 4), Value::Integer(i)])
+        .collect();
+    db.load("t", &rows[..40]).unwrap(); // ROS
+    db.load_wos("t", &rows[40..]).unwrap(); // WOS
+    let table = |db: &Engine| -> Vec<(i64, i64)> {
+        db.query("SELECT id, v FROM t ORDER BY id")
+            .unwrap()
+            .iter()
+            .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+            .collect()
+    };
+
+    // A completed UPDATE over ROS and WOS rows: one epoch.
+    let before = db.cluster().epochs.current();
+    let done = db
+        .execute("UPDATE t SET v = v + 1000 WHERE id >= 35 AND id < 45")
+        .unwrap();
+    assert_eq!(done.tag, "UPDATE 10");
+    assert_eq!(db.cluster().epochs.current(), before.next());
+    let expected: Vec<(i64, i64)> = (0..60)
+        .map(|i| (i, if (35..45).contains(&i) { i + 1000 } else { i }))
+        .collect();
+    assert_eq!(table(&db), expected);
+
+    // The next one dies with its deletes and inserts applied and its
+    // marker unwritten.
+    vdb_storage::fault::arm(vdb_storage::fault::COMMIT_BEFORE_MARKER);
+    let err = db.execute("UPDATE t SET v = -1 WHERE id < 50").unwrap_err();
+    assert!(vdb_storage::fault::is_fault(&err), "{err}");
+    drop(db);
+
+    let db = Engine::builder().data_dir(&root).open().unwrap();
+    assert_eq!(table(&db), expected, "the old rows, all of them, once");
+    assert_eq!(
+        db.execute("UPDATE t SET v = -1 WHERE id < 50").unwrap().tag,
+        "UPDATE 50"
+    );
+    assert_eq!(
+        db.execute("SELECT COUNT(*) FROM t WHERE v = -1")
+            .unwrap()
+            .scalar(),
+        Some(&Value::Integer(50))
+    );
+    assert_eq!(
+        db.execute("SELECT COUNT(*) FROM t").unwrap().scalar(),
+        Some(&Value::Integer(60))
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&root);
+}
