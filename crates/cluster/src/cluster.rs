@@ -366,10 +366,6 @@ impl Cluster {
             .collect()
     }
 
-    pub fn family_def(&self, family: &str) -> Option<ProjectionDef> {
-        self.families.read().get(family).map(|f| f.def.clone())
-    }
-
     /// Does `table` have at least one family covering every column?
     pub fn has_super_projection(&self, table: &str) -> bool {
         let Some((schema, _)) = self.tables.read().get(table).cloned() else {

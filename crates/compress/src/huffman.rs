@@ -197,11 +197,6 @@ impl HuffmanEncoder {
         debug_assert!(self.lengths[sym] > 0, "emitting absent symbol {sym}");
         w.write_bits(self.codes[sym], self.lengths[sym]);
     }
-
-    /// Estimated encoded size in bits of `count` occurrences of `sym`.
-    pub fn cost_bits(&self, sym: usize) -> u32 {
-        self.lengths[sym]
-    }
 }
 
 /// Flat-table canonical Huffman decoder. The table is sized by the longest

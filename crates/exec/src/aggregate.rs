@@ -1,10 +1,10 @@
 //! Aggregate functions with decomposable partial states, and the one
 //! kernel that feeds them: the **span fold**.
 //!
-//! Partial states make three §6.1 techniques possible: the L1-sized
-//! *prepass* GroupBy (partials merged by the final GroupBy), parallel
-//! GroupBys under a ParallelUnion, and distributed aggregation where
-//! per-node partials are merged after a Send/Recv.
+//! Partial states make two §6.1 techniques possible: parallel GroupBys
+//! (per-morsel-worker partials merged at the barrier, see
+//! [`crate::parallel`]) and distributed aggregation where per-node
+//! partials are merged after a Send/Recv.
 //!
 //! Every group-by strategy ([`crate::groupby`]) cuts a batch into segments
 //! of rows that share a group and hands each segment to
@@ -440,7 +440,7 @@ impl AggState {
         }
     }
 
-    /// Merge another partial state (prepass → final, node → coordinator).
+    /// Merge another partial state (worker → barrier, node → coordinator).
     pub fn merge(&mut self, other: AggState) -> DbResult<()> {
         match (&mut *self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,

@@ -21,8 +21,8 @@ thread_local! {
     /// Per-thread count of row pivots ([`Batch::rows`] /
     /// [`Batch::into_rows`] calls). The executor's goal is that a typed
     /// scan→filter→project→group-by pipeline performs **zero** pivots
-    /// until the `Database` result edge; this counter lets tests (and the
-    /// repro bench) assert it on the driving thread.
+    /// until the `Database` result edge; this counter lets tests assert it
+    /// on the driving thread.
     static ROW_PIVOTS: Cell<u64> = const { Cell::new(0) };
 }
 

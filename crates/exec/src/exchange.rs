@@ -1,26 +1,21 @@
-//! Data movement operators (§6.1 #7 and Figure 3).
+//! Data movement operators (§6.1 #7).
 //!
-//! * [`SendOp`]/[`RecvOp`] — "Sends tuples from one node to another. Both
-//!   broadcast and sending to nodes based on segmentation expression
-//!   evaluation is supported." Channels are in-process (the cluster is
-//!   simulated) with byte counters so the optimizer's network-cost model
-//!   can be validated.
-//! * [`MergingRecvOp`] — a Recv that k-way-merges several sorted senders,
-//!   "capable of retaining the sortedness of the input stream".
-//! * [`ParallelUnionOp`] — Figure 3's ParallelUnion: runs child pipelines
-//!   on worker threads and unions their batches.
-//! * [`parallel_segmented`] — Figure 3's StorageUnion + resegment pattern:
-//!   splits a stream by key hash into N lanes, runs a pipeline per lane on
-//!   its own thread (alike values co-located, so per-lane GroupBys compute
-//!   complete groups), and unions the results.
+//! * [`SendOp`] — "Sends tuples from one node to another. Both broadcast
+//!   and sending to nodes based on segmentation expression evaluation is
+//!   supported." Channels are in-process (the cluster is simulated) with
+//!   byte counters so the optimizer's network-cost model can be validated;
+//!   the cluster drains the receiving ends.
+//! * [`UnionOp`] — StorageUnion: drains child pipelines in order.
+//!
+//! Intra-node parallelism (Figure 3's ParallelUnion) is the morsel pool's
+//! job: see [`crate::parallel`].
 
-use crate::batch::{Batch, ColumnSlice, BATCH_SIZE};
+use crate::batch::{Batch, ColumnSlice};
 use crate::operator::{BoxedOperator, Operator};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{Sender, TrySendError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use vdb_types::schema::{compare_rows, SortKey};
-use vdb_types::{DbError, DbResult, Row};
+use vdb_types::{DbError, DbResult};
 
 /// How a Send routes rows.
 #[derive(Debug, Clone)]
@@ -45,9 +40,8 @@ pub type ByteCounter = Arc<AtomicU64>;
 /// against buddy replicas.
 pub type ShutdownFlag = Arc<AtomicBool>;
 
-/// Pulls from a child and pushes batches to N channels by routing rule.
-/// Drives to completion on first `next_batch` call and yields no rows
-/// itself (a sink); pair it with [`RecvOp`]s on the other end.
+/// Pulls from a child and pushes batches to N channels by routing rule
+/// (a sink: [`SendOp::run`] drives it to completion).
 pub struct SendOp {
     input: BoxedOperator,
     routing: Routing,
@@ -113,9 +107,8 @@ impl SendOp {
 
     /// Run the send loop to completion (blocking). Channels close when the
     /// senders drop. Typically spawned on a router thread — keep the
-    /// `JoinHandle<DbResult<()>>` and join it (e.g. via
-    /// [`ParallelUnionOp::with_feeder`]) so a routing failure surfaces as
-    /// an error instead of a silently truncated stream.
+    /// `JoinHandle<DbResult<()>>` and join it so a routing failure surfaces
+    /// as an error instead of a silently truncated stream.
     ///
     /// Routing is columnar: the per-row lane is computed from column
     /// accessors (typed key columns hash natively via
@@ -202,231 +195,6 @@ fn aborted() -> DbError {
     DbError::Unavailable("exchange shut down: downstream node declared dead".into())
 }
 
-/// Receives batches from one channel.
-pub struct RecvOp {
-    rx: Receiver<Batch>,
-}
-
-impl RecvOp {
-    pub fn new(rx: Receiver<Batch>) -> RecvOp {
-        RecvOp { rx }
-    }
-}
-
-impl Operator for RecvOp {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        match self.rx.recv() {
-            Ok(b) => Ok(Some(b)),
-            Err(_) => Ok(None), // all senders dropped: end of stream
-        }
-    }
-
-    fn name(&self) -> String {
-        "Recv".into()
-    }
-}
-
-/// Receives from several channels whose streams are each sorted by `keys`,
-/// producing a globally sorted stream (sortedness-retaining Recv).
-pub struct MergingRecvOp {
-    sources: Vec<SourceCursor>,
-    keys: Vec<SortKey>,
-}
-
-struct SourceCursor {
-    rx: Receiver<Batch>,
-    buf: Vec<Row>,
-    pos: usize,
-    done: bool,
-}
-
-impl SourceCursor {
-    fn peek(&mut self) -> DbResult<Option<&Row>> {
-        while self.pos >= self.buf.len() && !self.done {
-            match self.rx.recv() {
-                Ok(b) => {
-                    self.buf = b.rows();
-                    self.pos = 0;
-                }
-                Err(_) => self.done = true,
-            }
-        }
-        if self.pos < self.buf.len() {
-            Ok(Some(&self.buf[self.pos]))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
-impl MergingRecvOp {
-    pub fn new(receivers: Vec<Receiver<Batch>>, keys: Vec<SortKey>) -> MergingRecvOp {
-        MergingRecvOp {
-            sources: receivers
-                .into_iter()
-                .map(|rx| SourceCursor {
-                    rx,
-                    buf: Vec::new(),
-                    pos: 0,
-                    done: false,
-                })
-                .collect(),
-            keys,
-        }
-    }
-}
-
-impl Operator for MergingRecvOp {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        let mut out = Vec::with_capacity(BATCH_SIZE);
-        while out.len() < BATCH_SIZE {
-            let mut best: Option<usize> = None;
-            for i in 0..self.sources.len() {
-                if self.sources[i].peek()?.is_none() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => i,
-                    Some(j) => {
-                        let a = &self.sources[i].buf[self.sources[i].pos];
-                        let b = &self.sources[j].buf[self.sources[j].pos];
-                        if compare_rows(a, b, &self.keys) == std::cmp::Ordering::Less {
-                            i
-                        } else {
-                            j
-                        }
-                    }
-                });
-            }
-            match best {
-                None => break,
-                Some(i) => {
-                    let src = &mut self.sources[i];
-                    out.push(src.buf[src.pos].clone());
-                    src.pos += 1;
-                }
-            }
-        }
-        if out.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(Batch::from_rows(out)))
-        }
-    }
-
-    fn name(&self) -> String {
-        "Recv(merge)".into()
-    }
-}
-
-/// Figure 3's ParallelUnion: each child pipeline runs on its own worker
-/// thread; batches are unioned in arrival order. Worker failures travel
-/// through the channel; upstream feeder failures (e.g. the resegmenting
-/// router of [`parallel_segmented`]) travel through the feeder's join
-/// handle — both surface as `DbResult::Err` from [`Operator::next_batch`].
-pub struct ParallelUnionOp {
-    children: Option<Vec<BoxedOperator>>,
-    rx: Option<Receiver<DbResult<Batch>>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// Upstream thread feeding the children (joined at end of stream so a
-    /// failed feed becomes an error instead of a truncated result).
-    feeder: Option<std::thread::JoinHandle<DbResult<()>>>,
-}
-
-impl ParallelUnionOp {
-    pub fn new(children: Vec<BoxedOperator>) -> ParallelUnionOp {
-        ParallelUnionOp {
-            children: Some(children),
-            rx: None,
-            handles: Vec::new(),
-            feeder: None,
-        }
-    }
-
-    /// A ParallelUnion whose children are fed by `feeder` (the router
-    /// thread of the resegment pattern).
-    pub fn with_feeder(
-        children: Vec<BoxedOperator>,
-        feeder: std::thread::JoinHandle<DbResult<()>>,
-    ) -> ParallelUnionOp {
-        ParallelUnionOp {
-            feeder: Some(feeder),
-            ..ParallelUnionOp::new(children)
-        }
-    }
-
-    fn start(&mut self) {
-        let Some(children) = self.children.take() else {
-            return;
-        };
-        let (tx, rx) = bounded::<DbResult<Batch>>(children.len().max(2) * 2);
-        for mut child in children {
-            let tx = tx.clone();
-            self.handles.push(std::thread::spawn(move || loop {
-                match child.next_batch() {
-                    Ok(Some(b)) => {
-                        if tx.send(Ok(b)).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(None) => return,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                }
-            }));
-        }
-        self.rx = Some(rx);
-    }
-
-    /// Join every lane and the feeder, surfacing panics and feed errors.
-    fn finish(&mut self) -> DbResult<()> {
-        let mut result = Ok(());
-        for h in self.handles.drain(..) {
-            if h.join().is_err() {
-                result = Err(DbError::Execution(
-                    "parallel union worker thread panicked".into(),
-                ));
-            }
-        }
-        if let Some(f) = self.feeder.take() {
-            match f.join() {
-                Ok(fed) => result = result.and(fed),
-                Err(_) => {
-                    result = Err(DbError::Execution(
-                        "parallel union feeder thread panicked".into(),
-                    ))
-                }
-            }
-        }
-        result
-    }
-}
-
-impl Operator for ParallelUnionOp {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        if self.rx.is_none() {
-            self.start();
-        }
-        let recv = match &self.rx {
-            Some(rx) => rx.recv(),
-            None => return Ok(None),
-        };
-        match recv {
-            Ok(res) => res.map(Some),
-            Err(_) => {
-                self.finish()?;
-                Ok(None)
-            }
-        }
-    }
-
-    fn name(&self) -> String {
-        "ParallelUnion".into()
-    }
-}
-
 /// Plain serial union (StorageUnion without threads): drains children in
 /// order. Used where determinism matters more than parallelism.
 pub struct UnionOp {
@@ -459,45 +227,17 @@ impl Operator for UnionOp {
     }
 }
 
-/// Figure 3's parallel pattern: resegment `input` on `key_columns` into
-/// `lanes` hash lanes; run `pipeline(recv)` per lane on a worker thread;
-/// union the lane outputs. Because alike key values land in the same lane,
-/// per-lane GroupBys "compute complete results".
-pub fn parallel_segmented(
-    input: BoxedOperator,
-    key_columns: Vec<usize>,
-    lanes: usize,
-    pipeline: impl Fn(BoxedOperator) -> BoxedOperator,
-) -> ParallelUnionOp {
-    let lanes = lanes.max(1);
-    let mut senders = Vec::with_capacity(lanes);
-    let mut receivers = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
-        let (tx, rx) = bounded::<Batch>(4);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let bytes = Arc::new(AtomicU64::new(0));
-    let send = SendOp::new(input, Routing::HashColumns(key_columns), senders, bytes);
-    // Router thread feeds the lanes; its result is joined by the union at
-    // end of stream, so a failed feed surfaces as `DbResult::Err` instead
-    // of a silently truncated result.
-    let feeder = std::thread::spawn(move || send.run());
-    let children: Vec<BoxedOperator> = receivers
-        .into_iter()
-        .map(|rx| pipeline(Box::new(RecvOp::new(rx)) as BoxedOperator))
-        .collect();
-    ParallelUnionOp::with_feeder(children, feeder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{AggCall, AggFunc};
-    use crate::groupby::HashGroupByOp;
-    use crate::memory::MemoryBudget;
     use crate::operator::{collect_rows, ValuesOp};
-    use vdb_types::Value;
+    use crossbeam::channel::{bounded, Receiver};
+    use vdb_types::{Row, Value};
+
+    /// Every row a lane received, until its sender hung up.
+    fn drain(rx: Receiver<Batch>) -> Vec<Row> {
+        rx.iter().flat_map(|b| b.rows()).collect()
+    }
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n)
@@ -517,8 +257,8 @@ mod tests {
             bytes.clone(),
         );
         let router = std::thread::spawn(move || send.run());
-        let a = collect_rows(&mut RecvOp::new(rx1)).unwrap();
-        let b = collect_rows(&mut RecvOp::new(rx2)).unwrap();
+        let a = drain(rx1);
+        let b = drain(rx2);
         assert!(router.join().expect("no panic").is_ok());
         assert_eq!(a.len() + b.len(), 1000);
         assert!(bytes.load(Ordering::Relaxed) > 0, "bytes accounted");
@@ -541,8 +281,8 @@ mod tests {
             Arc::new(AtomicU64::new(0)),
         );
         let router = std::thread::spawn(move || send.run());
-        assert_eq!(collect_rows(&mut RecvOp::new(rx1)).unwrap().len(), 100);
-        assert_eq!(collect_rows(&mut RecvOp::new(rx2)).unwrap().len(), 100);
+        assert_eq!(drain(rx1).len(), 100);
+        assert_eq!(drain(rx2).len(), 100);
         assert!(router.join().expect("no panic").is_ok());
     }
 
@@ -563,8 +303,8 @@ mod tests {
             Arc::new(AtomicU64::new(0)),
         );
         let router = std::thread::spawn(move || send.run());
-        let a = collect_rows(&mut RecvOp::new(rx1)).unwrap();
-        let b = collect_rows(&mut RecvOp::new(rx2)).unwrap();
+        let a = drain(rx1);
+        let b = drain(rx2);
         assert!(router.join().expect("no panic").is_ok());
         assert_eq!(a.len(), 1, "low half: only 0");
         assert_eq!(b.len(), 2, "high half: 2^63 and MAX");
@@ -612,76 +352,18 @@ mod tests {
         )
         .with_shutdown(Arc::new(AtomicBool::new(false)));
         let router = std::thread::spawn(move || send.run());
-        let a = collect_rows(&mut RecvOp::new(rx1)).unwrap();
-        let b = collect_rows(&mut RecvOp::new(rx2)).unwrap();
+        let a = drain(rx1);
+        let b = drain(rx2);
         assert!(router.join().expect("no panic").is_ok());
         assert_eq!(a.len() + b.len(), 1000);
     }
 
     #[test]
-    fn merging_recv_retains_sortedness() {
-        let (tx1, rx1) = bounded(8);
-        let (tx2, rx2) = bounded(8);
-        tx1.send(Batch::from_rows(
-            [1i64, 3, 5]
-                .iter()
-                .map(|&i| vec![Value::Integer(i)])
-                .collect(),
-        ))
-        .unwrap();
-        tx2.send(Batch::from_rows(
-            [2i64, 4, 6]
-                .iter()
-                .map(|&i| vec![Value::Integer(i)])
-                .collect(),
-        ))
-        .unwrap();
-        drop((tx1, tx2));
-        let mut op = MergingRecvOp::new(vec![rx1, rx2], vec![SortKey::asc(0)]);
-        let got = collect_rows(&mut op).unwrap();
-        let vals: Vec<i64> = got.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        assert_eq!(vals, vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn parallel_union_collects_all_children() {
-        let children: Vec<BoxedOperator> = (0..4)
-            .map(|_| Box::new(ValuesOp::from_rows(rows(500))) as BoxedOperator)
-            .collect();
-        let mut op = ParallelUnionOp::new(children);
-        assert_eq!(collect_rows(&mut op).unwrap().len(), 2000);
-    }
-
-    #[test]
-    fn parallel_union_propagates_errors() {
-        struct FailOp;
-        impl Operator for FailOp {
-            fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-                Err(DbError::Execution("boom".into()))
-            }
-            fn name(&self) -> String {
-                "Fail".into()
-            }
-        }
-        let mut op = ParallelUnionOp::new(vec![Box::new(FailOp)]);
-        let mut saw_err = false;
-        loop {
-            match op.next_batch() {
-                Err(_) => {
-                    saw_err = true;
-                    break;
-                }
-                Ok(None) => break,
-                Ok(Some(_)) => {}
-            }
-        }
-        assert!(saw_err);
-    }
-
-    #[test]
     fn failed_router_surfaces_as_error_not_truncation() {
         // Ring routing over a varchar column fails inside the router
-        // thread; the union must report Err, not a short result.
+        // thread. Joining the router reports it, so a consumer that joins
+        // its routers (as the cluster exchange does) never takes the short
+        // stream for a complete one.
         let rows: Vec<Row> = (0..100)
             .map(|i| vec![Value::Varchar(format!("v{i}"))])
             .collect();
@@ -692,57 +374,10 @@ mod tests {
             vec![tx],
             Arc::new(AtomicU64::new(0)),
         );
-        let feeder = std::thread::spawn(move || send.run());
-        let mut op =
-            ParallelUnionOp::with_feeder(vec![Box::new(RecvOp::new(rx)) as BoxedOperator], feeder);
-        let mut saw_err = false;
-        loop {
-            match op.next_batch() {
-                Err(e) => {
-                    saw_err = true;
-                    assert!(e.to_string().contains("integral"), "{e}");
-                    break;
-                }
-                Ok(None) => break,
-                Ok(Some(_)) => {}
-            }
-        }
-        assert!(saw_err, "router failure must propagate");
-    }
-
-    #[test]
-    fn figure3_parallel_groupby_computes_complete_groups() {
-        // Serial reference.
-        let mut reference = HashGroupByOp::new(
-            Box::new(ValuesOp::from_rows(rows(10_000))),
-            vec![0],
-            vec![
-                AggCall::new(AggFunc::CountStar, 0, "cnt"),
-                AggCall::new(AggFunc::Sum, 1, "sum"),
-            ],
-            MemoryBudget::unlimited(),
-        );
-        let expected = collect_rows(&mut reference).unwrap();
-        // Parallel: resegment by group key across 4 lanes, GroupBy per lane.
-        let mut par = parallel_segmented(
-            Box::new(ValuesOp::from_rows(rows(10_000))),
-            vec![0],
-            4,
-            |lane| {
-                Box::new(HashGroupByOp::new(
-                    lane,
-                    vec![0],
-                    vec![
-                        AggCall::new(AggFunc::CountStar, 0, "cnt"),
-                        AggCall::new(AggFunc::Sum, 1, "sum"),
-                    ],
-                    MemoryBudget::unlimited(),
-                ))
-            },
-        );
-        let mut got = collect_rows(&mut par).unwrap();
-        got.sort();
-        assert_eq!(got, expected);
+        let router = std::thread::spawn(move || send.run());
+        assert!(drain(rx).is_empty(), "nothing routed before the failure");
+        let err = router.join().expect("no panic").unwrap_err();
+        assert!(err.to_string().contains("integral"), "{err}");
     }
 
     #[test]

@@ -13,10 +13,6 @@
 //!   machine, `SortedFold`, is also what a morsel worker runs per morsel
 //!   and what the morsel barrier runs over the partials
 //!   ([`crate::parallel`]).
-//! * [`PrepassGroupByOp`] — the §6.1 "prepass" operator: an L1-cache-sized
-//!   hash table that aggregates immediately after the scan, emits partial
-//!   results whenever it fills, and turns itself off at runtime if it is
-//!   not actually reducing the row count.
 //!
 //! Both strategies aggregate **a key run at a time**: `key_segments` cuts
 //! a batch's selected rows where the group key changes — run ends for an
@@ -27,8 +23,9 @@
 //! ([`AggState::fold`](crate::aggregate::AggState::fold)). No `Value` is
 //! built per row unless a column has no native payload to loop over.
 //!
-//! Two-phase (prepass → final) plans are assembled via [`two_phase_aggs`],
-//! which is also how distributed aggregation merges per-node partials.
+//! Two-phase (partial → final) aggregation is assembled via
+//! [`two_phase_aggs`]: it is how the morsel barrier merges per-worker
+//! partials and how distributed aggregation merges per-node partials.
 
 use crate::aggregate::{AggCall, AggFunc, AggState, Span};
 use crate::batch::{Batch, ColumnSlice, BATCH_SIZE};
@@ -780,9 +777,9 @@ impl PipelinedGroupByOp {
 
     /// Rows aggregated without building or comparing a `Value` per row:
     /// their key columns arrived as runs or typed vectors and every
-    /// aggregate folded natively (encoded-execution telemetry for tests
-    /// and the ablation bench).
-    pub fn run_aggregated_rows(&self) -> u64 {
+    /// aggregate folded natively.
+    #[cfg(test)]
+    fn run_aggregated_rows(&self) -> u64 {
         self.fold.encoded_rows
     }
 }
@@ -807,171 +804,13 @@ impl Operator for PipelinedGroupByOp {
 }
 
 // ---------------------------------------------------------------------------
-// Prepass GroupBy (§6.1): bounded hash table, adaptive shutoff
-// ---------------------------------------------------------------------------
-
-/// Default prepass table size: "an L1 cache sized hash table".
-pub const PREPASS_GROUPS: usize = 1024;
-
-/// Aggregates eagerly with a bounded table; emits partial rows whenever the
-/// table fills; disables itself if it is not reducing cardinality ("the EE
-/// will decide at runtime to stop if it is not actually reducing the number
-/// of rows which pass").
-pub struct PrepassGroupByOp {
-    input: BoxedOperator,
-    group_columns: Vec<usize>,
-    /// Partial-form aggregates (see [`two_phase_aggs`]).
-    aggs: Vec<AggCall>,
-    max_groups: usize,
-    table: HashMap<Vec<Value>, Vec<AggState>>,
-    pending: Vec<Row>,
-    rows_in: u64,
-    rows_out: u64,
-    disabled: bool,
-    done: bool,
-}
-
-impl PrepassGroupByOp {
-    pub fn new(
-        input: BoxedOperator,
-        group_columns: Vec<usize>,
-        aggs: Vec<AggCall>,
-        max_groups: usize,
-    ) -> PrepassGroupByOp {
-        PrepassGroupByOp {
-            input,
-            group_columns,
-            aggs,
-            max_groups,
-            table: HashMap::new(),
-            pending: Vec::new(),
-            rows_in: 0,
-            rows_out: 0,
-            disabled: false,
-            done: false,
-        }
-    }
-
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
-    }
-
-    fn flush_table(&mut self) {
-        for (key, states) in self.table.drain() {
-            let mut row = key;
-            for s in states {
-                row.push(partial_value(s));
-            }
-            self.pending.push(row);
-            self.rows_out += 1;
-        }
-    }
-
-    /// A row passed through unaggregated, converted to partial layout.
-    /// `key` is the already-gathered group key; `agg_value` yields each
-    /// aggregate's input (column accessor — no row is materialized).
-    fn passthrough_row(
-        &mut self,
-        key: Vec<Value>,
-        agg_value: &dyn Fn(usize) -> Value,
-    ) -> DbResult<()> {
-        let mut out = key;
-        for a in &self.aggs {
-            let mut s = AggState::new(a.func);
-            let v = if a.func == AggFunc::CountStar {
-                Value::Null
-            } else {
-                agg_value(a.input)
-            };
-            s.update(a.func, &v)?;
-            out.push(partial_value(s));
-        }
-        self.pending.push(out);
-        self.rows_out += 1;
-        Ok(())
-    }
-}
-
-/// Partial state rendered as a value for transport between prepass and
-/// final GroupBy (Avg is pre-split into SUM and COUNT by `two_phase_aggs`,
-/// so every remaining state is single-valued).
-fn partial_value(s: AggState) -> Value {
-    s.finish()
-}
-
-impl Operator for PrepassGroupByOp {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        loop {
-            if !self.pending.is_empty() {
-                let take = self.pending.len().min(BATCH_SIZE);
-                let rows: Vec<Row> = self.pending.drain(..take).collect();
-                return Ok(Some(crate::batch::typed_batch_from_rows(rows)));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            match self.input.next_batch()? {
-                None => {
-                    self.flush_table();
-                    self.done = true;
-                }
-                Some(batch) => {
-                    // Columnar consume: group keys and aggregate inputs
-                    // come from column accessors, not pivoted rows.
-                    for li in 0..batch.len() {
-                        let pi = batch.physical_index(li);
-                        self.rows_in += 1;
-                        let key: Vec<Value> = self
-                            .group_columns
-                            .iter()
-                            .map(|&c| batch.columns[c].value_at(pi))
-                            .collect();
-                        let agg_value = |c: usize| batch.columns[c].value_at(pi);
-                        if self.disabled {
-                            self.passthrough_row(key, &agg_value)?;
-                            continue;
-                        }
-                        if !self.table.contains_key(&key) && self.table.len() >= self.max_groups {
-                            // Table full: emit current contents and start
-                            // afresh with the next input (§6.1).
-                            self.flush_table();
-                            // Adaptive shutoff: if we are not reducing rows,
-                            // stop paying the hashing cost.
-                            if self.rows_in > 4096 && self.rows_out * 10 > self.rows_in * 9 {
-                                self.disabled = true;
-                                self.passthrough_row(key, &agg_value)?;
-                                continue;
-                            }
-                        }
-                        let states = self.table.entry(key).or_insert_with(|| {
-                            self.aggs.iter().map(|a| AggState::new(a.func)).collect()
-                        });
-                        for (a, s) in self.aggs.iter().zip(states.iter_mut()) {
-                            let v = if a.func == AggFunc::CountStar {
-                                Value::Null
-                            } else {
-                                agg_value(a.input)
-                            };
-                            s.update(a.func, &v)?;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> String {
-        format!("GroupByPrepass(max_groups={})", self.max_groups)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Two-phase plan helper
 // ---------------------------------------------------------------------------
 
 /// Split aggregate calls into a `(partial, final, projection)` triple:
 ///
-/// * `partial` — what the prepass (or each node) computes over raw input;
+/// * `partial` — what each morsel worker (or each node) computes over raw
+///   input;
 /// * `final` — what the final GroupBy computes over the partial rows
 ///   (column indexes refer to the partial layout: group columns first);
 /// * `projection` — expressions over the final GroupBy's output producing
@@ -1337,16 +1176,21 @@ mod tests {
             MemoryBudget::unlimited(),
         );
         let reference = collect_rows(&mut single).unwrap();
-        // Two-phase: prepass (tiny table to force partials) → final → proj.
+        // Two-phase: a partial GroupBy per input slice (what each morsel
+        // worker runs) → final over the partials → AVG projection.
         let (partial, final_aggs, project) = two_phase_aggs(1, &aggs).unwrap();
-        let prepass = PrepassGroupByOp::new(
-            Box::new(ValuesOp::from_rows(input_rows)),
-            vec![0],
-            partial,
-            4, // pathological table size: lots of partial flushes
-        );
+        let mut partials = Vec::new();
+        for slice in input_rows.chunks(700) {
+            let mut prepass = HashGroupByOp::new(
+                Box::new(ValuesOp::from_rows(slice.to_vec())),
+                vec![0],
+                partial.clone(),
+                MemoryBudget::unlimited(),
+            );
+            partials.extend(collect_rows(&mut prepass).unwrap());
+        }
         let final_gb = HashGroupByOp::new(
-            Box::new(prepass),
+            Box::new(ValuesOp::from_rows(partials)),
             vec![0],
             final_aggs,
             MemoryBudget::unlimited(),
@@ -1355,21 +1199,6 @@ mod tests {
         let mut got = collect_rows(&mut proj).unwrap();
         got.sort();
         assert_eq!(got, reference);
-    }
-
-    #[test]
-    fn prepass_disables_itself_on_high_cardinality() {
-        // Every row is its own group: prepass cannot reduce and must give up.
-        let rows: Vec<Row> = (0..20_000).map(|i| vec![Value::Integer(i)]).collect();
-        let mut prepass = PrepassGroupByOp::new(
-            Box::new(ValuesOp::from_rows(rows)),
-            vec![0],
-            vec![AggCall::new(AggFunc::CountStar, 0, "cnt")],
-            PREPASS_GROUPS,
-        );
-        let out = collect_rows(&mut prepass).unwrap();
-        assert!(prepass.is_disabled(), "adaptive shutoff should trigger");
-        assert_eq!(out.len(), 20_000);
     }
 
     /// Typed group keys (with NULLs and a selection, over several batches)

@@ -7,14 +7,13 @@
 //! | Paper operator | Module |
 //! |---|---|
 //! | Scan (predicate pushdown, SMA/partition/block pruning, SIP) | [`scan`] |
-//! | GroupBy (hash, pipelined one-pass, L1-sized prepass) | [`groupby`] |
+//! | GroupBy (hash, pipelined one-pass) | [`groupby`] |
 //! | Join (hash + merge, externalizing, all flavors, SIP build) | [`join`] |
 //! | ExprEval (vectorized expression engine + Filter/Project) | [`expr_vec`], [`filter`] |
 //! | Sort (externalizing) + Limit | [`sort`] |
 //! | Analytic (SQL-99 windowed aggregates) | [`analytic`] |
-//! | Send/Recv (segment-aware, sortedness-retaining) | [`exchange`] |
-//! | StorageUnion / ParallelUnion (intra-node parallelism) | [`exchange`] |
-//! | Morsel-driven parallel scan/aggregate/sort over ROS containers | [`parallel`] |
+//! | Send (segment-aware routing) / StorageUnion | [`exchange`] |
+//! | ParallelUnion: morsel-driven parallel scan/aggregate/sort over ROS containers | [`parallel`] |
 //! | Morsel-parallel partitioned hash join (typed probe, SIP at barrier) | [`parallel_join`] |
 //!
 //! Operators run "directly on encoded data" (§6.1): the scan decodes

@@ -2,8 +2,8 @@
 //!
 //! "Vertica's operators use a pull processing model: the most downstream
 //! operator requests rows from the next operator upstream in the processing
-//! pipeline." Operators are `Send` so ParallelUnion can run pipelines on
-//! worker threads.
+//! pipeline." Operators are `Send` so the morsel pool can run pipelines on
+//! its worker threads.
 
 use crate::batch::Batch;
 use vdb_types::{DbResult, Row};

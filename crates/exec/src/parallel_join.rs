@@ -178,7 +178,8 @@ impl ParallelHashJoinOp {
     /// Wall-clock spent in the build (scan + concatenate + index + SIP)
     /// and probe (scan + probe + stage) phases, in milliseconds. A serial
     /// delegate's time is not split and counts as build.
-    pub fn phase_ms(&self) -> (f64, f64) {
+    #[cfg(test)]
+    fn phase_ms(&self) -> (f64, f64) {
         (self.build_ms, self.probe_ms)
     }
 

@@ -7,10 +7,9 @@
 
 use crate::aggregate::AggCall;
 use crate::analytic::{AnalyticOp, WindowFunc};
-use crate::batch::Batch;
-use crate::exchange::{parallel_segmented, UnionOp};
+use crate::exchange::UnionOp;
 use crate::filter::{FilterOp, ProjectOp};
-use crate::groupby::{two_phase_aggs, HashGroupByOp, PipelinedGroupByOp, PrepassGroupByOp};
+use crate::groupby::{HashGroupByOp, PipelinedGroupByOp};
 pub use crate::join::JoinType;
 use crate::join::{HashJoinOp, MergeJoinOp};
 use crate::memory::{MemoryBudget, ResourcePolicy};
@@ -125,19 +124,6 @@ pub enum PhysicalPlan {
         group_columns: Vec<usize>,
         aggs: Vec<AggCall>,
     },
-    /// Prepass + final hash GroupBy (+ AVG reconstitution projection).
-    TwoPhaseGroupBy {
-        input: Box<PhysicalPlan>,
-        group_columns: Vec<usize>,
-        aggs: Vec<AggCall>,
-    },
-    /// Figure 3: resegment into N parallel lanes, aggregate per lane.
-    ParallelGroupBy {
-        input: Box<PhysicalPlan>,
-        group_columns: Vec<usize>,
-        aggs: Vec<AggCall>,
-        lanes: usize,
-    },
     Sort {
         input: Box<PhysicalPlan>,
         keys: Vec<SortKey>,
@@ -197,16 +183,6 @@ impl PhysicalPlan {
                 ..
             }
             | PhysicalPlan::PipelinedGroupBy {
-                group_columns,
-                aggs,
-                ..
-            }
-            | PhysicalPlan::TwoPhaseGroupBy {
-                group_columns,
-                aggs,
-                ..
-            }
-            | PhysicalPlan::ParallelGroupBy {
                 group_columns,
                 aggs,
                 ..
@@ -273,8 +249,6 @@ fn stateful_count(plan: &PhysicalPlan) -> usize {
         },
         PhysicalPlan::HashGroupBy { input, .. }
         | PhysicalPlan::PipelinedGroupBy { input, .. }
-        | PhysicalPlan::TwoPhaseGroupBy { input, .. }
-        | PhysicalPlan::ParallelGroupBy { input, .. }
         | PhysicalPlan::Sort { input, .. }
         | PhysicalPlan::Analytic { input, .. } => 1 + stateful_count(input),
         PhysicalPlan::Union { inputs } => inputs.iter().map(stateful_count).sum(),
@@ -420,50 +394,6 @@ fn build_inner(
             group_columns.clone(),
             aggs.clone(),
         )),
-        PhysicalPlan::TwoPhaseGroupBy {
-            input,
-            group_columns,
-            aggs,
-        } => {
-            let (partial, final_aggs, project) = two_phase_aggs(group_columns.len(), aggs)
-                .ok_or_else(|| {
-                    DbError::Plan("two-phase groupby with non-decomposable aggregate".into())
-                })?;
-            let child = build_inner(input, ctx, budget)?;
-            let prepass = PrepassGroupByOp::new(
-                child,
-                group_columns.clone(),
-                partial,
-                crate::groupby::PREPASS_GROUPS,
-            );
-            let keys: Vec<usize> = (0..group_columns.len()).collect();
-            let final_gb = HashGroupByOp::new(Box::new(prepass), keys, final_aggs, budget);
-            Box::new(ProjectOp::new(Box::new(final_gb), project))
-        }
-        PhysicalPlan::ParallelGroupBy {
-            input,
-            group_columns,
-            aggs,
-            lanes,
-        } => {
-            let child = build_inner(input, ctx, budget)?;
-            let group_columns = group_columns.clone();
-            let aggs = aggs.clone();
-            let gb_keys = group_columns.clone();
-            Box::new(parallel_segmented(
-                child,
-                group_columns,
-                *lanes,
-                move |lane| {
-                    Box::new(HashGroupByOp::new(
-                        lane,
-                        gb_keys.clone(),
-                        aggs.clone(),
-                        budget,
-                    ))
-                },
-            ))
-        }
         PhysicalPlan::Sort { input, keys } => Box::new(SortOp::new(
             build_inner(input, ctx, budget)?,
             keys.clone(),
@@ -570,19 +500,6 @@ fn scan_parts(
 pub fn execute_collect(plan: &PhysicalPlan, ctx: &mut ExecContext) -> DbResult<Vec<Row>> {
     let mut op = build_operator(plan, ctx)?;
     crate::operator::collect_rows(op.as_mut())
-}
-
-/// Execute and stream batches through a callback.
-pub fn execute_foreach(
-    plan: &PhysicalPlan,
-    ctx: &mut ExecContext,
-    mut f: impl FnMut(Batch) -> DbResult<()>,
-) -> DbResult<()> {
-    let mut op = build_operator(plan, ctx)?;
-    while let Some(b) = op.next_batch()? {
-        f(b)?;
-    }
-    Ok(())
 }
 
 /// Render an EXPLAIN tree (Figure 3 style).
@@ -709,16 +626,6 @@ fn render(plan: &PhysicalPlan, depth: usize, out: &mut String) {
         PhysicalPlan::PipelinedGroupBy { group_columns, .. } => {
             format!("GroupByPipelined keys={group_columns:?} (sorted input, encoded-aware)")
         }
-        PhysicalPlan::TwoPhaseGroupBy { group_columns, .. } => {
-            format!("GroupByPrepass+Final keys={group_columns:?}")
-        }
-        PhysicalPlan::ParallelGroupBy {
-            group_columns,
-            lanes,
-            ..
-        } => format!(
-            "ParallelUnion -> {lanes}x GroupByHash keys={group_columns:?} (StorageUnion resegments)"
-        ),
         PhysicalPlan::Sort { keys, .. } => format!("Sort ({} keys)", keys.len()),
         PhysicalPlan::Limit { limit, offset, .. } => {
             format!("Limit {limit} offset {offset}")
@@ -744,8 +651,6 @@ fn render(plan: &PhysicalPlan, depth: usize, out: &mut String) {
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::HashGroupBy { input, .. }
         | PhysicalPlan::PipelinedGroupBy { input, .. }
-        | PhysicalPlan::TwoPhaseGroupBy { input, .. }
-        | PhysicalPlan::ParallelGroupBy { input, .. }
         | PhysicalPlan::Sort { input, .. }
         | PhysicalPlan::Limit { input, .. }
         | PhysicalPlan::Analytic { input, .. } => render(input, depth + 1, out),
@@ -767,6 +672,7 @@ fn render(plan: &PhysicalPlan, depth: usize, out: &mut String) {
 mod tests {
     use super::*;
     use crate::aggregate::AggFunc;
+    use crate::batch::Batch;
     use vdb_storage::projection::ProjectionDef;
     use vdb_storage::{MemBackend, ProjectionStore};
     use vdb_types::{BinOp, ColumnDef, DataType, Epoch, TableSchema, Value};
@@ -915,7 +821,7 @@ mod tests {
     #[test]
     fn explain_renders_tree() {
         let plan = PhysicalPlan::Limit {
-            input: Box::new(PhysicalPlan::TwoPhaseGroupBy {
+            input: Box::new(PhysicalPlan::HashGroupBy {
                 input: Box::new(scan_plan(Some(Expr::binary(
                     BinOp::Gt,
                     Expr::col(0, "a"),
@@ -929,7 +835,7 @@ mod tests {
         };
         let text = explain(&plan);
         assert!(text.contains("Limit 5"));
-        assert!(text.contains("GroupByPrepass+Final"));
+        assert!(text.contains("GroupByHash keys=[1] aggs=[SUM]"));
         assert!(text.contains("Scan t_super"));
         assert!(text.contains("filter=((a > 10))"));
         // Indentation reflects depth.
@@ -946,11 +852,18 @@ mod tests {
             group_columns: vec![1],
             aggs: vec![AggCall::new(AggFunc::Sum, 0, "s")],
         };
-        let parallel = PhysicalPlan::ParallelGroupBy {
-            input: Box::new(scan_plan(None)),
-            group_columns: vec![1],
-            aggs: vec![AggCall::new(AggFunc::Sum, 0, "s")],
-            lanes: 4,
+        let parallel = PhysicalPlan::ParallelScan {
+            projection: "t_super".into(),
+            output_columns: vec![0, 1],
+            predicate: None,
+            partition_predicate: None,
+            sip: vec![],
+            stage: ParallelStage::GroupBy {
+                group_columns: vec![1],
+                aggs: vec![AggCall::new(AggFunc::Sum, 0, "s")],
+                sorted: false,
+            },
+            threads: 4,
         };
         let mut ctx1 = ctx_with_store(rows.clone());
         let mut s = execute_collect(&serial, &mut ctx1).unwrap();

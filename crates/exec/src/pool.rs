@@ -1,11 +1,11 @@
 //! Process-wide work-stealing worker pool shared by all concurrent queries.
 //!
-//! PR 3/4's morsel operators spawned fresh worker threads per operator
-//! invocation — fine for one query at a time, but N concurrent sessions
-//! would each spawn their own lanes, oversubscribing the host and paying
-//! thread start/teardown on every query (the overhead floor behind the
-//! ~1.0x parallel speedups measured on small boxes). This module replaces
-//! that with **one persistent pool** the whole process multiplexes:
+//! Operators that spawn fresh worker threads per invocation are fine for
+//! one query at a time, but N concurrent sessions would each spawn their
+//! own lanes, oversubscribing the host and paying thread start/teardown on
+//! every query. This module is instead **one persistent pool** the whole
+//! process multiplexes, and the only place the execution engine spawns
+//! threads:
 //!
 //! ```text
 //!   query A ─ run_tasks([scan w0, scan w1, ...]) ─┐
@@ -57,8 +57,9 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// result or an error.
 pub type Job<T> = Box<dyn FnOnce() -> DbResult<T> + Send + 'static>;
 
-/// Cumulative pool counters (process lifetime), exposed so the `serve`
-/// repro can prove workers are being reused rather than respawned.
+/// Cumulative pool counters (process lifetime), exposed so tests (and the
+/// benchmark's `exec.pool_tasks_by_*` metrics) can prove workers are being
+/// reused rather than respawned.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     /// Task sets submitted via [`WorkerPool::run_tasks`].

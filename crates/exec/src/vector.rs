@@ -528,10 +528,6 @@ impl RleVector {
         &self.runs
     }
 
-    pub fn into_runs(self) -> Vec<(Value, u32)> {
-        self.runs
-    }
-
     /// Start row of run `ri`.
     pub fn run_start(&self, ri: usize) -> usize {
         self.offsets[ri] as usize

@@ -91,15 +91,6 @@ pub fn broadcast_cost(rows: f64, row_bytes: f64, nodes: usize) -> Cost {
     }
 }
 
-/// Cost of a hash aggregation.
-pub fn group_by_cost(input_rows: f64, groups: f64) -> Cost {
-    Cost {
-        io_bytes: 0.0,
-        cpu_rows: input_rows + groups,
-        network_bytes: 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,8 +35,9 @@ pub fn plan(
     live_projections: Option<&HashSet<String>>,
     exec: &ExecOptions,
 ) -> DbResult<PlannedQuery> {
+    let arities = table_arities(catalog, query);
     let mut query = query.clone();
-    crate::rewrite::rewrite(&mut query);
+    crate::rewrite::rewrite(&mut query, &arities);
     Planner {
         catalog,
         query,
@@ -101,8 +102,9 @@ pub fn projection_scan_cost(
 /// candidate projection measures exactly the benefit the planner would
 /// realize. Returns an error if some table has no covering projection.
 pub fn query_scan_cost(catalog: &OptimizerCatalog, query: &BoundQuery) -> DbResult<f64> {
+    let arities = table_arities(catalog, query);
     let mut query = query.clone();
-    crate::rewrite::rewrite(&mut query);
+    crate::rewrite::rewrite(&mut query, &arities);
     let planner = Planner {
         catalog,
         query,
@@ -1407,6 +1409,16 @@ fn ordered_layout(t: usize, scan: &TableScan) -> Vec<(usize, usize)> {
 }
 
 /// (table index, local column) of a global column.
+/// Column count of each FROM table (0 for an unknown table, which the
+/// planner rejects by name before any column is mapped).
+fn table_arities(catalog: &OptimizerCatalog, query: &BoundQuery) -> Vec<usize> {
+    query
+        .tables
+        .iter()
+        .map(|t| catalog.table(&t.table).map_or(0, |m| m.schema.arity()))
+        .collect()
+}
+
 fn locate(g: usize, offsets: &[usize]) -> (usize, usize) {
     let t = offsets.partition_point(|&o| o <= g) - 1;
     (t, g - offsets[t])

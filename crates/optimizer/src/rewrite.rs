@@ -6,9 +6,10 @@ use crate::query::BoundQuery;
 use vdb_exec::plan::JoinType;
 use vdb_types::{BinOp, Expr, Value};
 
-/// Apply all rewrites in place.
-pub fn rewrite(q: &mut BoundQuery) {
-    outer_to_inner(q);
+/// Apply all rewrites in place. `arities[t]` is the column count of FROM
+/// table `t` (what maps its local columns into the global column space).
+pub fn rewrite(q: &mut BoundQuery, arities: &[usize]) {
+    outer_to_inner(q, arities);
     transitive_predicates(q);
     or_chains_to_in_lists(q);
 }
@@ -91,22 +92,53 @@ fn fold_or_to_in(e: Expr) -> Expr {
     }
 }
 
-/// A LEFT (RIGHT) outer join whose nullable side carries a null-rejecting
-/// WHERE filter is equivalent to an inner join: NULL-extended rows can
-/// never pass the filter.
-pub fn outer_to_inner(q: &mut BoundQuery) {
-    for edge in &mut q.joins {
-        let nullable_side = match edge.join_type {
-            JoinType::LeftOuter => edge.right_table,
-            JoinType::RightOuter => edge.left_table,
-            _ => continue,
-        };
-        if q.table_filters
-            .get(nullable_side)
+/// WHERE filters on the null-supplying side of an outer join.
+///
+/// A null-rejecting filter on a nullable side removes every row that side
+/// pads, so the join stops preserving the other side: `a FULL JOIN b`
+/// becomes RIGHT under such a filter on `b`, LEFT under one on `a`, and
+/// INNER under both; LEFT (RIGHT) becomes INNER under one on its right
+/// (left) side. Any filter still left on a null-supplying side must see
+/// the padded rows, so it moves above the join tree into
+/// `residual_filters`.
+pub fn outer_to_inner(q: &mut BoundQuery, arities: &[usize]) {
+    let rejects = |q: &BoundQuery, t: usize| {
+        q.table_filters
+            .get(t)
             .and_then(|f| f.as_ref())
             .is_some_and(null_rejecting)
-        {
-            edge.join_type = JoinType::Inner;
+    };
+    for e in 0..q.joins.len() {
+        let edge = &q.joins[e];
+        let (left, right) = (rejects(q, edge.left_table), rejects(q, edge.right_table));
+        q.joins[e].join_type = match (edge.join_type, left, right) {
+            (JoinType::FullOuter, true, true)
+            | (JoinType::LeftOuter, _, true)
+            | (JoinType::RightOuter, true, _) => JoinType::Inner,
+            (JoinType::FullOuter, false, true) => JoinType::RightOuter,
+            (JoinType::FullOuter, true, false) => JoinType::LeftOuter,
+            (other, _, _) => other,
+        };
+    }
+    let mut nullable = vec![false; q.table_filters.len()];
+    for edge in &q.joins {
+        match edge.join_type {
+            JoinType::LeftOuter => nullable[edge.right_table] = true,
+            JoinType::RightOuter => nullable[edge.left_table] = true,
+            JoinType::FullOuter => {
+                nullable[edge.left_table] = true;
+                nullable[edge.right_table] = true;
+            }
+            _ => {}
+        }
+    }
+    for t in (0..nullable.len()).filter(|&t| nullable[t]) {
+        if let Some(filter) = q.table_filters[t].take() {
+            let offset: usize = arities[..t].iter().sum();
+            let global = filter
+                .remap_columns(&|c| Some(c + offset))
+                .expect("shifting every column succeeds");
+            q.residual_filters.push(global);
         }
     }
 }
@@ -189,6 +221,8 @@ mod tests {
     use super::*;
     use crate::query::{JoinEdge, QueryTable};
 
+    const ARITIES: [usize; 2] = [4, 4];
+
     fn two_table_query(join_type: JoinType) -> BoundQuery {
         BoundQuery {
             tables: vec![
@@ -217,7 +251,7 @@ mod tests {
     fn left_outer_with_null_rejecting_filter_becomes_inner() {
         let mut q = two_table_query(JoinType::LeftOuter);
         q.table_filters[1] = Some(Expr::binary(BinOp::Gt, Expr::col(2, "x"), Expr::int(5)));
-        rewrite(&mut q);
+        rewrite(&mut q, &ARITIES);
         assert_eq!(q.joins[0].join_type, JoinType::Inner);
     }
 
@@ -228,8 +262,47 @@ mod tests {
             input: Box::new(Expr::col(2, "x")),
             negated: false,
         });
-        rewrite(&mut q);
+        rewrite(&mut q, &ARITIES);
         assert_eq!(q.joins[0].join_type, JoinType::LeftOuter);
+    }
+
+    #[test]
+    fn filters_left_on_a_nullable_side_move_above_the_join() {
+        let is_null = |c: usize| Expr::IsNull {
+            input: Box::new(Expr::col(c, "x")),
+            negated: false,
+        };
+        // LEFT: `dim` (table 1) pads; its filter moves, shifted past the
+        // four `fact` columns. `fact`'s filter stays in its scan.
+        let mut q = two_table_query(JoinType::LeftOuter);
+        q.table_filters = vec![Some(is_null(0)), Some(is_null(2))];
+        rewrite(&mut q, &ARITIES);
+        assert_eq!(q.joins[0].join_type, JoinType::LeftOuter);
+        assert_eq!(q.table_filters, vec![Some(is_null(0)), None]);
+        assert_eq!(q.residual_filters, vec![is_null(6)]);
+        // FULL: both sides pad, so both filters move.
+        let mut q = two_table_query(JoinType::FullOuter);
+        q.table_filters = vec![Some(is_null(1)), Some(is_null(2))];
+        rewrite(&mut q, &ARITIES);
+        assert_eq!(q.joins[0].join_type, JoinType::FullOuter);
+        assert_eq!(q.table_filters, vec![None, None]);
+        assert_eq!(q.residual_filters, vec![is_null(1), is_null(6)]);
+    }
+
+    #[test]
+    fn full_outer_sheds_the_sides_a_null_rejecting_filter_empties() {
+        let gt = |c: usize| Expr::binary(BinOp::Gt, Expr::col(c, "x"), Expr::int(5));
+        for (filters, expected) in [
+            ([None, Some(gt(2))], JoinType::RightOuter),
+            ([Some(gt(2)), None], JoinType::LeftOuter),
+            ([Some(gt(2)), Some(gt(2))], JoinType::Inner),
+        ] {
+            let mut q = two_table_query(JoinType::FullOuter);
+            q.table_filters = filters.to_vec();
+            rewrite(&mut q, &ARITIES);
+            assert_eq!(q.joins[0].join_type, expected, "{filters:?}");
+            assert!(q.residual_filters.is_empty(), "{filters:?}");
+        }
     }
 
     #[test]
@@ -237,7 +310,7 @@ mod tests {
         let mut q = two_table_query(JoinType::Inner);
         // dim.key > 100 — the fact side should inherit fact.fk > 100.
         q.table_filters[1] = Some(Expr::binary(BinOp::Gt, Expr::col(0, "key"), Expr::int(100)));
-        rewrite(&mut q);
+        rewrite(&mut q, &ARITIES);
         let fact_filter = q.table_filters[0].as_ref().unwrap();
         let conjuncts = fact_filter.clone().split_conjuncts();
         assert!(conjuncts.iter().any(|c| matches!(
@@ -251,9 +324,9 @@ mod tests {
     fn transitive_predicates_do_not_duplicate() {
         let mut q = two_table_query(JoinType::Inner);
         q.table_filters[1] = Some(Expr::binary(BinOp::Gt, Expr::col(0, "key"), Expr::int(100)));
-        rewrite(&mut q);
+        rewrite(&mut q, &ARITIES);
         let before = q.table_filters[0].clone().unwrap().split_conjuncts().len();
-        rewrite(&mut q);
+        rewrite(&mut q, &ARITIES);
         let after = q.table_filters[0].clone().unwrap().split_conjuncts().len();
         assert_eq!(before, after, "second pass adds nothing");
     }
@@ -274,7 +347,7 @@ mod tests {
                 false,
             ),
         ));
-        rewrite(&mut q);
+        rewrite(&mut q, &ARITIES);
         let Some(Expr::InList {
             input,
             list,
@@ -298,7 +371,7 @@ mod tests {
             Expr::eq(Expr::col(3, "b"), Expr::int(2)),
         );
         q.table_filters[0] = Some(pred.clone());
-        rewrite(&mut q);
+        rewrite(&mut q, &ARITIES);
         assert_eq!(q.table_filters[0], Some(pred));
     }
 
@@ -306,7 +379,7 @@ mod tests {
     fn filters_on_non_key_columns_do_not_transfer() {
         let mut q = two_table_query(JoinType::Inner);
         q.table_filters[1] = Some(Expr::binary(BinOp::Gt, Expr::col(3, "other"), Expr::int(1)));
-        rewrite(&mut q);
+        rewrite(&mut q, &ARITIES);
         assert!(q.table_filters[0].is_none());
     }
 }

@@ -237,25 +237,6 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Store table rows into *one* projection on this node: the row-shaped
-    /// door of [`StorageEngine::insert_batch`].
-    pub fn insert_projection_rows(
-        &self,
-        projection: &str,
-        table_rows: &[Row],
-        epoch: Epoch,
-        direct_ros: bool,
-    ) -> DbResult<()> {
-        let table = self
-            .projection(projection)?
-            .read()
-            .def()
-            .anchor_table
-            .clone();
-        let batch = LoadBatch::new(&self.table(&table)?.schema, table_rows, epoch, direct_ros)?;
-        self.insert_batch(projection, &batch, None, epoch, direct_ros)
-    }
-
     /// Store rows `rows` (all of them when `None`) of a validated batch
     /// into *one* projection on this node — the cluster layer routes
     /// per-projection row subsets by segmentation + buddy offset. A direct
@@ -360,15 +341,6 @@ impl StorageEngine {
             dropped += store.write().drop_partition(key, epoch)?;
         }
         Ok(dropped)
-    }
-
-    /// Total ROS bytes across all projections (disk-usage reporting).
-    pub fn total_ros_bytes(&self) -> u64 {
-        self.projection_names()
-            .iter()
-            .filter_map(|p| self.projection(p).ok())
-            .map(|s| s.read().ros_bytes())
-            .sum()
     }
 
     /// Minimum Last Good Epoch across projections (§5.1: LGE is tracked per

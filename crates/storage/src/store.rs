@@ -63,14 +63,6 @@ impl VisibleSet {
             VisibleSet::Mask(m) => m.get(pos as usize).copied().unwrap_or(false),
         }
     }
-
-    pub fn count_visible(&self, total: u64) -> u64 {
-        match self {
-            VisibleSet::All => total,
-            VisibleSet::None => 0,
-            VisibleSet::Mask(m) => m.iter().filter(|&&b| b).count() as u64,
-        }
-    }
 }
 
 /// What a container's epoch range and delete vector say about a snapshot

@@ -101,38 +101,6 @@ impl std::fmt::Display for LockMode {
     }
 }
 
-/// Render Table 1 as printed in the paper (the bench harness regenerates
-/// the table from the live implementation).
-pub fn render_compatibility_table() -> String {
-    let mut out = String::from("Requested\\Granted  S    I    SI   X    T    U    O\n");
-    for req in ALL_MODES {
-        out.push_str(&format!("{:<18}", req.name()));
-        for granted in ALL_MODES {
-            let cell = if req.compatible_with(granted) {
-                "Yes"
-            } else {
-                "No"
-            };
-            out.push_str(&format!("{cell:<5}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render Table 2.
-pub fn render_conversion_table() -> String {
-    let mut out = String::from("Requested\\Granted  S    I    SI   X    T    U    O\n");
-    for req in ALL_MODES {
-        out.push_str(&format!("{:<18}", req.name()));
-        for granted in ALL_MODES {
-            out.push_str(&format!("{:<5}", req.convert_from(granted).name()));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Per-table lock state: which transactions hold which modes.
 #[derive(Debug, Default)]
 struct TableLocks {
@@ -343,6 +311,37 @@ mod tests {
         let lm = LockManager::new();
         lm.acquire(TxnId(1), "a", X).unwrap();
         assert_eq!(lm.acquire(TxnId(2), "b", X).unwrap(), X);
+    }
+
+    /// Table 1 rendered from the live implementation in the paper's layout.
+    fn render_compatibility_table() -> String {
+        let mut out = String::from("Requested\\Granted  S    I    SI   X    T    U    O\n");
+        for req in ALL_MODES {
+            out.push_str(&format!("{:<18}", req.name()));
+            for granted in ALL_MODES {
+                let cell = if req.compatible_with(granted) {
+                    "Yes"
+                } else {
+                    "No"
+                };
+                out.push_str(&format!("{cell:<5}"));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Table 2, likewise.
+    fn render_conversion_table() -> String {
+        let mut out = String::from("Requested\\Granted  S    I    SI   X    T    U    O\n");
+        for req in ALL_MODES {
+            out.push_str(&format!("{:<18}", req.name()));
+            for granted in ALL_MODES {
+                out.push_str(&format!("{:<5}", req.convert_from(granted).name()));
+            }
+            out.push('\n');
+        }
+        out
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! fit for delta-encoded columns.
 
 use crate::error::{DbError, DbResult};
-use crate::value::{DataType, Value};
+use crate::value::Value;
 
 /// Append-only byte sink with primitive put operations.
 #[derive(Debug, Default)]
@@ -116,16 +116,6 @@ impl Writer {
             }
         }
     }
-
-    pub fn put_data_type(&mut self, ty: DataType) {
-        self.put_u8(match ty {
-            DataType::Integer => 1,
-            DataType::Float => 2,
-            DataType::Varchar => 3,
-            DataType::Boolean => 4,
-            DataType::Timestamp => 5,
-        });
-    }
 }
 
 /// Cursor over a byte slice with primitive get operations; every read is
@@ -225,17 +215,6 @@ impl<'a> Reader<'a> {
             4 => Ok(Value::Boolean(self.get_u8()? != 0)),
             5 => Ok(Value::Timestamp(self.get_ivarint()?)),
             t => Err(DbError::Corrupt(format!("unknown value tag {t}"))),
-        }
-    }
-
-    pub fn get_data_type(&mut self) -> DbResult<DataType> {
-        match self.get_u8()? {
-            1 => Ok(DataType::Integer),
-            2 => Ok(DataType::Float),
-            3 => Ok(DataType::Varchar),
-            4 => Ok(DataType::Boolean),
-            5 => Ok(DataType::Timestamp),
-            t => Err(DbError::Corrupt(format!("unknown data type tag {t}"))),
         }
     }
 }

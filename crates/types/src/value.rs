@@ -199,18 +199,6 @@ impl Value {
             }
         }
     }
-
-    /// Render the value as a CSV field (inverse of [`Value::parse_typed`]
-    /// for non-string types).
-    pub fn to_csv_field(&self) -> String {
-        match self {
-            Value::Null => String::new(),
-            Value::Integer(v) | Value::Timestamp(v) => v.to_string(),
-            Value::Float(v) => format!("{v}"),
-            Value::Varchar(s) => s.clone(),
-            Value::Boolean(b) => if *b { "true" } else { "false" }.to_string(),
-        }
-    }
 }
 
 impl fmt::Display for Value {

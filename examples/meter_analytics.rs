@@ -6,8 +6,8 @@
 //! cargo run -p vdb_examples --example meter_analytics
 //! ```
 
-use vdb_bench::workloads::meter;
 use vdb_core::Engine;
+use vdb_tests::workloads::meter;
 
 fn main() -> vdb_core::DbResult<()> {
     let db = Engine::builder().open()?;
@@ -15,7 +15,7 @@ fn main() -> vdb_core::DbResult<()> {
 
     // Let the Database Designer pick projections and encodings from a
     // sample + the workload (§6.3), instead of hand-writing DDL.
-    let sample = meter::generate(20_000, &vdb_bench::repro::scaled_meter_config(20_000));
+    let sample = meter::generate(20_000, &meter::scaled_config(20_000));
     let rationales = db.run_designer(
         "meter_data",
         &sample,
@@ -31,7 +31,7 @@ fn main() -> vdb_core::DbResult<()> {
         println!("  - {r}");
     }
 
-    let rows = meter::generate(200_000, &vdb_bench::repro::scaled_meter_config(200_000));
+    let rows = meter::generate(200_000, &meter::scaled_config(200_000));
     db.load("meter_data", &rows)?;
     println!(
         "\nloaded {} rows; encoded footprint {} bytes ({:.2} B/row vs ~{:.0} B/row as CSV)",

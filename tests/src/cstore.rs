@@ -1,5 +1,5 @@
-//! `vdb-cstore` — an architectural reconstruction of the 2005 C-Store
-//! research prototype, used as the baseline for Table 3.
+//! An architectural reconstruction of the 2005 C-Store research
+//! prototype, used as the baseline for Table 3.
 //!
 //! §8.1 of the paper explains what separated the prototype from Vertica;
 //! this baseline faithfully reproduces those *architectural* gaps rather
@@ -17,10 +17,8 @@
 //!   space for large tables"), which Vertica eliminated.
 //!
 //! The query surface is programmatic (scan / select / group / join
-//! iterators); the Table 3 harness drives both engines through equivalent
-//! physical plans.
-
-#![deny(rustdoc::broken_intra_doc_links)]
+//! iterators); [`crate::workloads::cstore7`] drives both engines through
+//! equivalent physical plans.
 
 use std::collections::HashMap;
 use vdb_types::codec::{Reader, Writer};

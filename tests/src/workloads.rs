@@ -1,4 +1,6 @@
-//! Workload generators.
+//! Workload generators and fixtures for the paper-claim suite
+//! (`tests/paper_claims.rs`), each beside the unit tests that check its
+//! representations agree.
 
 pub mod cluster;
 pub mod cstore7;

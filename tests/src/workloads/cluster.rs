@@ -1,6 +1,6 @@
 //! Multi-node cluster workload: a segmented fact joined to a dim that must
 //! re-segment through the exchange, run on 1 node and on a K-node cluster,
-//! plus a node kill → buddy reads → recovery drill. Feeds `repro::cluster`.
+//! plus a node kill → buddy reads → recovery drill.
 
 use vdb_core::Engine;
 use vdb_types::{DbResult, Row, Value};

@@ -10,11 +10,11 @@
 //!
 //! Both engines run equivalent physical work: Vertica through SQL against
 //! its projections, C-Store through the tuple-at-a-time iterators of
-//! `vdb-cstore`.
+//! [`crate::cstore`].
 
+use crate::cstore::{collect, CStoreDb, CStoreGroupBy, CStoreHashJoin};
 use rand::{Rng, SeedableRng};
 use vdb_core::Engine;
-use vdb_cstore::{collect, CStoreDb, CStoreGroupBy, CStoreHashJoin};
 use vdb_exec::aggregate::{AggCall, AggFunc};
 use vdb_types::{BinOp, ColumnDef, DataType, DbResult, Expr, Row, TableSchema, Value};
 

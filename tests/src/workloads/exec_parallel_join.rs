@@ -92,12 +92,11 @@ pub fn run_serial(fact: &ProjectionStore, dim: &ProjectionStore) -> DbResult<(Ve
 }
 
 /// The morsel-parallel join at `lanes` workers per side.
-/// Returns the joined rows, total wall ms, and the build/probe split.
 pub fn run_parallel(
     fact: &ProjectionStore,
     dim: &ProjectionStore,
     lanes: usize,
-) -> DbResult<(Vec<Row>, f64, (f64, f64))> {
+) -> DbResult<(Vec<Row>, f64)> {
     let t = Instant::now();
     let mut op = ParallelHashJoinOp::new(
         ParallelJoinSpec {
@@ -115,7 +114,7 @@ pub fn run_parallel(
         MemoryBudget::unlimited(),
     );
     let rows = collect_rows(&mut op)?;
-    Ok((rows, t.elapsed().as_secs_f64() * 1000.0, op.phase_ms()))
+    Ok((rows, t.elapsed().as_secs_f64() * 1000.0))
 }
 
 #[cfg(test)]
@@ -130,7 +129,7 @@ mod tests {
         let expected = (0..40_000i64).filter(|i| i % FACT_KEYS < DIM_KEYS).count();
         assert_eq!(serial.len(), expected, "keys below DIM_KEYS match");
         for lanes in [1, 2, 4] {
-            let (par, _, _) = run_parallel(&fact, &dim, lanes).unwrap();
+            let (par, _) = run_parallel(&fact, &dim, lanes).unwrap();
             assert_eq!(par, serial, "lanes={lanes}");
         }
     }

@@ -1,6 +1,7 @@
 //! Workload for the typed-vector executor hot path: filter → group-by →
-//! SUM over plain and RLE-heavy batches, with a pre-refactor row-at-a-time
-//! baseline to measure the typed/selection-vector path against.
+//! SUM over plain and typed batches, with a pre-refactor row-at-a-time
+//! baseline to measure the typed/selection-vector path against, and the
+//! sorted run-length shape the two group-by strategies race on.
 
 use vdb_exec::aggregate::{AggCall, AggFunc, AggState};
 use vdb_exec::batch::{Batch, ColumnSlice};
@@ -43,48 +44,6 @@ pub fn typed_batches(rows: usize) -> Vec<Batch> {
                 ColumnSlice::Typed(TypedVector::new(VectorData::Int64(group), None)),
                 ColumnSlice::Typed(TypedVector::new(VectorData::Int64(value), None)),
             ])
-        })
-        .collect()
-}
-
-/// RLE-heavy batches: sorted group column as runs (one run per group per
-/// batch), plus a typed value column.
-pub fn rle_batches(rows: usize) -> Vec<Batch> {
-    let run_len = (BATCH / 4).max(1);
-    let mut out = Vec::new();
-    let mut produced = 0usize;
-    let mut g = 0i64;
-    while produced < rows {
-        let n = (rows - produced).min(BATCH);
-        let mut runs = Vec::new();
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(run_len);
-            runs.push((Value::Integer(g % GROUPS), take as u32));
-            g += 1;
-            left -= take;
-        }
-        let value: Vec<i64> = (produced as i64..(produced + n) as i64).collect();
-        out.push(Batch::new(vec![
-            ColumnSlice::rle(runs),
-            ColumnSlice::Typed(TypedVector::new(VectorData::Int64(value), None)),
-        ]));
-        produced += n;
-    }
-    out
-}
-
-/// [`rle_batches`] expanded to plain values (the baseline representation).
-pub fn rle_expanded_batches(rows: usize) -> Vec<Batch> {
-    rle_batches(rows)
-        .into_iter()
-        .map(|b| {
-            Batch::new(
-                b.columns
-                    .iter()
-                    .map(|c| ColumnSlice::Plain(c.to_values()))
-                    .collect(),
-            )
         })
         .collect()
 }
@@ -182,21 +141,6 @@ pub fn run_sorted_groupby(batches: Vec<Batch>, streaming: bool) -> DbResult<Vec<
     collect_rows(gb.as_mut())
 }
 
-/// Pipelined (one-pass) aggregation over the sorted RLE group column:
-/// whole runs fold with one multiply. Returns `(groups, run_aggregated)`.
-pub fn run_pipelined(batches: Vec<Batch>) -> DbResult<(usize, u64)> {
-    let mut gb = PipelinedGroupByOp::new(
-        Box::new(ValuesOp::new(batches)),
-        vec![0],
-        vec![AggCall::new(AggFunc::CountStar, 0, "cnt")],
-    );
-    let mut groups = 0usize;
-    while let Some(b) = gb.next_batch()? {
-        groups += b.len();
-    }
-    Ok((groups, gb.run_aggregated_rows()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,17 +162,5 @@ mod tests {
         let hashed = run_sorted_groupby(sorted_float_batches(50_000), false).unwrap();
         assert_eq!(streamed.len(), 20);
         assert_eq!(streamed, hashed);
-    }
-
-    #[test]
-    fn rle_pipeline_consumes_runs() {
-        let rows = 10_000;
-        let (groups, encoded) = run_pipelined(rle_batches(rows)).unwrap();
-        assert!(groups > 0);
-        assert_eq!(encoded, rows as u64, "every row via run math");
-        let (groups_expanded, encoded_expanded) =
-            run_pipelined(rle_expanded_batches(rows)).unwrap();
-        assert_eq!(groups, groups_expanded);
-        assert_eq!(encoded_expanded, 0);
     }
 }

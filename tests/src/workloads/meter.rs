@@ -10,19 +10,8 @@
 //! projection used.
 
 use rand::{Rng, SeedableRng};
-use vdb_types::{ColumnDef, DataType, Row, TableSchema, Value};
-
-pub fn schema() -> TableSchema {
-    TableSchema::new(
-        "meter_data",
-        vec![
-            ColumnDef::new("metric", DataType::Integer),
-            ColumnDef::new("meter", DataType::Integer),
-            ColumnDef::new("ts", DataType::Timestamp),
-            ColumnDef::new("value", DataType::Float),
-        ],
-    )
-}
+use std::fmt::Write as _;
+use vdb_types::{Row, Value};
 
 /// Generator parameters; defaults follow the paper's description.
 #[derive(Debug, Clone)]
@@ -39,6 +28,23 @@ impl Default for MeterConfig {
             n_meters: 2000,
             seed: 2012,
         }
+    }
+}
+
+/// Generator parameters scaled to a row budget, preserving the paper's
+/// samples-per-series ratio: 200M rows over 300 metrics × 2000 meters is
+/// ~333 samples per series, which small runs would otherwise degenerate
+/// to one sample per series.
+pub fn scaled_config(target_rows: usize) -> MeterConfig {
+    let per_series = 300usize;
+    let series = (target_rows / per_series).max(1);
+    // Keep the paper's ~1:7 metric:meter ratio.
+    let n_metrics = ((series as f64 / 7.0).sqrt().ceil() as i64).max(1);
+    let n_meters = (series as i64 / n_metrics).max(1);
+    MeterConfig {
+        n_metrics,
+        n_meters,
+        seed: 2012,
     }
 }
 
@@ -109,7 +115,10 @@ pub fn as_csv(rows: &[Row]) -> String {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&v.to_csv_field());
+            let _ = match v {
+                Value::Integer(x) | Value::Timestamp(x) => write!(s, "{x}"),
+                other => write!(s, "{other}"),
+            };
         }
         s.push('\n');
     }

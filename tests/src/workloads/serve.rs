@@ -1,7 +1,6 @@
-//! Serving-layer benchmark harness: a fixed query mix fired from N
-//! concurrent sessions at one [`Server`], measuring throughput and tail
-//! latency while the plan cache and the shared morsel pool absorb the
-//! load. Used by the `serve` repro target and its CI gate.
+//! Serving-layer workload: a fixed query mix fired from N concurrent
+//! sessions at one [`Server`], measuring throughput and tail latency while
+//! the plan cache and the shared morsel pool absorb the load.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,18 +60,17 @@ pub fn build_db(rows: usize, chunks: usize) -> DbResult<Engine> {
     Ok(db)
 }
 
+/// Throughput and tail latency of one [`run_phase`].
+pub struct PhaseReport {
+    pub qps: f64,
+    pub p99_ms: f64,
+}
+
 /// One measured phase: `sessions` threads, each its own [`Session`],
 /// walking the mix round-robin (phase-shifted per session) until every
 /// session has issued `per_session` statements.
 ///
 /// [`Session`]: vdb_core::serve::Session
-pub struct PhaseReport {
-    pub statements: usize,
-    pub qps: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-}
-
 pub fn run_phase(
     server: &Arc<Server>,
     mix: &[String],
@@ -101,25 +99,19 @@ pub fn run_phase(
             .into_iter()
             .map(|h| {
                 h.join()
-                    .map_err(|_| DbError::Execution("serve bench session panicked".into()))?
+                    .map_err(|_| DbError::Execution("serve session thread panicked".into()))?
             })
             .collect::<DbResult<Vec<Vec<f64>>>>()
     })?;
     let wall = started.elapsed().as_secs_f64();
     let mut latencies: Vec<f64> = lat_per_session.into_iter().flatten().collect();
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let statements = latencies.len();
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
+    let p99_ms = match latencies.len() {
+        0 => 0.0,
+        n => latencies[((n as f64 - 1.0) * 0.99).round() as usize],
     };
     Ok(PhaseReport {
-        statements,
-        qps: statements as f64 / wall.max(1e-9),
-        p50_ms: pct(0.50),
-        p99_ms: pct(0.99),
+        qps: latencies.len() as f64 / wall.max(1e-9),
+        p99_ms,
     })
 }

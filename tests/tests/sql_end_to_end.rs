@@ -312,14 +312,14 @@ fn outer_joins_against_an_empty_side() {
                 "threads {threads}: filtered {from}"
             );
         }
-        // FULL OUTER evaluates a one-table WHERE below the join in this
-        // engine, so the emptied build leaves `a`'s rows, padded.
+        // FULL OUTER: the null-rejecting filter on `b` rejects every row
+        // `b` pads as well as every real `b` row.
         let got = db.query(&format!(
             "{SELECT} a FULL OUTER JOIN b ON a.k = b.k WHERE b.z > 1000 {ORDER}"
         ));
         assert_eq!(
             got.unwrap(),
-            padded,
+            Vec::<Row>::new(),
             "threads {threads}: filtered FULL OUTER"
         );
         // A filter that keeps one unmatched build row: the probe side has
@@ -342,6 +342,56 @@ fn outer_joins_against_an_empty_side() {
             [Value::Integer(100), Value::Varchar("one".into())]
         );
         assert_eq!(got[1][2..], [null.clone(), null.clone()]);
+    }
+}
+
+/// WHERE conjuncts on the null-supplying side of an outer join see the
+/// padded rows: they are evaluated above the join, not in that side's scan.
+#[test]
+fn where_filters_on_a_null_supplying_side_apply_above_the_join() {
+    let null = Value::Null;
+    let int = Value::Integer;
+    let cases: Vec<(&str, Vec<Row>)> = vec![
+        (
+            "SELECT a.k, a.x, b.z FROM a LEFT JOIN b ON a.k = b.k WHERE b.z IS NULL ORDER BY a.k",
+            vec![vec![int(2), int(20), null.clone()]],
+        ),
+        (
+            "SELECT a.k, a.x, b.z FROM a FULL OUTER JOIN b ON a.k = b.k WHERE b.z > 1000",
+            vec![],
+        ),
+        (
+            "SELECT a.k, a.x, b.z FROM a FULL OUTER JOIN b ON a.k = b.k WHERE b.z IS NULL \
+             ORDER BY a.k",
+            vec![
+                vec![null.clone(), null.clone(), null.clone()],
+                vec![int(2), int(20), null.clone()],
+            ],
+        ),
+        (
+            "SELECT a.x, b.k, b.z FROM a RIGHT JOIN b ON a.k = b.k WHERE a.x IS NULL ORDER BY b.k",
+            vec![vec![null.clone(), int(3), null.clone()]],
+        ),
+        // A filter on each side: one null-rejecting (FULL becomes LEFT),
+        // one not (it still sees `b`'s padding) …
+        (
+            "SELECT a.k, a.x, b.z FROM a FULL OUTER JOIN b ON a.k = b.k \
+             WHERE a.x > 5 AND b.z IS NULL ORDER BY a.k",
+            vec![vec![int(2), int(20), null.clone()]],
+        ),
+        // … and neither null-rejecting: both above the join.
+        (
+            "SELECT a.k, a.x, b.k FROM a FULL OUTER JOIN b ON a.k = b.k \
+             WHERE a.x IS NULL AND b.z IS NULL ORDER BY b.k",
+            vec![vec![null.clone(), null.clone(), int(3)]],
+        ),
+    ];
+    for threads in [1, 2, 7] {
+        let builder = Engine::builder().threads(threads);
+        let db = outer_join_db(builder, false, "(1, 100, 'one'), (3, NULL, 'three')");
+        for (sql, want) in &cases {
+            assert_eq!(&db.query(sql).unwrap(), want, "threads {threads}: {sql}");
+        }
     }
 }
 

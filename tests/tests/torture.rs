@@ -35,6 +35,8 @@ fn torture_in_memory_no_violations() {
     assert!(report.commits > 0, "writers never committed");
     assert!(report.queries > 0, "readers never ran");
     assert!(report.rows_ingested > 0);
+    assert!(report.ingest_rows_per_sec > 0.0, "no ingest throughput");
+    assert!(report.query_p99_ms > 0.0, "no query latency under ingest");
     eprintln!(
         "torture(mem): {:.1}s, {} commits ({} rows, {} deletes), {} queries, \
          {:.0} rows/s ingest, p99 {:.2} ms",
